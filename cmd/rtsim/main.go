@@ -21,14 +21,14 @@ import (
 
 func main() {
 	var (
-		app     = flag.String("app", "parser", "application name (see -list)")
-		insts   = flag.Uint64("insts", 1_000_000, "instructions to simulate")
-		tech    = flag.String("tech", "base", "technique: base, tuning, voltctl, damping")
-		initial = flag.Int("initial-response", 100, "tuning: initial response time in cycles")
-		delay   = flag.Int("delay", 0, "tuning: detection-to-response delay in cycles")
-		trace   = flag.String("trace", "", "write per-cycle CSV trace to this file")
-		record  = flag.String("record", "", "record the instruction stream to this file and exit")
-		replay  = flag.String("replay", "", "replay a recorded instruction stream instead of -app")
+		app      = flag.String("app", "parser", "application name (see -list)")
+		insts    = flag.Uint64("insts", 1_000_000, "instructions to simulate")
+		tech     = flag.String("tech", "base", "technique: base, tuning, voltctl, damping")
+		initial  = flag.Int("initial-response", 100, "tuning: initial response time in cycles")
+		delay    = flag.Int("delay", 0, "tuning: detection-to-response delay in cycles")
+		trace    = flag.String("trace", "", "write per-cycle CSV trace to this file")
+		record   = flag.String("record", "", "record the instruction stream to this file and exit")
+		replay   = flag.String("replay", "", "replay a recorded instruction stream instead of -app")
 		spect    = flag.Bool("spectrum", false, "analyse the run's current spectrum against the resonance band")
 		energy   = flag.Bool("energy", false, "print the per-unit energy breakdown")
 		cacheDir = flag.String("cache-dir", "", "persistent result-cache directory (a warm re-run replays the finished result without simulating)")

@@ -83,7 +83,7 @@ func (m *meter) maybePrint(force bool) {
 	case m.done >= m.total:
 		eta = "0s"
 	case rate > 0:
-		eta = (time.Duration(float64(m.total-m.done)/rate*float64(time.Second))).Round(time.Second).String()
+		eta = (time.Duration(float64(m.total-m.done) / rate * float64(time.Second))).Round(time.Second).String()
 	}
 	pct := 0.0
 	if m.total > 0 {

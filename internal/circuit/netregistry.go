@@ -168,7 +168,7 @@ func init() {
 		Validate: func(c *NetworkConfig) error { return c.Lumped.Validate() },
 		Domains:  func(c *NetworkConfig) int { return 1 },
 		Build: func(c *NetworkConfig, i0 []float64) Network {
-			return WrapSimulator(NewSimulator(*c.Lumped, i0[0]))
+			return &lumpedNetwork{sim: NewSimulator(*c.Lumped, i0[0])}
 		},
 	})
 
@@ -187,7 +187,7 @@ func init() {
 		Validate: func(c *NetworkConfig) error { return c.TwoStage.Validate() },
 		Domains:  func(c *NetworkConfig) int { return 1 },
 		Build: func(c *NetworkConfig, i0 []float64) Network {
-			return WrapTwoStage(NewTwoStageSimulator(*c.TwoStage, i0[0]))
+			return &twoStageNetwork{sim: NewTwoStageSimulator(*c.TwoStage, i0[0])}
 		},
 	})
 

@@ -4,7 +4,7 @@ package circuit
 // transient PDN model that maps per-domain current draws to per-domain
 // supply deviations, one processor cycle at a time. The single lumped
 // RLC of Figure 1(b) and the two-stage network of Section 2.2 are
-// one-domain Networks (see WrapSimulator and WrapTwoStage); the
+// one-domain Networks (lumpedNetwork and twoStageNetwork); the
 // distributed multi-domain stack of MultiDomainParams exposes one
 // entry per supply domain.
 //
@@ -54,10 +54,6 @@ type lumpedNetwork struct {
 	sim *Simulator
 }
 
-// WrapSimulator exposes a lumped single-stage supply as a one-domain
-// Network.
-func WrapSimulator(s *Simulator) Network { return &lumpedNetwork{sim: s} }
-
 func (n *lumpedNetwork) Kind() string { return NetworkLumped }
 
 func (n *lumpedNetwork) Domains() int { return 1 }
@@ -78,18 +74,11 @@ func (n *lumpedNetwork) Step(draws, dev []float64) {
 
 func (n *lumpedNetwork) Fork() Network { return &lumpedNetwork{sim: n.sim.Fork()} }
 
-// Simulator returns the wrapped scalar simulator (for callers needing
-// raw state access, e.g. traces).
-func (n *lumpedNetwork) Simulator() *Simulator { return n.sim }
-
 // twoStageNetwork adapts the Section 2.2 TwoStageSimulator to the
 // Network seam, again forwarding to the unchanged scalar arithmetic.
 type twoStageNetwork struct {
 	sim *TwoStageSimulator
 }
-
-// WrapTwoStage exposes a two-stage supply as a one-domain Network.
-func WrapTwoStage(s *TwoStageSimulator) Network { return &twoStageNetwork{sim: s} }
 
 func (n *twoStageNetwork) Kind() string { return NetworkTwoStage }
 
@@ -110,6 +99,3 @@ func (n *twoStageNetwork) Step(draws, dev []float64) {
 }
 
 func (n *twoStageNetwork) Fork() Network { return &twoStageNetwork{sim: n.sim.Fork()} }
-
-// Simulator returns the wrapped scalar simulator.
-func (n *twoStageNetwork) Simulator() *TwoStageSimulator { return n.sim }

@@ -95,7 +95,7 @@ func TestSchedulerMatchesScanReference(t *testing.T) {
 			t.Run(fmt.Sprintf("cfg%d/%s", ci, sched.name), func(t *testing.T) {
 				for seed := uint64(1); seed <= 8; seed++ {
 					n := 400 + int(seed%600)
-					stream := randomStream(seed*131 + uint64(ci), n)
+					stream := randomStream(seed*131+uint64(ci), n)
 					ev := New(cfg, NewSliceSource(append([]Inst(nil), stream...)))
 					ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
 					ev.SetClassCurrentEstimates(amps)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"context"
+	"fmt"
 
 	"repro/internal/engine/batchkernel"
 	"repro/internal/sim"
@@ -23,18 +23,18 @@ func (s Spec) MachineKey() (Key, error) {
 }
 
 // laneGroup is one packed work item: the indices (into the batch's spec
-// slice) of the specs sharing a machine. A group of one runs scalar.
+// slice) of the specs sharing a machine.
 type laneGroup struct {
 	indices []int
 }
 
 // packGroups partitions the given spec indices into lane groups by
 // MachineKey. Every index appears in exactly one group; specs that
-// cannot be keyed (invalid technique) and traced specs become singleton
-// groups, since a traced run must go through the scalar path's
-// always-simulate semantics. Group order follows first appearance, and
-// indices within a group stay in caller order, so packing is
-// deterministic.
+// cannot be keyed (invalid technique) and traced specs become one-lane
+// groups — a trace callback is caller code run every cycle on the
+// worker, and must not hold up the other specs' simulations. Group
+// order follows first appearance, and indices within a group stay in
+// caller order, so packing is deterministic.
 func packGroups(specs []Spec, indices []int) []laneGroup {
 	byKey := make(map[Key]int) // machine key -> position in groups
 	var groups []laneGroup
@@ -58,96 +58,95 @@ func packGroups(specs []Spec, indices []int) []laneGroup {
 	return groups
 }
 
-// runGroup executes one multi-lane group through the lockstep kernel —
-// diverging lanes resume on forked machines inside the kernel, and only
-// lanes whose machine could not be forked re-run on the scalar path —
-// and reports every spec through finish exactly once. Lanes that cannot
-// even be built fall back to scalar execution for a properly attributed
-// error. report receives the kernel's divergence and power-memoization
-// counters (scalar runs report memo traffic only).
-func runGroup(ctx context.Context, specs []Spec, g laneGroup, finish func(i int, res sim.Result, err error), report func(batchkernel.Stats)) {
-	scalar := func(indices []int) {
-		for _, i := range indices {
-			if err := ctx.Err(); err != nil {
-				finish(i, sim.Result{}, err)
-				continue
-			}
-			res, st, err := executeMeasured(specs[i])
-			report(batchkernel.Stats{PowerMemo: st})
-			finish(i, res, err)
-		}
-	}
-	if len(g.indices) < 2 {
-		scalar(g.indices)
-		return
-	}
+// job is one spec resolved for simulation: its normalized form, its
+// instruction stream's parameters, and its kernel lane (the constructed
+// technique plus, for a traced spec, the trace hooks).
+type job struct {
+	n      Spec
+	params workload.Params
+	lane   batchkernel.Lane
+}
 
-	// Build the shared machine from the first lane's normalized spec;
-	// every lane in the group resolves to the same machine by MachineKey
-	// equality.
-	n0, _, err := specs[g.indices[0]].normalized()
+// prepare resolves spec for simulation.
+func prepare(spec Spec) (job, error) {
+	n, desc, err := spec.normalized()
 	if err != nil {
-		scalar(g.indices)
-		return
+		return job{}, err
 	}
-	params := workload.Params{}
-	if n0.Workload != nil {
-		params = *n0.Workload
-		if err := params.Validate(); err != nil {
-			scalar(g.indices)
-			return
-		}
-	} else {
-		app, err := workload.ByName(n0.App)
-		if err != nil {
-			scalar(g.indices)
-			return
-		}
-		params = app.Params
+	params, err := n.workloadParams()
+	if err != nil {
+		return job{}, err
 	}
-	lanes := make([]batchkernel.Lane, 0, len(g.indices))
-	laneIdx := make([]int, 0, len(g.indices))
-	for _, i := range g.indices {
-		ni, desc, err := specs[i].normalized()
+	tech, hooks, err := buildTechnique(&n, desc)
+	if err != nil {
+		return job{}, err
+	}
+	lane := batchkernel.Lane{Tech: tech, TechName: string(TechniqueNone)}
+	if tech != nil {
+		lane.TechName = tech.Name()
+	}
+	if spec.Trace != nil {
+		lane.Trace, lane.EventCount, lane.Level = spec.Trace, hooks.EventCount, hooks.Level
+	}
+	return job{n: n, params: params, lane: lane}, nil
+}
+
+// machine builds the job's simulated system. The instruction stream
+// comes from the shared trace store: the app's stream is materialized
+// once per process and replayed through a slice cursor (bit-identical to
+// live generation; streams too large for the store's budget fall back to
+// a live Generator).
+func (j *job) machine() (*sim.Machine, error) {
+	return sim.NewMachine(*j.n.System, workload.SharedTraces().Source(j.params, j.n.Instructions))
+}
+
+// simulate runs specs that share a MachineKey as one lockstep kernel
+// group — a single spec is a one-lane group — and returns each spec's
+// result or error plus the kernel's statistics. A spec that cannot be
+// built fails alone; a panic anywhere in the group fails every spec in
+// it, so the caller always has an outcome to settle each claim with.
+func simulate(specs []Spec) (res []sim.Result, errs []error, st batchkernel.Stats) {
+	res = make([]sim.Result, len(specs))
+	errs = make([]error, len(specs))
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("simulation panic: %v", r)
+			for i := range errs {
+				res[i], errs[i] = sim.Result{}, err
+			}
+		}
+	}()
+
+	var first job
+	lanes := make([]batchkernel.Lane, 0, len(specs))
+	idx := make([]int, 0, len(specs))
+	for i := range specs {
+		j, err := prepare(specs[i])
 		if err != nil {
-			finish(i, sim.Result{}, err)
+			errs[i] = err
 			continue
 		}
-		tech, _, err := buildTechnique(&ni, desc)
-		if err != nil {
-			finish(i, sim.Result{}, err)
-			continue
+		if len(lanes) == 0 {
+			first = j
 		}
-		name := string(TechniqueNone)
-		if tech != nil {
-			name = tech.Name()
-		}
-		lanes = append(lanes, batchkernel.Lane{Tech: tech, TechName: name})
-		laneIdx = append(laneIdx, i)
+		lanes = append(lanes, j.lane)
+		idx = append(idx, i)
 	}
 	if len(lanes) == 0 {
-		return
+		return res, errs, st
 	}
-	src := workload.SharedTraces().Source(params, n0.Instructions)
-	m, err := sim.NewMachine(*n0.System, src)
+	// Every lane resolves to the first lane's machine by MachineKey
+	// equality.
+	m, err := first.machine()
 	if err != nil {
-		// The machine config is invalid: the scalar path produces the
-		// same, properly attributed error per lane.
-		scalar(laneIdx)
-		return
-	}
-	outcomes, stats := batchkernel.Run(m, n0.App, lanes)
-	report(stats)
-	var rerun []int
-	for li, out := range outcomes {
-		switch out.Status {
-		case batchkernel.Finished:
-			finish(laneIdx[li], out.Result, nil)
-		case batchkernel.Failed:
-			finish(laneIdx[li], sim.Result{}, out.Err)
-		default: // Diverged on an unforkable machine: scalar fallback
-			rerun = append(rerun, laneIdx[li])
+		for _, i := range idx {
+			errs[i] = err
 		}
+		return res, errs, st
 	}
-	scalar(rerun)
+	outs, st := batchkernel.Run(m, first.n.App, lanes)
+	for k, out := range outs {
+		res[idx[k]], errs[idx[k]] = out.Result, out.Err
+	}
+	return res, errs, st
 }

@@ -1,12 +1,15 @@
 package engine
 
-// The differential harness pinning the batch kernel to the scalar core.
+// The differential harness pinning the batch kernel — the engine's only
+// execution path — to the scalar core.
 //
 // The scalar loop (sim.Simulator) is the frozen reference, in the style
 // of internal/cpu/scanref_test.go: every lane of a lockstep group must
 // observe, cycle for cycle, bit-identical Observations (including the
-// full cpu.Activity) and TracePoints to a scalar run of the same spec,
-// and produce an identical Result. Since the kernel forks diverging
+// full cpu.Activity and the per-domain view) and TracePoints to a scalar
+// run of the same spec, and produce an identical Result. The same holds
+// end to end for what the engine serves: Execute, RunAll's multi-lane
+// groups and singletons, and traced runs. Since the kernel forks diverging
 // lanes onto machine copies, this holds for every lane — the lockstep
 // prefix comes from the shared machine and the post-divergence suffix
 // from the lane's fork, and the concatenation must be indistinguishable
@@ -15,6 +18,7 @@ package engine
 // check at the bottom enforces that.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,10 +30,11 @@ import (
 )
 
 // cycleRecord is one cycle as a technique saw it: the Observation with
-// the Activity buffer flattened into a value copy.
+// the Activity and per-domain buffers flattened into value copies.
 type cycleRecord struct {
-	obs sim.Observation
-	act cpu.Activity
+	obs    sim.Observation
+	act    cpu.Activity
+	domain string
 }
 
 // recordingTech wraps a Technique (nil for the base machine), recording
@@ -56,6 +61,10 @@ func (r *recordingTech) Next() (cpu.Throttle, sim.Phantom) {
 func (r *recordingTech) Observe(obs *sim.Observation) {
 	rec := cycleRecord{obs: *obs, act: *obs.Activity}
 	rec.obs.Activity = nil
+	if obs.PerDomain != nil {
+		rec.domain = fmt.Sprint(*obs.PerDomain)
+		rec.obs.PerDomain = nil
+	}
 	r.recs = append(r.recs, rec)
 	if r.inner != nil {
 		r.inner.Observe(obs)
@@ -70,10 +79,11 @@ type diffCase struct {
 	insts  uint64
 }
 
-// diffMatrix builds the config × seed grid: three distinct system
-// configurations and four seeds each, over a mix that reliably exercises
-// both quiet runs (techniques never fire: lanes survive the whole
-// stream) and loud ones (techniques respond and diverge: prefix checks).
+// diffMatrix builds the config × seed grid: four distinct system
+// configurations (including a multi-domain network) and four seeds
+// each, over a mix that reliably exercises both quiet runs (techniques
+// never fire: lanes survive the whole stream) and loud ones (techniques
+// respond and diverge: prefix checks).
 func diffMatrix(t *testing.T) []diffCase {
 	t.Helper()
 	app, err := workload.ByName("swim")
@@ -81,12 +91,14 @@ func diffMatrix(t *testing.T) []diffCase {
 		t.Fatal(err)
 	}
 	twoStage := sim.DefaultConfig()
-	ts := circuit.Table1TwoStage()
-	twoStage.TwoStageSupply = &ts
+	twoStage.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage}
 	twoStage.SensorDelayCycles = 2
 	quantized := sim.DefaultConfig()
 	quantized.SensorResolutionAmps = 2
 	quantized.MaxCycles = 4000
+	multi := sim.DefaultConfig()
+	multi.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain}
+	multi.SensorDomain = 1
 
 	var cases []diffCase
 	for _, sys := range []struct {
@@ -96,6 +108,7 @@ func diffMatrix(t *testing.T) []diffCase {
 		{"default", nil},
 		{"twostage-delay2", &twoStage},
 		{"quantized-capped", &quantized},
+		{"multidomain-rail1", &multi},
 	} {
 		for _, seed := range []uint64{1, 7, 1001, 424242} {
 			p := app.Params
@@ -210,9 +223,9 @@ func kindSpecs(c diffCase) []Spec {
 // (config, seed) cell and every lane must finish — resuming on a forked
 // machine when its decisions diverge — bit-identical to its scalar
 // reference run: the full observation stream, the full trace stream, and
-// the Result. (Domain-tuning rides a single-domain machine here, which
-// covers its aggregate-sensor fallback; its multi-domain path has its
-// own scalar tests.)
+// the Result. (Domain-tuning rides single-domain machines in most cells,
+// which covers its aggregate-sensor fallback, and one controller per
+// rail on the multi-domain cell.)
 func TestBatchKernelMatchesScalarReference(t *testing.T) {
 	if len(Kinds()) != 8 {
 		t.Fatalf("expected 8 registered technique kinds, have %v", Kinds())
@@ -304,7 +317,7 @@ func TestCacheStatsCountsForks(t *testing.T) {
 		specs = append(specs, Spec{Workload: &p, Instructions: 5000, Technique: k})
 	}
 	eng := New(Options{Parallelism: 2})
-	if _, err := eng.RunAll(t.Context(), specs, nil); err != nil {
+	if _, err := eng.RunAll(context.Background(), specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.CacheStats()
@@ -316,34 +329,93 @@ func TestCacheStatsCountsForks(t *testing.T) {
 	}
 }
 
-// TestRunAllBatchedMatchesExecute pins the engine's batch path end to
-// end: RunAll over a spec list that packs into multi-lane groups must
-// return exactly what spec-by-spec Execute returns.
-func TestRunAllBatchedMatchesExecute(t *testing.T) {
-	var specs []Spec
-	for _, seed := range []uint64{3, 99} {
-		for _, k := range Kinds() {
-			app, err := workload.ByName("gcc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := app.Params
-			p.Seed = seed
-			specs = append(specs, Spec{Workload: &p, Instructions: 4000, Technique: k})
-		}
-	}
-	eng := New(Options{Parallelism: 2})
-	got, err := eng.RunAll(t.Context(), specs, nil)
+// tracedSpec returns spec with a trace sink appending to *tps.
+func tracedSpec(spec Spec, tps *[]sim.TracePoint) Spec {
+	spec.Trace = func(tp sim.TracePoint) { *tps = append(*tps, tp) }
+	return spec
+}
+
+// TestExecuteMatchesScalarReference pins Execute — a one-lane kernel
+// group — to the frozen scalar loop for every registered technique
+// kind: untraced, the Result must match; traced, so must the full
+// per-cycle TracePoint stream, including the technique's EventCount and
+// ResponseLevel columns.
+func TestExecuteMatchesScalarReference(t *testing.T) {
+	app, err := workload.ByName("swim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, spec := range specs {
-		want, err := Execute(spec)
+	for _, k := range Kinds() {
+		p := app.Params
+		spec := Spec{Workload: &p, Instructions: 5000, Technique: k}
+		_, sTps, sRes := scalarReference(t, spec)
+		got, err := Execute(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got != sRes {
+			t.Errorf("%s: Execute %+v != scalar %+v", k, got, sRes)
+		}
+		var tps []sim.TracePoint
+		got, err = Execute(tracedSpec(spec, &tps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != sRes {
+			t.Errorf("%s: traced Execute %+v != scalar %+v", k, got, sRes)
+		}
+		if len(tps) != len(sTps) {
+			t.Errorf("%s: traced %d cycles, scalar %d", k, len(tps), len(sTps))
+		}
+		compareTraces(t, string(k), tps, sTps, len(sTps))
+	}
+}
+
+// TestRunAllMatchesScalarReference pins the engine's batch path end to
+// end against the frozen scalar loop: a RunAll mixing multi-lane groups
+// (every kind on two shared machines), singletons (every kind on a
+// machine of its own), and traced specs must return exactly the scalar
+// Results, and every traced spec must see exactly the scalar trace.
+func TestRunAllMatchesScalarReference(t *testing.T) {
+	app, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	spec := func(seed uint64, k TechniqueKind) Spec {
+		p := app.Params
+		p.Seed = seed
+		return Spec{Workload: &p, Instructions: 4000, Technique: k}
+	}
+	for _, seed := range []uint64{3, 99} {
+		for _, k := range Kinds() {
+			specs = append(specs, spec(seed, k))
+		}
+	}
+	for i, k := range Kinds() {
+		specs = append(specs, spec(uint64(1000+i), k))
+	}
+	traces := make([][]sim.TracePoint, len(Kinds()))
+	for i, k := range Kinds() {
+		specs = append(specs, tracedSpec(spec(uint64(2000+i), k), &traces[i]))
+	}
+	got, err := New(Options{Parallelism: 2}).RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstTraced := len(specs) - len(Kinds())
+	for i, s := range specs {
+		s.Trace = nil
+		_, sTps, want := scalarReference(t, s)
 		if got[i] != want {
-			t.Errorf("spec %d (%s): batched %+v != scalar %+v", i, spec.Technique, got[i], want)
+			t.Errorf("spec %d (%s): RunAll %+v != scalar %+v", i, s.Technique, got[i], want)
+		}
+		if i >= firstTraced {
+			name := fmt.Sprintf("spec %d (%s)", i, s.Technique)
+			if tps := traces[i-firstTraced]; len(tps) != len(sTps) {
+				t.Errorf("%s: traced %d cycles, scalar %d", name, len(tps), len(sTps))
+			}
+			compareTraces(t, name, traces[i-firstTraced], sTps, len(sTps))
 		}
 	}
 }

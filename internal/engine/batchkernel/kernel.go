@@ -1,10 +1,12 @@
 // Package batchkernel steps K simulations in lockstep over one shared
-// machine. The engine's batch path packs specs whose technique-independent
-// halves are identical (same application stream, same simulated system —
-// see Spec.MachineKey) into the lanes of a group; per-lane state is kept
-// in parallel arrays (the lanes and their per-cycle decisions), while the
-// expensive machine state — core scheduler, power accumulators, supply
-// circuit — exists once per cohort.
+// machine. It is the engine's only execution path: the engine packs
+// specs whose technique-independent halves are identical (same
+// application stream, same simulated system — see Spec.MachineKey) into
+// the lanes of a group, and runs a lone spec as a one-lane group (which
+// never forks). Per-lane state is kept in parallel arrays (the lanes and
+// their per-cycle decisions), while the expensive machine state — core
+// scheduler, power accumulators, supply circuit — exists once per
+// cohort.
 //
 // The kernel is speculative: each cycle every live lane's technique
 // decides its (throttle, phantom) pair, and as long as the decisions
@@ -24,7 +26,8 @@
 // indistinguishable from the original's. The scalar loop (sim.Simulator)
 // stays frozen as the differential reference; internal/engine's
 // differential harness pins the equivalence per cycle over every
-// registered technique kind, including forked and re-forked lanes.
+// registered technique kind, including forked and re-forked lanes and
+// one-lane groups.
 package batchkernel
 
 import (
@@ -44,13 +47,11 @@ const (
 	// cohort or on a forked machine; either way their Result is
 	// bit-identical to a scalar run of the same spec.
 	Finished Status = iota
-	// Diverged lanes decided differently from their cohort leader at
-	// DivergedAt on a machine that could not be forked (an unforkable
-	// instruction source); no machine step was taken for them at that
-	// cycle, and the caller must re-run them on the scalar path.
-	Diverged
-	// Failed lanes panicked in their technique or trace callback; Err
-	// carries the recovered panic. The rest of the cohort is unaffected.
+	// Failed lanes panicked in their technique or trace callback, or
+	// decided differently from their cohort leader on a machine that
+	// could not be forked (an instruction source without
+	// cpu.ForkableSource); Err carries the recovered panic or the fork
+	// error. The rest of the cohort is unaffected.
 	Failed
 )
 
@@ -59,8 +60,6 @@ func (s Status) String() string {
 	switch s {
 	case Finished:
 		return "finished"
-	case Diverged:
-		return "diverged"
 	case Failed:
 		return "failed"
 	}
@@ -140,12 +139,11 @@ func (l *Lane) observe(obs *sim.Observation) (err error) {
 // Outcome describes how one lane ended.
 type Outcome struct {
 	Status Status
-	// DivergedAt is the cycle whose decision differed from the leader's
-	// on an unforkable machine (Diverged) or whose technique panicked
-	// (Failed). The lane observed every cycle before DivergedAt and none
-	// from it on.
-	DivergedAt uint64
-	// Err is the recovered panic of a Failed lane.
+	// FailedAt is the cycle at which a Failed lane stopped: the cycle
+	// whose technique call panicked, or whose decision could not fork.
+	// The lane observed every cycle before FailedAt and none from it on.
+	FailedAt uint64
+	// Err is the recovered panic or fork error of a Failed lane.
 	Err error
 	// Result is the lane's summary (Finished lanes only).
 	Result sim.Result
@@ -245,14 +243,14 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 			i := c.live[0]
 			th, ph, err := lanes[i].next()
 			if err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, m.Cycles(), err
+				out[i].Status, out[i].FailedAt, out[i].Err = Failed, m.Cycles(), err
 				c.live = c.live[:0]
 				break
 			}
 			obs := m.Step(th, ph)
 			stats.Steps++
 			if err := lanes[i].observe(obs); err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, obs.Cycle, err
+				out[i].Status, out[i].FailedAt, out[i].Err = Failed, obs.Cycle, err
 				c.live = c.live[:0]
 				break
 			}
@@ -272,7 +270,7 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 			for _, i := range c.live {
 				th, ph, err := lanes[i].next()
 				if err != nil {
-					out[i].Status, out[i].DivergedAt, out[i].Err = Failed, m.Cycles(), err
+					out[i].Status, out[i].FailedAt, out[i].Err = Failed, m.Cycles(), err
 					continue
 				}
 				decisions[i] = decision{th: th, ph: ph}
@@ -315,7 +313,7 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 		n := 0
 		for _, i := range c.live {
 			if err := lanes[i].observe(obs); err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, obs.Cycle, err
+				out[i].Status, out[i].FailedAt, out[i].Err = Failed, obs.Cycle, err
 				continue
 			}
 			c.live[n] = i
@@ -340,8 +338,8 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 // forkCohorts regroups the lanes that just left a cohort: lanes sharing
 // a decision ride one machine fork together as a fresh lockstep cohort
 // (first-appearance order, so regrouping is deterministic). When the
-// machine cannot be forked the affected lanes come back Diverged for the
-// caller's scalar fallback — the pre-fork behaviour.
+// machine cannot be forked the affected lanes end Failed with the fork
+// error.
 func forkCohorts(m *sim.Machine, split []int, decisions []decision, out []Outcome, stats *Stats, stack []cohort) []cohort {
 	at := m.Cycles()
 	for len(split) > 0 {
@@ -362,7 +360,7 @@ func forkCohorts(m *sim.Machine, split []int, decisions []decision, out []Outcom
 		fm, err := m.Fork()
 		if err != nil {
 			for _, i := range grp {
-				out[i].Status, out[i].DivergedAt = Diverged, at
+				out[i].Status, out[i].FailedAt, out[i].Err = Failed, at, err
 			}
 			split = rest
 			continue

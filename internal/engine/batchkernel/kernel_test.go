@@ -7,7 +7,7 @@ package batchkernel_test
 // duplicates must stay in lockstep — and fork — together), cascading
 // re-splits (a forked cohort splitting again), a lane panicking
 // mid-batch and another panicking after it forked, and an unforkable
-// instruction source (the Diverged scalar-fallback path).
+// instruction source (a lane that must fork fails with the fork error).
 
 import (
 	"strings"
@@ -41,7 +41,7 @@ func edgeSource() cpu.Source {
 }
 
 // unforkableSource hides the underlying source's Fork method, forcing
-// Machine.Fork to fail so the kernel's Diverged fallback is reachable.
+// Machine.Fork to fail so the kernel's fork-failure path is reachable.
 type unforkableSource struct {
 	inner cpu.Source
 }
@@ -146,7 +146,7 @@ func runGroupOn(t *testing.T, scripts []*scriptTech, src cpu.Source) ([]*scriptT
 func checkLane(t *testing.T, label string, sc *scriptTech, out batchkernel.Outcome, wantForkAt uint64) {
 	t.Helper()
 	if out.Status != batchkernel.Finished {
-		t.Errorf("%s: outcome %v (divergedAt=%d err=%v), want finished", label, out.Status, out.DivergedAt, out.Err)
+		t.Errorf("%s: outcome %v (failedAt=%d err=%v), want finished", label, out.Status, out.FailedAt, out.Err)
 		return
 	}
 	switch {
@@ -308,8 +308,8 @@ func TestLanePanicMidBatch(t *testing.T) {
 	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "scripted panic") {
 		t.Errorf("bomb lane: err %v, want recovered scripted panic", outs[1].Err)
 	}
-	if outs[1].DivergedAt != 60 {
-		t.Errorf("bomb lane: failed at %d, want 60", outs[1].DivergedAt)
+	if outs[1].FailedAt != 60 {
+		t.Errorf("bomb lane: failed at %d, want 60", outs[1].FailedAt)
 	}
 	if len(scripts[1].recs) != 60 {
 		t.Errorf("bomb lane: observed %d cycles before the panic, want 60", len(scripts[1].recs))
@@ -330,8 +330,8 @@ func TestForkThenPanic(t *testing.T) {
 	if outs[1].Status != batchkernel.Failed {
 		t.Fatalf("forkbomb lane: status %v, want failed", outs[1].Status)
 	}
-	if outs[1].DivergedAt != 100 {
-		t.Errorf("forkbomb lane: failed at %d, want 100", outs[1].DivergedAt)
+	if outs[1].FailedAt != 100 {
+		t.Errorf("forkbomb lane: failed at %d, want 100", outs[1].FailedAt)
 	}
 	if outs[1].Forks != 1 || outs[1].FirstForkAt != 40 {
 		t.Errorf("forkbomb lane: forks=%d firstForkAt=%d, want 1 at 40", outs[1].Forks, outs[1].FirstForkAt)
@@ -355,21 +355,25 @@ func TestForkThenPanic(t *testing.T) {
 	checkLane(t, "quiet", scripts[2], outs[2], 0)
 }
 
-// TestUnforkableSourceDiverges pins the scalar-fallback path: on a
-// machine whose instruction source cannot be forked, a diverging lane
-// must come back Diverged at exactly its divergence cycle with exactly
-// the scalar prefix observed, and the rest of the group must finish.
-func TestUnforkableSourceDiverges(t *testing.T) {
+// TestUnforkableSourceFails pins the fork-failure path: on a machine
+// whose instruction source cannot be forked, a diverging lane must end
+// Failed with the fork error at exactly its divergence cycle, having
+// observed exactly the scalar prefix, and the rest of the group must
+// finish.
+func TestUnforkableSourceFails(t *testing.T) {
 	scripts, outs, stats := runGroupOn(t, []*scriptTech{
 		nil,
 		{name: "th30", throttleFrom: 30},
 		{name: "quiet", throttleFrom: 0},
 	}, &unforkableSource{inner: edgeSource()})
-	if outs[1].Status != batchkernel.Diverged {
-		t.Fatalf("th30 lane: status %v, want diverged", outs[1].Status)
+	if outs[1].Status != batchkernel.Failed {
+		t.Fatalf("th30 lane: status %v, want failed", outs[1].Status)
 	}
-	if outs[1].DivergedAt != 30 {
-		t.Errorf("th30 lane: diverged at %d, want 30", outs[1].DivergedAt)
+	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "fork") {
+		t.Errorf("th30 lane: err %v, want the fork error", outs[1].Err)
+	}
+	if outs[1].FailedAt != 30 {
+		t.Errorf("th30 lane: failed at %d, want 30", outs[1].FailedAt)
 	}
 	if len(scripts[1].recs) != 30 {
 		t.Errorf("th30 lane: observed %d cycles, want exactly the 30-cycle prefix", len(scripts[1].recs))

@@ -13,9 +13,12 @@ import (
 // diskCacheVersion guards the on-disk entry schema: bumping it after a
 // Result field change makes every old entry stale, so it is ignored and
 // rewritten instead of silently decoding into the wrong shape. Version 3
-// marks the PDN generalization (sim.Config gained PDN and SensorDomain,
-// so every canonical encoding — and therefore every key — changed).
-const diskCacheVersion = 3
+// marked the PDN generalization (sim.Config gained PDN and SensorDomain,
+// so every canonical encoding — and therefore every key — changed);
+// version 4 marks the single network selector (sim.Config lost Supply
+// and TwoStageSupply, and a spec without a network now encodes the
+// lumped Table 1 network explicitly, changing every key again).
+const diskCacheVersion = 4
 
 // diskEntry is the JSON envelope of one cached result. JSON float64
 // encoding is shortest-round-trip, so a reloaded Result is bit-identical

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine/batchkernel"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -18,9 +17,6 @@ type Options struct {
 	// Parallelism bounds concurrently executing simulations across all
 	// of the engine's batch calls; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableCache makes every run simulate afresh (used by benchmarks
-	// and equivalence tests; results are identical either way).
-	DisableCache bool
 	// DiskCacheDir, when non-empty, adds a persistent second cache tier:
 	// finished Results are written there as one JSON file per Spec.Key
 	// (atomic renames), and later engines — including later processes —
@@ -49,7 +45,6 @@ type Options struct {
 // and with a disk tier, once per cache directory, not once per process.
 type Engine struct {
 	parallelism int
-	cacheOff    bool
 	slots       chan struct{}
 	disk        *diskCache
 
@@ -94,7 +89,6 @@ func New(o Options) *Engine {
 	}
 	e := &Engine{
 		parallelism: p,
-		cacheOff:    o.DisableCache,
 		slots:       make(chan struct{}, p),
 		entries:     make(map[Key]*entry),
 	}
@@ -195,30 +189,6 @@ func (e *Engine) releaseSlot() {
 	<-e.slots
 }
 
-// executeSafe is executeMeasured with panics converted into errors. The
-// engine must resolve its claimed cache entry and release its worker
-// slot on every path out of a simulation; letting a panicking grid point
-// unwind through a long-running server would instead strand waiters on
-// a never-closed entry (technique constructors are validated before
-// execution, but a panic can still escape a pathological configuration).
-func executeSafe(spec Spec) (res sim.Result, st power.MemoStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("simulation panic: %v", r)
-		}
-	}()
-	return executeMeasured(spec)
-}
-
-// addMemoStats folds one simulation's power-memoization counters into
-// the engine totals.
-func (e *Engine) addMemoStats(st power.MemoStats) {
-	e.mu.Lock()
-	e.powerMemoHits += st.Hits
-	e.powerMemoLookups += st.Lookups()
-	e.mu.Unlock()
-}
-
 // addKernelStats folds one lockstep group's divergence and memoization
 // counters into the engine totals.
 func (e *Engine) addKernelStats(st batchkernel.Stats) {
@@ -229,6 +199,79 @@ func (e *Engine) addKernelStats(st batchkernel.Stats) {
 	e.cohortsReformed += st.CohortsForked
 	e.forkCyclesSaved += st.CyclesSaved
 	e.mu.Unlock()
+}
+
+// claim is one spec's stake in the memory tier while it is served. An
+// untraced spec either finds an entry (a hit: it waits on it) or creates
+// and owns one (en), which it must resolve exactly once — through
+// fromDisk or settle — or identical specs wait forever. A traced spec
+// owns nothing: its per-cycle callback means it always simulates, and
+// settle publishes its result only into a vacant slot. A traced run must
+// never displace a live entry, because a traced failure would then evict
+// that entry while the displaced run's good result has nowhere to land,
+// and even a traced success would strand the original run's waiters.
+type claim struct {
+	key Key
+	en  *entry
+}
+
+// claimLocked returns key's entry as a hit, or creates and returns a new
+// owned one. The caller holds e.mu.
+func (e *Engine) claimLocked(key Key) (en *entry, hit bool) {
+	if en, ok := e.entries[key]; ok {
+		e.hits++
+		return en, true
+	}
+	en = &entry{done: make(chan struct{})}
+	e.entries[key] = en
+	return en, false
+}
+
+// fromDisk serves an owned claim from the persistent tier, promoting the
+// loaded result into its memory entry.
+func (e *Engine) fromDisk(c claim) (sim.Result, bool) {
+	if e.disk == nil || c.en == nil {
+		return sim.Result{}, false
+	}
+	res, ok := e.disk.load(c.key)
+	if !ok {
+		return sim.Result{}, false
+	}
+	e.mu.Lock()
+	e.diskHits++
+	e.mu.Unlock()
+	c.en.res = res
+	close(c.en.done)
+	return res, true
+}
+
+// settle records the outcome of a claim that reached simulation (or, for
+// an owned claim, was abandoned before it): it counts the miss, persists
+// a success to disk, and publishes it — into the owned entry, or into a
+// vacant slot for a traced spec — or, on failure, evicts the owned entry
+// so a later identical spec retries instead of replaying the error.
+func (e *Engine) settle(c claim, res sim.Result, err error) {
+	stored := err == nil && e.disk != nil && e.disk.store(c.key, res)
+	e.mu.Lock()
+	e.misses++
+	if stored {
+		e.diskWrites++
+	}
+	switch {
+	case c.en == nil && err == nil:
+		if _, exists := e.entries[c.key]; !exists {
+			en := &entry{done: make(chan struct{}), res: res}
+			close(en.done)
+			e.entries[c.key] = en
+		}
+	case c.en != nil && err != nil && e.entries[c.key] == c.en:
+		delete(e.entries, c.key)
+	}
+	e.mu.Unlock()
+	if c.en != nil {
+		c.en.res, c.en.err = res, err
+		close(c.en.done)
+	}
 }
 
 // Run executes one spec, serving it from the memory tier when an
@@ -245,7 +288,14 @@ func (e *Engine) addKernelStats(st batchkernel.Stats) {
 // engine's worker slots, so direct Run traffic and batch workers share
 // the same concurrency bound.
 func (e *Engine) Run(ctx context.Context, spec Spec) (sim.Result, error) {
-	return e.run(ctx, spec, true)
+	if err := ctx.Err(); err != nil {
+		return sim.Result{}, err
+	}
+	key, err := spec.Key()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return e.RunKeyed(ctx, key, spec)
 }
 
 // RunKeyed is Run for callers that already computed the spec's content
@@ -257,154 +307,35 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 	if err := ctx.Err(); err != nil {
 		return sim.Result{}, err
 	}
-	if e.cacheOff {
-		return e.runUncached(ctx, spec)
-	}
-	return e.runKeyed(ctx, key, spec, true)
-}
-
-// run is Run with the slot-acquisition choice explicit: batch workers
-// already hold a slot when they reach the scalar path, so acquiring a
-// second one could deadlock a fully loaded pool.
-func (e *Engine) run(ctx context.Context, spec Spec, needSlot bool) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	if e.cacheOff {
-		if !needSlot {
-			res, st, err := executeSafe(spec)
-			e.addMemoStats(st)
-			return res, err
-		}
-		return e.runUncached(ctx, spec)
-	}
-	key, err := spec.Key()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return e.runKeyed(ctx, key, spec, needSlot)
-}
-
-// runUncached executes spec under the slot bound without touching the
-// cache (DisableCache engines).
-func (e *Engine) runUncached(ctx context.Context, spec Spec) (sim.Result, error) {
-	if !e.acquireSlot(ctx) {
-		return sim.Result{}, ctx.Err()
-	}
-	defer e.releaseSlot()
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
-	return res, err
-}
-
-func (e *Engine) runKeyed(ctx context.Context, key Key, spec Spec, needSlot bool) (sim.Result, error) {
-	if spec.Trace != nil {
-		return e.runTraced(ctx, key, spec, needSlot)
-	}
-
-	e.mu.Lock()
-	if en, ok := e.entries[key]; ok {
-		e.hits++
+	c := claim{key: key}
+	if spec.Trace == nil {
+		e.mu.Lock()
+		en, hit := e.claimLocked(key)
 		e.mu.Unlock()
-		select {
-		case <-en.done:
-			return en.res, en.err
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
+		if hit {
+			select {
+			case <-en.done:
+				return en.res, en.err
+			case <-ctx.Done():
+				return sim.Result{}, ctx.Err()
+			}
 		}
-	}
-	en := &entry{done: make(chan struct{})}
-	e.entries[key] = en
-	e.mu.Unlock()
-
-	// Second tier: an untraced miss may be served from disk without
-	// simulating; the loaded result is promoted into the memory tier.
-	if e.disk != nil {
-		if res, ok := e.disk.load(key); ok {
-			e.mu.Lock()
-			e.diskHits++
-			e.mu.Unlock()
-			en.res = res
-			close(en.done)
+		c.en = en
+		if res, ok := e.fromDisk(c); ok {
 			return res, nil
 		}
 	}
-
-	// resolve publishes the claimed entry (evicting it first on failure
-	// so a later identical spec retries); it must run on every path out
-	// of here, or waiters hang forever.
-	resolve := func(res sim.Result, err error) {
-		en.res, en.err = res, err
-		if err != nil {
-			e.mu.Lock()
-			if e.entries[key] == en {
-				delete(e.entries, key)
-			}
-			e.mu.Unlock()
+	if !e.acquireSlot(ctx) {
+		if c.en != nil {
+			e.settle(c, sim.Result{}, ctx.Err())
 		}
-		close(en.done)
+		return sim.Result{}, ctx.Err()
 	}
-
-	e.mu.Lock()
-	e.misses++
-	e.mu.Unlock()
-	if needSlot {
-		if !e.acquireSlot(ctx) {
-			resolve(sim.Result{}, ctx.Err())
-			return sim.Result{}, ctx.Err()
-		}
-		defer e.releaseSlot()
-	}
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
-	resolve(res, err)
-	if err == nil && e.disk != nil {
-		if e.disk.store(key, res) {
-			e.mu.Lock()
-			e.diskWrites++
-			e.mu.Unlock()
-		}
-	}
-	return res, err
-}
-
-// runTraced executes a traced spec, which always simulates (its
-// per-cycle callback cannot be replayed from a cache). The result is
-// published on success only, and only into a vacant memory slot: a
-// traced run must never displace a live entry, because a traced failure
-// would then evict that entry while the displaced run's good result has
-// nowhere to land, and even a traced success would strand the original
-// run's waiters counting on an entry that is no longer in the map.
-func (e *Engine) runTraced(ctx context.Context, key Key, spec Spec, needSlot bool) (sim.Result, error) {
-	if needSlot {
-		if !e.acquireSlot(ctx) {
-			return sim.Result{}, ctx.Err()
-		}
-		defer e.releaseSlot()
-	}
-	e.mu.Lock()
-	e.misses++
-	e.mu.Unlock()
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	en := &entry{done: make(chan struct{}), res: res}
-	close(en.done)
-	e.mu.Lock()
-	if _, exists := e.entries[key]; !exists {
-		e.entries[key] = en
-	}
-	e.mu.Unlock()
-	if e.disk != nil {
-		if e.disk.store(key, res) {
-			e.mu.Lock()
-			e.diskWrites++
-			e.mu.Unlock()
-		}
-	}
-	return res, nil
+	res, errs, st := simulate([]Spec{spec})
+	e.releaseSlot()
+	e.addKernelStats(st)
+	e.settle(c, res[0], errs[0])
+	return res[0], errs[0]
 }
 
 // RunAll executes every spec through the worker pool and returns results
@@ -464,144 +395,74 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 		}
 	}
 
-	// Claim: compute every untraced spec's key and claim its memory-tier
-	// entry in one critical section, so the packer below sees the whole
-	// set of specs this batch must simulate. Specs already in flight (or
-	// cached) elsewhere become waiters; traced specs keep the scalar Run
-	// path, whose per-cycle side effects must always re-simulate.
+	// Claim: key every spec, then claim every untraced spec's
+	// memory-tier entry in one critical section, so the packer below sees
+	// the whole set of specs this batch must simulate. Specs already in
+	// flight (or cached) elsewhere become waiters; traced specs claim
+	// nothing (see claim).
 	type waiter struct {
 		i  int
 		en *entry
 	}
 	var waits []waiter
 	var toRun []int
-	owned := make(map[int]*entry)
-	keys := make(map[int]Key)
-	if e.cacheOff {
-		for i := range specs {
-			toRun = append(toRun, i)
+	claims := make([]claim, len(specs))
+	for i := range specs {
+		k, err := specs[i].Key()
+		if err != nil {
+			fail(i, err)
 		}
-	} else {
-		for i := range specs {
-			if specs[i].Trace != nil {
-				continue
-			}
-			k, err := specs[i].Key()
-			if err != nil {
-				fail(i, err)
-				continue
-			}
-			keys[i] = k
+		claims[i].key = k
+	}
+	e.mu.Lock()
+	for i := range specs {
+		if errs[i] != nil {
+			continue // key error already recorded
 		}
-		e.mu.Lock()
-		for i := range specs {
-			if specs[i].Trace != nil {
-				toRun = append(toRun, i)
-				continue
-			}
-			k, ok := keys[i]
-			if !ok {
-				continue // key error already recorded
-			}
-			if en, exists := e.entries[k]; exists {
-				e.hits++
+		if specs[i].Trace == nil {
+			en, hit := e.claimLocked(claims[i].key)
+			if hit {
 				waits = append(waits, waiter{i: i, en: en})
 				continue
 			}
-			en := &entry{done: make(chan struct{})}
-			e.entries[k] = en
-			owned[i] = en
-			toRun = append(toRun, i)
+			claims[i].en = en
 		}
-		e.mu.Unlock()
+		toRun = append(toRun, i)
 	}
+	e.mu.Unlock()
 
-	// Disk probe: owned untraced specs may be served from the
-	// persistent tier without simulating.
-	if e.disk != nil && !e.cacheOff {
-		n := 0
-		for _, i := range toRun {
-			en, isOwned := owned[i]
-			if !isOwned {
-				toRun[n] = i
-				n++
-				continue
-			}
-			res, ok := e.disk.load(keys[i])
-			if !ok {
-				toRun[n] = i
-				n++
-				continue
-			}
-			e.mu.Lock()
-			e.diskHits++
-			e.mu.Unlock()
-			en.res = res
-			close(en.done)
-			delete(owned, i)
+	// Disk probe: owned specs may be served from the persistent tier
+	// without simulating.
+	n := 0
+	for _, i := range toRun {
+		if res, ok := e.fromDisk(claims[i]); ok {
 			succeed(i, res)
+			continue
 		}
-		toRun = toRun[:n]
+		toRun[n] = i
+		n++
 	}
+	toRun = toRun[:n]
 
 	// Pack: group the remaining work by machine key so compatible specs
-	// share one lockstep kernel run; singletons (including every traced
-	// spec) stay scalar.
+	// share one lockstep kernel run.
 	groups := packGroups(specs, toRun)
 
-	// finish records one simulated spec: fill and publish the claimed
-	// entry (or evict it on error so a later identical spec retries),
-	// persist to disk, and account the miss.
+	// finish settles one simulated spec's claim and records its outcome;
+	// abandon resolves a claim whose group never simulated.
 	finish := func(i int, res sim.Result, err error) {
-		en := owned[i]
+		e.settle(claims[i], res, err)
 		if err != nil {
-			if en != nil {
-				e.mu.Lock()
-				e.misses++
-				if e.entries[keys[i]] == en {
-					delete(e.entries, keys[i])
-				}
-				e.mu.Unlock()
-				en.err = err
-				close(en.done)
-			}
 			fail(i, err)
-			return
+		} else {
+			succeed(i, res)
 		}
-		if en != nil {
-			e.mu.Lock()
-			e.misses++
-			e.mu.Unlock()
-			en.res = res
-			if e.disk != nil {
-				if e.disk.store(keys[i], res) {
-					e.mu.Lock()
-					e.diskWrites++
-					e.mu.Unlock()
-				}
-			}
-			close(en.done)
-		}
-		succeed(i, res)
 	}
-
-	runItem := func(g laneGroup) {
-		if len(g.indices) == 1 && !e.cacheOff {
-			if i := g.indices[0]; owned[i] == nil {
-				// A traced spec: the scalar path keeps its
-				// always-simulate, publish-on-success semantics. The
-				// worker already holds a slot, so run must not acquire
-				// a second one.
-				res, err := e.run(ctx, specs[i], false)
-				if err != nil {
-					fail(i, err)
-				} else {
-					succeed(i, res)
-				}
-				return
-			}
+	abandon := func(i int, err error) {
+		if claims[i].en != nil {
+			e.settle(claims[i], sim.Result{}, err)
 		}
-		runGroup(ctx, specs, g, finish, e.addKernelStats)
+		fail(i, err)
 	}
 
 	// A fixed pool of min(groups, parallelism) workers pulls group
@@ -627,17 +488,26 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 		go func() {
 			defer wg.Done()
 			for gi := range idx {
+				g := groups[gi].indices
 				if !e.acquireSlot(ctx) {
 					// Drain cheaply after cancellation, still
 					// resolving every claimed entry so waiters on
 					// other batches cannot hang.
-					for _, i := range groups[gi].indices {
-						finish(i, sim.Result{}, ctx.Err())
+					for _, i := range g {
+						abandon(i, ctx.Err())
 					}
 					continue
 				}
-				runItem(groups[gi])
+				gs := make([]Spec, len(g))
+				for k, i := range g {
+					gs[k] = specs[i]
+				}
+				res, errs, st := simulate(gs)
 				e.releaseSlot()
+				e.addKernelStats(st)
+				for k, i := range g {
+					finish(i, res[k], errs[k])
+				}
 			}
 		}()
 	}
@@ -649,7 +519,11 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 	// this batch's done channels). Resolve the stragglers here; after
 	// wg.Wait no worker touches these entries, so the non-blocking probe
 	// is race-free.
-	for i, en := range owned {
+	for _, i := range toRun {
+		en := claims[i].en
+		if en == nil {
+			continue
+		}
 		select {
 		case <-en.done:
 		default:
@@ -660,7 +534,7 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 				// rather than a published zero result.
 				err = errors.New("claimed entry left unresolved")
 			}
-			finish(i, sim.Result{}, err)
+			abandon(i, err)
 		}
 	}
 

@@ -23,8 +23,8 @@ func testSpecs() []Spec {
 	}
 }
 
-// TestParallelismInvariance: the same batch run with 1 worker, N
-// workers, and cache disabled produces bit-identical Results.
+// TestParallelismInvariance: the same batch run with 1 worker and N
+// workers produces bit-identical Results, equal to spec-by-spec Execute.
 func TestParallelismInvariance(t *testing.T) {
 	specs := testSpecs()
 	serial, err := New(Options{Parallelism: 1}).RunAll(context.Background(), specs, nil)
@@ -35,16 +35,16 @@ func TestParallelismInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(Options{Parallelism: 8, DisableCache: true}).RunAll(context.Background(), specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range specs {
 		if serial[i] != parallel[i] {
 			t.Errorf("spec %d: parallel run diverged:\n%+v\n%+v", i, serial[i], parallel[i])
 		}
-		if serial[i] != uncached[i] {
-			t.Errorf("spec %d: uncached run diverged:\n%+v\n%+v", i, serial[i], uncached[i])
+		alone, err := Execute(specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial[i] != alone {
+			t.Errorf("spec %d: Execute diverged:\n%+v\n%+v", i, serial[i], alone)
 		}
 	}
 }

@@ -70,11 +70,12 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 func TestKeySeparatesSpecs(t *testing.T) {
 	tcA := DefaultTuningConfig(75)
 	tcB := DefaultTuningConfig(125)
-	twoStage := circuit.Table1TwoStage()
 	sysB := sim.DefaultConfig()
-	sysB.TwoStageSupply = &twoStage
+	sysB.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage}
+	stiff := circuit.Table1()
+	stiff.C *= 2
 	sysC := sim.DefaultConfig()
-	sysC.Supply.C *= 2
+	sysC.PDN = &circuit.NetworkConfig{Lumped: &stiff}
 	specs := []Spec{
 		{App: "swim"},
 		{App: "lucas"},
@@ -147,7 +148,7 @@ func TestCanonicalCoversAllConfigFields(t *testing.T) {
 		{"engine.Spec", reflect.TypeOf(Spec{}), 14},
 		{"engine.DualBandConfig", reflect.TypeOf(DualBandConfig{}), 3},
 		{"engine.DomainTuningConfig", reflect.TypeOf(DomainTuningConfig{}), 1},
-		{"sim.Config", reflect.TypeOf(sim.Config{}), 9},
+		{"sim.Config", reflect.TypeOf(sim.Config{}), 7},
 		{"cpu.Config", reflect.TypeOf(cpu.Config{}), 21},
 		{"power.Config", reflect.TypeOf(power.Config{}), 5},
 		{"circuit.Params", reflect.TypeOf(circuit.Params{}), 8},

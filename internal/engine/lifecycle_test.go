@@ -283,6 +283,43 @@ func TestPanickingSimulationResolvesEntry(t *testing.T) {
 	}
 }
 
+// TestGroupPanicFailsEveryClaim: a panic outside the kernel's per-lane
+// containment — here a technique constructor, registered for this test
+// only — fails every spec of its lockstep group with an error, leaves
+// no entry claimed, and keeps the engine serving.
+func TestGroupPanicFailsEveryClaim(t *testing.T) {
+	const kind TechniqueKind = "test-constructor-panic"
+	Register(Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
+		panic("constructor exploded")
+	}})
+	t.Cleanup(func() {
+		delete(registry, kind)
+		registryOrder = registryOrder[:len(registryOrder)-1]
+	})
+	group := []Spec{
+		{App: "swim", Instructions: 5_000},
+		{App: "swim", Instructions: 5_000, Technique: TechniqueTuning},
+		{App: "swim", Instructions: 5_000, Technique: kind},
+	}
+	if _, err := Execute(group[2]); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("Execute returned %v, want a panic-wrapping error", err)
+	}
+	e := New(Options{Parallelism: 2})
+	if _, err := e.RunAll(context.Background(), group, nil); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("RunAll returned %v, want a panic-wrapping error", err)
+	}
+	assertAllEntriesClosed(t, e)
+	if st := e.CacheStats(); st.Entries != 0 || st.Misses != 3 {
+		t.Errorf("stats %+v, want all 3 group specs failed and evicted", st)
+	}
+	if _, err := e.RunAll(context.Background(), group[:2], nil); err != nil {
+		t.Fatalf("engine unusable after a group panic: %v", err)
+	}
+	if got := e.Load(); got.InFlight != 0 || got.Queued != 0 {
+		t.Errorf("load after quiescence = %+v, want zero (leaked slot)", got)
+	}
+}
+
 // stressSpec returns one of a small population of specs, some of which
 // duplicate heavily (the coalescing surface) and some of which are
 // unique per draw.

@@ -49,9 +49,45 @@ func TestPDNTopLevelFoldsIntoSystem(t *testing.T) {
 	}
 }
 
-// TestPDNKeysDifferByKind: specs selecting different network kinds (and
-// the legacy no-PDN default) must never share a key — a collision would
-// replay one network's cached result for another.
+// TestLumpedSpellingsShareKeys: no network, the bare lumped kind, and
+// the lumped kind with explicit Table 1 parameters are one canonical
+// network, so they share both the cache key and the machine key (and
+// therefore a lockstep group).
+func TestLumpedSpellingsShareKeys(t *testing.T) {
+	table1 := circuit.Table1()
+	specs := []Spec{
+		{App: "gzip"},
+		{App: "gzip", PDN: &circuit.NetworkConfig{Kind: circuit.NetworkLumped}},
+		{App: "gzip", PDN: &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &table1}},
+	}
+	var keys, machineKeys []Key
+	for i, s := range specs {
+		k, err := s.Key()
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		mk, err := s.MachineKey()
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		keys, machineKeys = append(keys, k), append(machineKeys, mk)
+	}
+	for i := 1; i < len(specs); i++ {
+		if keys[i] != keys[0] {
+			t.Errorf("spec %d: key %s, want %s", i, keys[i], keys[0])
+		}
+		if machineKeys[i] != machineKeys[0] {
+			t.Errorf("spec %d: machine key %s, want %s", i, machineKeys[i], machineKeys[0])
+		}
+	}
+	if groups := packGroups(specs, []int{0, 1, 2}); len(groups) != 1 {
+		t.Errorf("packed into %d groups, want one lockstep group", len(groups))
+	}
+}
+
+// TestPDNKeysDifferByKind: specs selecting different network kinds must
+// never share a key — a collision would replay one network's cached
+// result for another.
 func TestPDNKeysDifferByKind(t *testing.T) {
 	seen := map[Key]string{}
 	record := func(label string, s Spec) {
@@ -65,7 +101,6 @@ func TestPDNKeysDifferByKind(t *testing.T) {
 		}
 		seen[k] = label
 	}
-	record("legacy-default", Spec{App: "swim"})
 	for _, kind := range circuit.NetworkKinds() {
 		record(kind, Spec{App: "swim", PDN: &circuit.NetworkConfig{Kind: kind}})
 	}

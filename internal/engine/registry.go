@@ -14,22 +14,30 @@ import (
 	"repro/internal/baselines/convctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/tuning"
 )
 
 // Env carries the electrical-envelope quantities technique descriptors
-// may need, derived from the resolved system configuration's power model.
+// may need, derived from the resolved system configuration by the power
+// model's own arithmetic (see envOf). Normalize and Build see the same
+// values.
 type Env struct {
 	// MidAmps is the midpoint current level (power.Model.MidAmps), the
 	// default target of resonance tuning's second-level response.
 	MidAmps float64
 	// PhantomFireAmps is the extra current of phantom-firing the caches
 	// and functional units (power.Model.PhantomFireAmps), the
-	// high-voltage response of [10] and [8]. It is derived from the
-	// instantiated power model and therefore only available during
-	// Build; it is zero during Normalize.
+	// high-voltage response of [10] and [8].
 	PhantomFireAmps float64
+}
+
+// envOf derives a system's Env without building a power model: plain
+// arithmetic, so it is total even over configurations the machine would
+// reject (which keeps Key total).
+func envOf(sys *sim.Config) Env {
+	return Env{MidAmps: power.MidAmps(sys.Power), PhantomFireAmps: power.PhantomFireAmps(sys.Power, sys.CPU)}
 }
 
 // TraceHooks are the optional per-cycle introspection functions a
@@ -53,7 +61,7 @@ type Descriptor struct {
 	Clear func(n *Spec)
 	// Normalize resolves the technique's defaults: it reads the
 	// caller's section from orig (nil means all defaults) and writes
-	// the fully resolved section into n. env carries MidAmps only.
+	// the fully resolved section into n.
 	Normalize func(orig, n *Spec, env Env)
 	// Validate checks the resolved section; nil means always valid.
 	// Execute reports its error instead of letting a constructor panic.
@@ -306,10 +314,7 @@ func init() {
 			n.DomainTuning = &dt
 		},
 		Validate: func(n *Spec) error {
-			nd := 1
-			if n.System.PDN != nil {
-				nd = n.System.PDN.DomainCount()
-			}
+			nd := n.System.PDN.DomainCount()
 			if len(n.DomainTuning.Domains) != nd {
 				return fmt.Errorf("engine: domain-tuning has %d controller configs for a %d-domain network", len(n.DomainTuning.Domains), nd)
 			}
@@ -329,20 +334,12 @@ func init() {
 }
 
 // convolutionSupply picks the lumped supply the convolution predictor's
-// impulse response defaults to: the spec's own Supply when present, the
-// PDN's lumped parameters when the spec selects the lumped network kind
-// there instead, Table 1 otherwise (a PDN spec zeroes the legacy Supply
-// field, which must not leave the predictor with an unusable zero
-// network — the fallback keeps default resolution, and therefore Key,
-// total).
+// impulse response defaults to: the spec's own network when it is the
+// lumped kind, Table 1 otherwise (the fallback keeps default resolution,
+// and therefore Key, total).
 func convolutionSupply(sys *sim.Config) circuit.Params {
-	if sys != nil {
-		if sys.Supply != (circuit.Params{}) {
-			return sys.Supply
-		}
-		if sys.PDN != nil && sys.PDN.Kind == circuit.NetworkLumped && sys.PDN.Lumped != nil {
-			return *sys.PDN.Lumped
-		}
+	if sys.PDN.Kind == circuit.NetworkLumped && sys.PDN.Lumped != nil {
+		return *sys.PDN.Lumped
 	}
 	return circuit.Table1()
 }
@@ -353,15 +350,11 @@ func convolutionSupply(sys *sim.Config) circuit.Params {
 const DefaultDualBandDecimation = 25
 
 // dualBandSupply picks the two-stage network dual-band defaults derive
-// from: the spec's own TwoStageSupply when it is present and usable, the
+// from: the spec's own network when it is a usable two-stage one, the
 // Table 1 two-stage extension otherwise. (The fallback keeps default
 // resolution — and therefore Key — total even over junk systems.)
 func dualBandSupply(sys *sim.Config) circuit.TwoStageParams {
-	if sys != nil && sys.TwoStageSupply != nil && sys.TwoStageSupply.Validate() == nil {
-		return *sys.TwoStageSupply
-	}
-	if sys != nil && sys.PDN != nil && sys.PDN.Kind == circuit.NetworkTwoStage &&
-		sys.PDN.TwoStage != nil && sys.PDN.TwoStage.Validate() == nil {
+	if sys.PDN.Kind == circuit.NetworkTwoStage && sys.PDN.TwoStage != nil && sys.PDN.TwoStage.Validate() == nil {
 		return *sys.PDN.TwoStage
 	}
 	return circuit.Table1TwoStage()

@@ -64,11 +64,11 @@ func TestExecuteAllKinds(t *testing.T) {
 	}
 }
 
-// TestNormalizeMidAmpsMatchesPowerModel guards the normalize-time
-// mid-current formula (kept pure-arithmetic so Key is total over junk
-// systems) against drifting from power.Model.MidAmps, which Execute
-// uses at build time. A mismatch would make the cached key disagree
-// with the executed configuration.
+// TestNormalizeMidAmpsMatchesPowerModel guards the envelope the
+// registry's Normalize and Build see (pure arithmetic, so Key is total
+// over junk systems) against drifting from a built power.Model's own
+// MidAmps and PhantomFireAmps. A mismatch would make the cached key or
+// a technique's configuration disagree with the simulated machine.
 func TestNormalizeMidAmpsMatchesPowerModel(t *testing.T) {
 	for _, cfg := range []sim.Config{
 		sim.DefaultConfig(),
@@ -80,10 +80,11 @@ func TestNormalizeMidAmpsMatchesPowerModel(t *testing.T) {
 			return c
 		}(),
 	} {
-		want := power.New(cfg.Power, cfg.CPU).MidAmps()
-		got := (cfg.Power.PeakWatts/cfg.Power.Vdd + cfg.Power.IdleWatts/cfg.Power.Vdd) / 2
-		if got != want {
-			t.Errorf("normalize formula %.17g, power model %.17g", got, want)
+		pm := power.New(cfg.Power, cfg.CPU)
+		want := pm.MidAmps()
+		env := envOf(&cfg)
+		if env.MidAmps != want || env.PhantomFireAmps != pm.PhantomFireAmps() {
+			t.Errorf("env %+v, power model mid %.17g / phantom fire %.17g", env, want, pm.PhantomFireAmps())
 		}
 
 		spec := Spec{App: "swim", Technique: TechniqueTuning, System: &cfg}

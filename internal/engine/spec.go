@@ -21,7 +21,7 @@ import (
 	"repro/internal/baselines/voltctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
-	"repro/internal/power"
+	"repro/internal/engine/batchkernel"
 	"repro/internal/sim"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -82,7 +82,9 @@ type Spec struct {
 	// PDN selects a registered power-delivery-network model when
 	// non-nil. It is sugar for System.PDN (and overrides it): during
 	// normalization the section folds into the system configuration,
-	// which is its single canonical home in the cache key.
+	// which is its single canonical home in the cache key. With neither
+	// set the run simulates the lumped Table 1 supply, keyed exactly as
+	// if that network were spelled out.
 	PDN *circuit.NetworkConfig
 	// Tuning overrides the paper's tuning configuration when non-nil
 	// (only used with TechniqueTuning).
@@ -227,31 +229,24 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 	if n.System != nil {
 		cfg = *n.System
 	}
-	// A spec-level PDN overrides the system's; System is the section's
-	// single canonical home, so the network participates in the system
-	// encoding exactly once and the spec-level field never reaches the
-	// key directly.
+	// System.PDN is the network's single canonical home: a spec-level PDN
+	// overrides the system's, and a nil one means the lumped Table 1
+	// supply, so every spelling of one network encodes — and packs —
+	// identically.
 	if n.PDN != nil {
-		p := *n.PDN
-		cfg.PDN = &p
+		cfg.PDN = n.PDN
 		n.PDN = nil
 	}
+	var net circuit.NetworkConfig
 	if cfg.PDN != nil {
-		if np, err := cfg.PDN.Normalized(); err == nil {
-			cfg.PDN = &np
-			// The network supersedes the legacy supply fields; zero
-			// them so equal networks encode equally regardless of what
-			// the caller left behind.
-			cfg.Supply = circuit.Params{}
-			cfg.TwoStageSupply = nil
-		} else {
-			// Unknown kind: keep the section raw (privately copied) so
-			// Key stays total; the error surfaces from Validate and
-			// Execute instead.
-			p := *cfg.PDN
-			cfg.PDN = &p
-		}
+		net = *cfg.PDN
 	}
+	// An unknown kind stays raw (privately copied) so Key stays total;
+	// the error surfaces from Validate and Execute instead.
+	if np, err := net.Normalized(); err == nil {
+		net = np
+	}
+	cfg.PDN = &net
 	n.System = &cfg
 
 	desc, ok := lookupTechnique(n.Technique)
@@ -263,12 +258,7 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 	// the selected descriptor resolve its own section's defaults.
 	clearSections(&n)
 	if desc.Normalize != nil {
-		// Normalize-time Env carries only pure-arithmetic envelope
-		// quantities so Key stays total even over unusable systems;
-		// this formula replicates power.Model.MidAmps (asserted by
-		// TestNormalizeMidAmpsMatchesPowerModel).
-		env := Env{MidAmps: (cfg.Power.PeakWatts/cfg.Power.Vdd + cfg.Power.IdleWatts/cfg.Power.Vdd) / 2}
-		desc.Normalize(&s, &n, env)
+		desc.Normalize(&s, &n, envOf(&cfg))
 	}
 	return n, desc, nil
 }
@@ -285,20 +275,14 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if n.Workload != nil {
-		if err := n.Workload.Validate(); err != nil {
-			return err
-		}
-	} else if _, err := workload.ByName(n.App); err != nil {
+	if _, err := n.workloadParams(); err != nil {
 		return err
 	}
-	if n.System.PDN != nil {
-		if err := n.System.PDN.Validate(); err != nil {
-			return err
-		}
-		if nd := n.System.PDN.DomainCount(); n.System.SensorDomain < 0 || n.System.SensorDomain > nd {
-			return fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
-		}
+	if err := n.System.PDN.Validate(); err != nil {
+		return err
+	}
+	if nd := n.System.PDN.DomainCount(); n.System.SensorDomain < 0 || n.System.SensorDomain > nd {
+		return fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
 	}
 	if desc.Validate != nil {
 		if err := desc.Validate(&n); err != nil {
@@ -311,64 +295,64 @@ func (s Spec) Validate() error {
 	return n.System.Power.Validate()
 }
 
-// Execute builds and runs the simulation described by spec on the
-// calling goroutine, bypassing any cache. It is the single construction
-// path for every driver in the repo: the spec's technique descriptor
-// (see registry.go) validates the resolved configuration and constructs
-// the adapter.
-func Execute(spec Spec) (sim.Result, error) {
-	res, _, err := executeMeasured(spec)
-	return res, err
+// workloadParams resolves a normalized spec's instruction stream: the
+// explicit synthetic workload when present, the named Table 2
+// application's otherwise.
+func (s *Spec) workloadParams() (workload.Params, error) {
+	if s.Workload != nil {
+		return *s.Workload, s.Workload.Validate()
+	}
+	app, err := workload.ByName(s.App)
+	if err != nil {
+		return workload.Params{}, err
+	}
+	return app.Params, nil
 }
 
-// executeMeasured is Execute plus the run's power-memoization counters,
-// which the engine aggregates into its CacheStats.
-func executeMeasured(spec Spec) (sim.Result, power.MemoStats, error) {
-	n, desc, err := spec.normalized()
-	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
-	}
-	params := workload.Params{}
-	if n.Workload != nil {
-		params = *n.Workload
-		if err := params.Validate(); err != nil {
-			return sim.Result{}, power.MemoStats{}, err
-		}
-	} else {
-		app, err := workload.ByName(n.App)
-		if err != nil {
-			return sim.Result{}, power.MemoStats{}, err
-		}
-		params = app.Params
-	}
-	tech, hooks, err := buildTechnique(&n, desc)
-	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
-	}
-	cfg := *n.System
+// Execute builds and runs the simulation described by spec on the
+// calling goroutine, bypassing any cache. Like every engine run it is a
+// one-lane group of the lockstep kernel (see simulate); the spec's
+// technique descriptor (see registry.go) validates the resolved
+// configuration and constructs the adapter.
+func Execute(spec Spec) (sim.Result, error) {
+	res, errs, _ := simulate([]Spec{spec})
+	return res[0], errs[0]
+}
 
-	// The instruction stream comes from the shared trace store: the
-	// app's stream is materialized once per process and replayed through
-	// a slice cursor here (bit-identical to live generation; streams too
-	// large for the store's budget fall back to a live Generator).
-	src := workload.SharedTraces().Source(params, n.Instructions)
-	s, err := sim.New(cfg, src, tech)
+// Prepared is a spec resolved for simulation on its own machine — the
+// construction path Execute takes — for callers that must read machine
+// state the Result does not carry (the power model's energy breakdown,
+// the network's noise margins), before or after the run.
+type Prepared struct {
+	job
+	m *sim.Machine
+}
+
+// Prepare resolves spec and builds its machine without running it.
+func Prepare(spec Spec) (*Prepared, error) {
+	j, err := prepare(spec)
 	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
+		return nil, err
 	}
-	if spec.Trace != nil {
-		s.SetTrace(spec.Trace, hooks.EventCount, hooks.Level)
+	m, err := j.machine()
+	if err != nil {
+		return nil, err
 	}
-	name := string(TechniqueNone)
-	if tech != nil {
-		name = tech.Name()
-	}
-	return s.Run(n.App, name), s.Power().MemoStats(), nil
+	return &Prepared{job: j, m: m}, nil
+}
+
+// Machine returns the simulated system the run steps.
+func (p *Prepared) Machine() *sim.Machine { return p.m }
+
+// Run simulates the prepared spec to completion; call it once.
+func (p *Prepared) Run() (sim.Result, error) {
+	outs, _ := batchkernel.Run(p.m, p.n.App, []batchkernel.Lane{p.lane})
+	return outs[0].Result, outs[0].Err
 }
 
 // buildTechnique validates a normalized spec's technique section and
-// constructs the adapter with the build-time envelope read off the power
-// model. tech is nil for TechniqueNone.
+// constructs the adapter with the system's envelope. tech is nil for
+// TechniqueNone.
 func buildTechnique(n *Spec, desc *Descriptor) (sim.Technique, TraceHooks, error) {
 	// The technique constructors panic on unusable configurations;
 	// validate here so a bad grid point surfaces as an error naming it.
@@ -377,27 +361,16 @@ func buildTechnique(n *Spec, desc *Descriptor) (sim.Technique, TraceHooks, error
 			return nil, TraceHooks{}, err
 		}
 	}
-	// Techniques that depend on the electrical envelope (phantom-fire
-	// current, mid level) read it straight off the power model; validate
-	// the inputs first because power.New panics on bad configurations.
-	if err := n.System.CPU.Validate(); err != nil {
-		return nil, TraceHooks{}, err
-	}
-	if err := n.System.Power.Validate(); err != nil {
-		return nil, TraceHooks{}, err
-	}
-	pwr := power.New(n.System.Power, n.System.CPU)
-	env := Env{MidAmps: pwr.MidAmps(), PhantomFireAmps: pwr.PhantomFireAmps()}
 	if desc.Build == nil {
 		return nil, TraceHooks{}, nil
 	}
-	tech, hooks := desc.Build(n, env)
+	tech, hooks := desc.Build(n, envOf(n.System))
 	return tech, hooks, nil
 }
 
 // BuildTechnique resolves spec's technique section exactly as Execute
-// does — registry defaulting, validation, envelope from the power model —
-// and returns the constructed adapter without running a simulation. It
+// does — registry defaulting, validation, the system's envelope — and
+// returns the constructed adapter without running a simulation. It
 // serves drivers that feed the simulator from an external instruction
 // source (e.g. a recorded trace) and so cannot go through Execute. A nil
 // Technique means the base machine.

@@ -22,10 +22,10 @@ import (
 // sharded-sweep grid manifest (internal/shard) both speak it, so a
 // manifest entry could be replayed against the service verbatim.
 type SpecWire struct {
-	App            string           `json:"app,omitempty"`
-	Instructions   uint64           `json:"instructions,omitempty"`
-	Technique      string           `json:"technique,omitempty"`
-	Workload       *workload.Params `json:"workload,omitempty"`
+	App            string                 `json:"app,omitempty"`
+	Instructions   uint64                 `json:"instructions,omitempty"`
+	Technique      string                 `json:"technique,omitempty"`
+	Workload       *workload.Params       `json:"workload,omitempty"`
 	System         *sim.Config            `json:"system,omitempty"`
 	PDN            *circuit.NetworkConfig `json:"pdn,omitempty"`
 	Tuning         *tuning.Config         `json:"tuning,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/tuning"
@@ -44,8 +45,8 @@ func Fig4(opts Options) (Report, error) {
 	app.Params.Burst.EpisodeProb = 0.05
 
 	insts := opts.instructions()
-	cfg := sim.DefaultConfig()
-	lo, hi := cfg.Supply.ResonanceBandCycles().HalfPeriods()
+	supply := circuit.Table1() // the default network the run simulates
+	lo, hi := supply.ResonanceBandCycles().HalfPeriods()
 	det := tuning.NewDetector(tuning.DetectorConfig{
 		HalfPeriodLo: lo, HalfPeriodHi: hi,
 		ThresholdAmps: 32, MaxRepetitionTolerance: 4,
@@ -69,7 +70,7 @@ func Fig4(opts Options) (Report, error) {
 		return Report{}, err
 	}
 
-	margin := cfg.Supply.NoiseMarginVolts()
+	margin := supply.NoiseMarginVolts()
 	vi := -1
 	for i := 2000; i < len(trace); i++ {
 		if math.Abs(trace[i].DeviationVolts) > margin {

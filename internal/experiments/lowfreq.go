@@ -69,7 +69,7 @@ func LowFreq(opts Options) (Report, error) {
 	}
 
 	cfg := sim.DefaultConfig()
-	cfg.TwoStageSupply = &supply
+	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &supply}
 
 	const factor = 25
 	lowHalfDecimated := int(math.Round(lowPeriod / 2 / factor))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/engine"
+	"repro/internal/engine/batchkernel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tuning"
@@ -226,21 +227,24 @@ func MultiDomain(opts Options) (Report, error) {
 }
 
 // runMultiDirect runs one multi-domain configuration outside the engine
-// cache and returns the machine's per-domain statistics, plus the
-// per-domain controller statistics when tech is non-nil.
+// cache, as a one-lane kernel group on a machine it keeps, and returns
+// the machine's per-domain statistics, plus the per-domain controller
+// statistics when tech is non-nil.
 func runMultiDirect(cfg sim.Config, app workload.Params, insts uint64, tech *sim.PerDomainTuning) ([]sim.DomainStat, []tuning.Stats, error) {
-	var t sim.Technique
-	if tech != nil {
-		t = tech
-	}
-	s, err := sim.New(cfg, workload.SharedTraces().Source(app, insts), t)
+	m, err := sim.NewMachine(cfg, workload.SharedTraces().Source(app, insts))
 	if err != nil {
 		return nil, nil, err
 	}
-	s.Run(app.Name, "multidomain-direct")
+	lane := batchkernel.Lane{TechName: "multidomain-direct"}
+	if tech != nil {
+		lane.Tech = tech
+	}
+	if outs, _ := batchkernel.Run(m, app.Name, []batchkernel.Lane{lane}); outs[0].Err != nil {
+		return nil, nil, outs[0].Err
+	}
 	var ctrl []tuning.Stats
 	if tech != nil {
 		ctrl = tech.DomainStats()
 	}
-	return s.Machine().DomainStats(), ctrl, nil
+	return m.DomainStats(), ctrl, nil
 }

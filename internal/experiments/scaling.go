@@ -165,7 +165,7 @@ func runScalingPoint(eng *engine.Engine, opts Options, supply circuit.Params) (S
 	}
 
 	cfg := sim.DefaultConfig()
-	cfg.Supply = supply
+	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &supply}
 
 	template := engine.Spec{Workload: &app, System: &cfg, Instructions: opts.instructions()}
 	tunedSpec := template

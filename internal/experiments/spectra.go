@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -41,8 +42,8 @@ type SpectrumData struct {
 // inside the 84-119-cycle resonance band than the clean ones, and their
 // spectral peaks should sit in or near it.
 func Spectra(opts Options) (Report, error) {
-	cfg := sim.DefaultConfig()
-	band := cfg.Supply.ResonanceBandCycles()
+	supply := circuit.Table1() // the default network the runs simulate
+	band := supply.ResonanceBandCycles()
 	lo, hi := float64(band.Lo), float64(band.Hi)
 
 	// Each spec carries its own trace sink, so the engine runs the suite
@@ -65,7 +66,7 @@ func Spectra(opts Options) (Report, error) {
 	}
 	rows := make([]SpectrumRow, len(apps))
 	for i, app := range apps {
-		sp, err := spectrum.Analyze(traces[i], cfg.Supply.ClockHz, 10, 4*hi)
+		sp, err := spectrum.Analyze(traces[i], supply.ClockHz, 10, 4*hi)
 		if err != nil {
 			return Report{}, fmt.Errorf("%s: %w", app.Params.Name, err)
 		}

@@ -255,7 +255,18 @@ func New(cfg Config, cc cpu.Config) *Model {
 		panic(fmt.Sprintf("power.New: %v", err))
 	}
 	m := &Model{cfg: cfg, cc: cc}
-	m.maxEvents = [NumUnits]float64{
+	m.unitEventJ, m.maxEvents, m.floorJ = unitEnergies(cfg, cc)
+	m.memo = make([]memoEntry, memoSize)
+	return m
+}
+
+// unitEnergies derives the per-unit event energy (net of the gating
+// residual), the per-unit per-cycle event capacity, and the all-idle
+// cycle energy of a core with structural configuration cc under cfg.
+// It is plain arithmetic — total over configurations New would reject —
+// so the envelope accessors below can be evaluated without a Model.
+func unitEnergies(cfg Config, cc cpu.Config) (eventJ, maxEvents [NumUnits]float64, floorJ float64) {
+	maxEvents = [NumUnits]float64{
 		UnitFrontend: float64(cc.FetchWidth),
 		UnitRename:   float64(cc.DecodeWidth),
 		UnitWindow:   float64(cc.IssueWidth),
@@ -277,13 +288,12 @@ func New(cfg Config, cc cpu.Config) *Model {
 	if floorW < 0 {
 		floorW = 0
 	}
-	m.floorJ = (floorW + cfg.GatedResidual*dynamicW) * cycleJ
+	floorJ = (floorW + cfg.GatedResidual*dynamicW) * cycleJ
 	for u := Unit(0); u < NumUnits; u++ {
 		fullUnitJ := budgetFraction[u] * dynamicW * cycleJ
-		m.unitEventJ[u] = fullUnitJ * (1 - cfg.GatedResidual) / m.maxEvents[u]
+		eventJ[u] = fullUnitJ * (1 - cfg.GatedResidual) / maxEvents[u]
 	}
-	m.memo = make([]memoEntry, memoSize)
-	return m
+	return eventJ, maxEvents, floorJ
 }
 
 // Fork returns an independent copy of the model continuing from the
@@ -428,17 +438,24 @@ func (m *Model) PeakAmps() float64 { return m.cfg.PeakWatts / m.cfg.Vdd }
 
 // MidAmps returns the midpoint current level, the target the second-level
 // response holds with phantom operations.
-func (m *Model) MidAmps() float64 { return (m.PeakAmps() + m.IdleAmps()) / 2 }
+func (m *Model) MidAmps() float64 { return MidAmps(m.cfg) }
+
+// MidAmps is Model.MidAmps evaluated from the configuration alone.
+func MidAmps(cfg Config) float64 { return (cfg.PeakWatts/cfg.Vdd + cfg.IdleWatts/cfg.Vdd) / 2 }
 
 // PhantomFireAmps returns the extra current drawn by phantom-firing the
 // L1 caches and all functional units — the high-voltage response of [10].
-func (m *Model) PhantomFireAmps() float64 {
-	units := []Unit{UnitL1D, UnitFrontend, UnitIntALU, UnitIntMul, UnitFPALU, UnitFPMul}
+func (m *Model) PhantomFireAmps() float64 { return PhantomFireAmps(m.cfg, m.cc) }
+
+// PhantomFireAmps is Model.PhantomFireAmps evaluated from the
+// configurations alone, without building a Model.
+func PhantomFireAmps(cfg Config, cc cpu.Config) float64 {
+	eventJ, maxEvents, _ := unitEnergies(cfg, cc)
 	j := 0.0
-	for _, u := range units {
-		j += m.unitEventJ[u] * m.maxEvents[u]
+	for _, u := range [...]Unit{UnitL1D, UnitFrontend, UnitIntALU, UnitIntMul, UnitFPALU, UnitFPMul} {
+		j += eventJ[u] * maxEvents[u]
 	}
-	return m.CurrentAmps(j)
+	return j * cfg.ClockHz / cfg.Vdd
 }
 
 // ClassAmps returns a-priori per-instruction-class current estimates, the

@@ -107,7 +107,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_batch_cohorts_reformed_total Forked machines created, each a fresh lockstep cohort.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_batch_cohorts_reformed_total counter\n")
 	fmt.Fprintf(w, "resonanced_batch_cohorts_reformed_total %d\n", cs.CohortsReformed)
-	fmt.Fprintf(w, "# HELP resonanced_batch_fork_cycles_saved_total Speculative prefix cycles retained by forking instead of scalar re-runs.\n")
+	fmt.Fprintf(w, "# HELP resonanced_batch_fork_cycles_saved_total Speculative prefix cycles retained by forking instead of re-running from cycle zero.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_batch_fork_cycles_saved_total counter\n")
 	fmt.Fprintf(w, "resonanced_batch_fork_cycles_saved_total %d\n", cs.ForkCyclesSaved)
 

@@ -239,8 +239,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Single spec: the keyed scalar path, skipping batch machinery (this
-	// is the high-rate cached path a load generator hammers).
+	// Single spec: the keyed path, skipping batch machinery (this is the
+	// high-rate cached path a load generator hammers).
 	if len(specs) == 1 {
 		res, err := s.eng.RunKeyed(r.Context(), keys[0], specs[0])
 		if err != nil {

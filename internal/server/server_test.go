@@ -28,13 +28,23 @@ func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// postRun posts body to /v1/run and reads the response to EOF before
+// returning it with the body buffered. The server ends a response only
+// after its handler — and the instrument wrapper that records the
+// request in /metrics — has returned, so a scrape made after postRun
+// always sees this request.
 func postRun(t *testing.T, url string, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
 	return resp
 }
 
@@ -249,6 +259,8 @@ func TestRequestValidation(t *testing.T) {
 		{"malformed json", `{"spec":`, http.StatusBadRequest, "bad request body"},
 		{"unknown technique", `{"spec":{"app":"swim","technique":"prayer"}}`, http.StatusBadRequest, "prayer"},
 		{"unknown network kind", `{"spec":{"app":"swim","pdn":{"Kind":"mesh"}}}`, http.StatusBadRequest, "registered kinds"},
+		{"retired supply selector", `{"spec":{"app":"swim","system":{"Supply":{"R":0.001}}}}`, http.StatusBadRequest, "Supply"},
+		{"unusable network parameters", `{"spec":{"app":"swim","pdn":{"Kind":"lumped","Lumped":{"R":-1}}}}`, http.StatusBadRequest, "circuit"},
 		{"sensor domain out of range", `{"spec":{"app":"swim","pdn":{"Kind":"multidomain"},"system":{"SensorDomain":7}}}`, http.StatusBadRequest, "sensor domain"},
 		{"unknown app in grid", `{"specs":[{"app":"swim"},{"app":"no-such-app"}]}`, http.StatusBadRequest, "spec 1"},
 		{"grid over limit", `{"specs":[{"app":"swim"},{"app":"lucas"},{"app":"art"}]}`, http.StatusRequestEntityTooLarge, "2-spec limit"},
@@ -288,13 +300,17 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// badSupplySystem builds a system that passes Spec.Validate (CPU and
-// power are fine) but fails machine construction: a non-positive supply
-// resistance is only caught at runtime. This is the class of error the
-// NDJSON terminal line exists for.
-func badSupplySystem() *sim.Config {
+// runtimeFailingSystem builds a system that passes Spec.Validate (the
+// network's electricals, CPU and power are fine) but fails machine
+// construction: a multi-domain network assigning an unknown power unit
+// to a domain is only caught when the power model is split. This is the
+// class of error the NDJSON terminal line exists for.
+func runtimeFailingSystem() *sim.Config {
+	p := circuit.Table1TwoDomain()
+	p.Domains = append([]circuit.DomainParams(nil), p.Domains...)
+	p.Domains[1].PowerUnits = []string{"warp-core"}
 	cfg := sim.DefaultConfig()
-	cfg.Supply.R = -1
+	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain, MultiDomain: &p}
 	return &cfg
 }
 
@@ -304,7 +320,7 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
 	// Single spec: the line carries the key and the error.
-	body, err := json.Marshal(RunRequest{Spec: &SpecRequest{App: "swim", Instructions: 30_000, System: badSupplySystem()}})
+	body, err := json.Marshal(RunRequest{Spec: &SpecRequest{App: "swim", Instructions: 30_000, System: runtimeFailingSystem()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +332,7 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	if len(lines) != 1 || lines[0].Error == "" || lines[0].Result != nil {
 		t.Fatalf("lines = %+v, want one terminal error line", lines)
 	}
-	if !strings.Contains(lines[0].Error, "circuit") {
+	if !strings.Contains(lines[0].Error, "power") {
 		t.Errorf("error %q does not name the failing subsystem", lines[0].Error)
 	}
 
@@ -324,7 +340,7 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	// line; any lines before it are well-formed results.
 	body, err = json.Marshal(RunRequest{Specs: []SpecRequest{
 		{App: "swim", Instructions: 30_000},
-		{App: "swim", Instructions: 30_000, System: badSupplySystem()},
+		{App: "swim", Instructions: 30_000, System: runtimeFailingSystem()},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func TestTraceMatchesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	margin := DefaultConfig().Supply.NoiseMarginVolts()
+	margin := circuit.Table1().NoiseMarginVolts() // the default network
 	var violations uint64
 	peak := 0.0
 	s.SetTrace(func(tp TracePoint) {

@@ -148,8 +148,7 @@ func runForkContract(t testing.TB, cfg Config, seed, forkCycle, insts uint64) {
 // fork).
 func forkConfigs() map[string]Config {
 	twoStage := DefaultConfig()
-	ts := circuit.Table1TwoStage()
-	twoStage.TwoStageSupply = &ts
+	twoStage.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage}
 	twoStage.SensorDelayCycles = 3
 	quantized := DefaultConfig()
 	quantized.SensorResolutionAmps = 2
@@ -242,8 +241,7 @@ func FuzzMachineFork(f *testing.F) {
 			cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain}
 			cfg.SensorDomain = int(delay % 3) // 0 aggregate, 1-2 a rail
 		case twoStage:
-			ts := circuit.Table1TwoStage()
-			cfg.TwoStageSupply = &ts
+			cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage}
 		}
 		cfg.SensorDelayCycles = int(delay % 8)
 		if quantize {

@@ -11,16 +11,18 @@ import (
 )
 
 // Machine is the technique-independent half of a simulation: the pipeline
-// model, the power model, the supply circuit, and the current sensor,
+// model, the power model, the supply network, and the current sensors,
 // advanced together one cycle at a time. Step applies a throttle and a
-// phantom request (whoever decides them — a Technique via Simulator, or a
-// batch kernel's leader lane) and returns the cycle's Observation.
+// phantom request (whoever decides them — a batch kernel's leader lane,
+// or a Technique via the reference Simulator) and returns the cycle's
+// Observation.
 //
-// Machine exists so the scalar Simulator and the lockstep batch kernel
-// (internal/engine/batchkernel) share one copy of the per-cycle
-// arithmetic: every operation in Step is performed in the same order as
-// the original Simulator.StepCycle, so results are bit-identical to the
-// pre-split loop (pinned by the kernel's differential harness).
+// Every network is a circuit.Network with one or more supply domains; a
+// lumped or two-stage supply is the one-domain case of the same loop.
+// The per-cycle arithmetic on one domain is performed in the same order
+// as the original scalar StepCycle, so results are bit-identical to it
+// (pinned by the frozen reference loops in steprefs_test.go and by the
+// kernel's differential harness).
 type Machine struct {
 	cfg  Config
 	core *cpu.Core
@@ -29,31 +31,28 @@ type Machine struct {
 	sens *sensor.Current
 
 	classAmps [cpu.NumClasses]float64
-	// margin caches the supply's noise margin so the per-cycle violation
-	// check is a compare, not an interface call; resolution caches the
-	// sensor quantisation step for the undelayed fast path (sens is only
-	// instantiated when a reading delay makes real history necessary).
-	margin     float64
+	// resolution caches the sensor quantisation step for the undelayed
+	// fast path (sens is only instantiated when a reading delay makes
+	// real history necessary).
 	resolution float64
 
-	// draws and devs are the per-domain buffers handed to net.Step; on a
-	// single-domain machine they have length one and the legacy scalar
-	// arithmetic flows through them unchanged.
+	// Per-domain state, one entry per supply domain: draws and devs are
+	// the buffers handed to net.Step, dom each domain's margin and
+	// running statistics.
+	nd    int
 	draws []float64
 	devs  []float64
+	dom   []domainState
 
 	// Multi-domain state, populated only when the PDN exposes more than
-	// one domain (nd > 1).
-	nd           int
+	// one domain (nd > 1): per-domain cycle energies from StepDomains,
+	// phantom split weights, the rail sensors, and the reused buffers
+	// behind obs.PerDomain.
 	sensorDomain int
-	domJ         []float64 // per-domain cycle energies from StepDomains
-	domShare     []float64 // per-domain phantom split weights
-	margins      []float64 // per-domain noise margins
+	domJ         []float64
+	domShare     []float64
 	bank         *sensor.Bank
-	domObs       DomainObservation // reused buffers behind obs.PerDomain
-	domViol      []uint64
-	domPeak      []float64
-	domSumAmps   []float64
+	domObs       DomainObservation
 
 	act cpu.Activity // per-cycle activity buffer, reused to avoid copies
 	obs Observation  // per-cycle observation buffer, reused likewise
@@ -67,6 +66,16 @@ type Machine struct {
 	cycles    uint64
 }
 
+// domainState is one supply domain's noise margin (cached so the
+// per-cycle violation check is a compare, not an interface call) and
+// running statistics.
+type domainState struct {
+	margin     float64
+	violations uint64
+	peak       float64
+	sumAmps    float64
+}
+
 // NewMachine builds the simulated system for the given configuration and
 // instruction source.
 func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
@@ -75,16 +84,6 @@ func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
 	}
 	if err := cfg.Power.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if cfg.PDN == nil {
-		if err := cfg.Supply.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if cfg.TwoStageSupply != nil {
-			if err := cfg.TwoStageSupply.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-		}
 	}
 	pwr := power.New(cfg.Power, cfg.CPU)
 	core := cpu.New(cfg.CPU, src)
@@ -118,33 +117,21 @@ func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
 	return m, nil
 }
 
-// buildNetwork constructs the machine's PDN. Without a Config.PDN the
-// legacy Supply/TwoStageSupply fields pick the scalar simulator, wrapped
-// as a one-domain Network whose Step performs the identical arithmetic.
-// With one, the network registry resolves the kind; a multi-domain kind
-// additionally splits the power model per-domain (from the domains'
-// PowerUnits lists) and instantiates per-rail sensors.
+// buildNetwork constructs the machine's PDN through the network registry
+// (a nil Config.PDN resolves to the lumped Table 1 supply). A
+// multi-domain kind additionally splits the power model per-domain (from
+// the domains' PowerUnits lists) and instantiates per-rail sensors.
 func (m *Machine) buildNetwork() error {
 	cfg := m.cfg
-	if cfg.PDN == nil {
-		if cfg.TwoStageSupply != nil {
-			m.net = circuit.WrapTwoStage(circuit.NewTwoStageSimulator(*cfg.TwoStageSupply, m.pwr.IdleAmps()))
-			m.margin = cfg.TwoStageSupply.NoiseMarginVolts()
-		} else {
-			m.net = circuit.WrapSimulator(circuit.NewSimulator(cfg.Supply, m.pwr.IdleAmps()))
-			m.margin = cfg.Supply.NoiseMarginVolts()
-		}
-		m.nd = 1
-		m.draws = make([]float64, 1)
-		m.devs = make([]float64, 1)
-		return nil
+	var ncfg circuit.NetworkConfig
+	if cfg.PDN != nil {
+		ncfg = *cfg.PDN
 	}
-
-	ncfg, err := cfg.PDN.Normalized()
+	ncfg, err := ncfg.Normalized()
+	if err == nil {
+		err = ncfg.Validate()
+	}
 	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if err := ncfg.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	nd := ncfg.DomainCount()
@@ -174,17 +161,18 @@ func (m *Machine) buildNetwork() error {
 	}
 	m.net = net
 	m.nd = nd
-	m.margin = net.DomainInfo(0).NoiseMarginVolts
 	m.draws = make([]float64, nd)
 	m.devs = make([]float64, nd)
+	m.dom = make([]domainState, nd)
+	for d := range m.dom {
+		m.dom[d].margin = net.DomainInfo(d).NoiseMarginVolts
+	}
 	if nd > 1 {
 		m.sensorDomain = cfg.SensorDomain
 		m.domJ = make([]float64, nd)
 		m.domShare = make([]float64, nd)
-		m.margins = make([]float64, nd)
-		for d := 0; d < nd; d++ {
+		for d := range m.domShare {
 			m.domShare[d] = m.pwr.DomainShare(d)
-			m.margins[d] = net.DomainInfo(d).NoiseMarginVolts
 		}
 		m.bank = sensor.NewBank(nd, m.resolution, cfg.SensorDelayCycles)
 		m.domObs = DomainObservation{
@@ -192,9 +180,6 @@ func (m *Machine) buildNetwork() error {
 			Amps:           make([]float64, nd),
 			DeviationVolts: make([]float64, nd),
 		}
-		m.domViol = make([]uint64, nd)
-		m.domPeak = make([]float64, nd)
-		m.domSumAmps = make([]float64, nd)
 	}
 	return nil
 }
@@ -207,15 +192,15 @@ func (m *Machine) buildNetwork() error {
 // mutable state is duplicated — core scheduler (ROB, wakeup lists,
 // timing wheel, ready bitmap, fetch queue), instruction-source cursor
 // (including generator RNG state), power model (spreading ring, memo,
-// accumulators), supply circuit, sensor history, and the machine's own
+// accumulators), supply network, sensor history, and the machine's own
 // statistics counters — so the two machines share nothing written after
-// the fork. The batch kernel uses this to resume diverged lanes from
-// their observed prefix instead of re-running them from cycle zero;
+// the fork (the phantom split weights are fixed at construction and stay
+// shared). The batch kernel uses this to resume diverged lanes
+// from their observed prefix instead of re-running them from cycle zero;
 // FuzzMachineFork and the kernel differential harness pin the contract.
 //
 // Fork fails when the instruction source cannot be forked (a source not
-// implementing cpu.ForkableSource); callers fall back to a scalar
-// re-run in that case.
+// implementing cpu.ForkableSource).
 func (m *Machine) Fork() (*Machine, error) {
 	core, err := m.core.Fork()
 	if err != nil {
@@ -230,19 +215,15 @@ func (m *Machine) Fork() (*Machine, error) {
 	}
 	f.draws = append([]float64(nil), m.draws...)
 	f.devs = append([]float64(nil), m.devs...)
+	f.dom = append([]domainState(nil), m.dom...)
 	if m.nd > 1 {
 		f.domJ = append([]float64(nil), m.domJ...)
-		f.domShare = append([]float64(nil), m.domShare...)
-		f.margins = append([]float64(nil), m.margins...)
 		f.bank = m.bank.Fork()
 		f.domObs = DomainObservation{
 			SensedAmps:     append([]float64(nil), m.domObs.SensedAmps...),
 			Amps:           append([]float64(nil), m.domObs.Amps...),
 			DeviationVolts: append([]float64(nil), m.domObs.DeviationVolts...),
 		}
-		f.domViol = append([]uint64(nil), m.domViol...)
-		f.domPeak = append([]float64(nil), m.domPeak...)
-		f.domSumAmps = append([]float64(nil), m.domSumAmps...)
 	}
 	// The observation buffer's Activity and PerDomain pointers must aim
 	// at the clone's own buffers, not the original's.
@@ -255,15 +236,9 @@ func (m *Machine) Fork() (*Machine, error) {
 	return &f, nil
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Power exposes the power model (for technique setup needing PhantomFire
-// or mid-level amps, and for memoization statistics).
+// Power exposes the power model (for its memoization statistics and
+// energy breakdown).
 func (m *Machine) Power() *power.Model { return m.pwr }
-
-// Core exposes the pipeline model.
-func (m *Machine) Core() *cpu.Core { return m.core }
 
 // Done reports whether the instruction stream is exhausted and the
 // pipeline has drained.
@@ -286,17 +261,22 @@ func (m *Machine) CycleLimit() uint64 {
 // pointer aims at a buffer Step reuses every cycle: read it before the
 // next Step, copy it to retain it.
 //
-// On a single-domain machine every operation below happens in the same
-// order as the pre-Network loop (net.Step forwards to the identical
-// scalar arithmetic), so results are bit-identical to it; multi-domain
-// machines take stepMulti.
+// Each supply domain draws its share of the cycle's current (one domain
+// draws all of it) and is checked against its own noise margin. The
+// scalar Observation fields keep their aggregate meanings — TotalAmps is
+// the summed draw, DeviationVolts the worst domain's deviation,
+// SensedAmps the aggregate (or the SensorDomain rail's) reading — so
+// domain-oblivious techniques work on any network; domain-aware ones
+// read Observation.PerDomain, which multi-domain machines fill.
 func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
-	if m.nd > 1 {
-		return m.stepMulti(throttle, ph)
-	}
 	act := &m.act
 	m.core.StepInto(throttle, act)
-	coreJ := m.pwr.Step(act, 0)
+	var coreJ float64
+	if m.nd == 1 {
+		coreJ = m.pwr.Step(act, 0) // the memoized single-rail path
+	} else {
+		coreJ = m.pwr.StepDomains(act, m.domJ)
+	}
 	coreAmps := m.pwr.CurrentAmps(coreJ)
 
 	phantomAmps := 0.0
@@ -311,17 +291,40 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 	}
 	totalAmps := coreAmps + phantomAmps
 
-	m.draws[0] = totalAmps
+	// Phantom current splits across domains by power-budget share.
+	if m.nd == 1 {
+		m.draws[0] = totalAmps
+	} else {
+		for d := range m.draws {
+			m.draws[d] = m.pwr.CurrentAmps(m.domJ[d]) + phantomAmps*m.domShare[d]
+		}
+	}
 	m.net.Step(m.draws, m.devs)
-	dev := m.devs[0]
-	a := dev
-	if a < 0 {
-		a = -a
+
+	// The worst domain's deviation carries the scalar field; violations
+	// count cycles on which any domain leaves its margin, so the
+	// aggregate Result means the same on every network.
+	worst, worstAbs := 0.0, -1.0
+	violated := false
+	for d, dev := range m.devs {
+		ds := &m.dom[d]
+		a := math.Abs(dev)
+		if a > ds.peak {
+			ds.peak = a
+		}
+		if a > ds.margin {
+			ds.violations++
+			violated = true
+		}
+		if a > worstAbs {
+			worstAbs, worst = a, dev
+		}
+		ds.sumAmps += m.draws[d]
 	}
-	if a > m.peakDev {
-		m.peakDev = a
+	if worstAbs > m.peakDev {
+		m.peakDev = worstAbs
 	}
-	if a > m.margin {
+	if violated {
 		m.violation++
 	}
 
@@ -331,8 +334,20 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 			est += float64(n) * m.classAmps[cl]
 		}
 	}
+
+	var perDomain *DomainObservation
+	if m.bank != nil {
+		for d, amps := range m.draws {
+			m.domObs.SensedAmps[d] = m.bank.Read(d, amps)
+			m.domObs.Amps[d] = amps
+			m.domObs.DeviationVolts[d] = m.devs[d]
+		}
+		perDomain = &m.domObs
+	}
 	var sensed float64
 	switch {
+	case m.sensorDomain > 0:
+		sensed = m.domObs.SensedAmps[m.sensorDomain-1]
 	case m.sens != nil:
 		sensed = m.sens.Read(totalAmps)
 	case m.resolution > 0:
@@ -354,112 +369,10 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 		Cycle:          m.cycles,
 		SensedAmps:     sensed,
 		TotalAmps:      totalAmps,
-		DeviationVolts: dev,
-		IssuedEstAmps:  est,
-		Activity:       act,
-	}
-	m.cycles++
-	return &m.obs
-}
-
-// stepMulti is Step for machines whose PDN exposes several supply
-// domains: the power model splits the cycle's energy per domain, each
-// domain's draw (plus its budget-weighted share of any phantom current)
-// drives the network, and each rail is checked against its own noise
-// margin and sensed by its own sensor. The scalar Observation fields
-// keep their aggregate meanings — TotalAmps is the summed draw,
-// DeviationVolts the worst domain's deviation, SensedAmps the aggregate
-// (or the SensorDomain rail's) reading — so domain-oblivious techniques
-// keep working; domain-aware ones read Observation.PerDomain.
-func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
-	act := &m.act
-	m.core.StepInto(throttle, act)
-	coreJ := m.pwr.StepDomains(act, m.domJ)
-	coreAmps := m.pwr.CurrentAmps(coreJ)
-
-	phantomAmps := 0.0
-	switch {
-	case ph.TargetAmps > 0 && coreAmps < ph.TargetAmps:
-		phantomAmps = ph.TargetAmps - coreAmps
-	case ph.FireAmps > 0:
-		phantomAmps = ph.FireAmps
-	}
-	if phantomAmps > 0 {
-		m.phantomJ += phantomAmps * m.cfg.Power.Vdd / m.cfg.Power.ClockHz
-	}
-	totalAmps := coreAmps + phantomAmps
-
-	for d := 0; d < m.nd; d++ {
-		m.draws[d] = m.pwr.CurrentAmps(m.domJ[d]) + phantomAmps*m.domShare[d]
-	}
-	m.net.Step(m.draws, m.devs)
-
-	// Worst-domain deviation carries the scalar field; violations count
-	// cycles on which any domain leaves its margin, so the aggregate
-	// Result stays comparable with single-domain runs.
-	worst, worstAbs := 0.0, -1.0
-	anyViolation := false
-	for d := 0; d < m.nd; d++ {
-		dev := m.devs[d]
-		a := math.Abs(dev)
-		if a > m.domPeak[d] {
-			m.domPeak[d] = a
-		}
-		if a > m.margins[d] {
-			m.domViol[d]++
-			anyViolation = true
-		}
-		if a > worstAbs {
-			worstAbs, worst = a, dev
-		}
-	}
-	if worstAbs > m.peakDev {
-		m.peakDev = worstAbs
-	}
-	if anyViolation {
-		m.violation++
-	}
-
-	est := 0.0
-	for cl := cpu.Class(0); cl < cpu.NumClasses; cl++ {
-		if n := act.Issued[cl]; n > 0 {
-			est += float64(n) * m.classAmps[cl]
-		}
-	}
-
-	for d := 0; d < m.nd; d++ {
-		m.domObs.SensedAmps[d] = m.bank.Read(d, m.draws[d])
-		m.domObs.Amps[d] = m.draws[d]
-		m.domObs.DeviationVolts[d] = m.devs[d]
-		m.domSumAmps[d] += m.draws[d]
-	}
-	var sensed float64
-	switch {
-	case m.sensorDomain > 0:
-		sensed = m.domObs.SensedAmps[m.sensorDomain-1]
-	case m.sens != nil:
-		sensed = m.sens.Read(totalAmps)
-	case m.resolution > 0:
-		sensed = math.Round(totalAmps/m.resolution) * m.resolution
-	default:
-		sensed = totalAmps
-	}
-
-	m.sumAmps += totalAmps
-	if totalAmps < m.minAmps {
-		m.minAmps = totalAmps
-	}
-	if totalAmps > m.maxAmps {
-		m.maxAmps = totalAmps
-	}
-	m.obs = Observation{
-		Cycle:          m.cycles,
-		SensedAmps:     sensed,
-		TotalAmps:      totalAmps,
 		DeviationVolts: worst,
 		IssuedEstAmps:  est,
 		Activity:       act,
-		PerDomain:      &m.domObs,
+		PerDomain:      perDomain,
 	}
 	m.cycles++
 	return &m.obs
@@ -468,8 +381,8 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 // Network exposes the machine's power-delivery network.
 func (m *Machine) Network() circuit.Network { return m.net }
 
-// Domains returns the PDN's supply-domain count (one on legacy
-// machines).
+// Domains returns the PDN's supply-domain count (one on lumped and
+// two-stage machines).
 func (m *Machine) Domains() int { return m.nd }
 
 // DomainStat summarises one supply domain's run.
@@ -492,14 +405,14 @@ func (m *Machine) DomainStats() []DomainStat {
 		return nil
 	}
 	out := make([]DomainStat, m.nd)
-	for d := 0; d < m.nd; d++ {
+	for d, ds := range m.dom {
 		out[d] = DomainStat{
 			Name:           m.net.DomainInfo(d).Name,
-			Violations:     m.domViol[d],
-			PeakDeviationV: m.domPeak[d],
+			Violations:     ds.violations,
+			PeakDeviationV: ds.peak,
 		}
 		if m.cycles > 0 {
-			out[d].MeanAmps = m.domSumAmps[d] / float64(m.cycles)
+			out[d].MeanAmps = ds.sumAmps / float64(m.cycles)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/workload"
 )
 
@@ -103,7 +104,7 @@ func TestPostmortemOnRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := NewPostmortem(cfg.Supply.NoiseMarginVolts(), 2, 500)
+	pm := NewPostmortem(circuit.Table1().NoiseMarginVolts(), 2, 500)
 	s.SetTrace(pm.Observe, tech.EventCount, tech.Level)
 	res := s.Run("lucas", tech.Name())
 

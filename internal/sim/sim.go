@@ -85,16 +85,12 @@ type Technique interface {
 
 // Config assembles a simulation.
 type Config struct {
-	CPU    cpu.Config
-	Power  power.Config
-	Supply circuit.Params
-	// TwoStageSupply, when non-nil, replaces Supply with the full
-	// two-loop network of Section 2.2, exhibiting both the low- and
-	// medium-frequency resonances.
-	TwoStageSupply *circuit.TwoStageParams
-	// PDN, when non-nil, supersedes Supply and TwoStageSupply: the
-	// power-delivery network is built from the registered network kind it
-	// selects. A multi-domain kind splits the power model's current
+	CPU   cpu.Config
+	Power power.Config
+	// PDN selects the power-delivery network from the registered network
+	// kinds (the lumped RLC of Figure 1(b), the two-stage network of
+	// Section 2.2, the multi-domain stack); nil means the lumped Table 1
+	// supply. A multi-domain kind splits the power model's current
 	// per-domain (by unit assignment), senses each rail separately, and
 	// checks each domain against its own noise margin.
 	PDN *circuit.NetworkConfig
@@ -116,13 +112,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's evaluation system: the Table 1 core,
-// power envelope, and supply.
+// power envelope, and (through the nil PDN) supply.
 func DefaultConfig() Config {
-	return Config{
-		CPU:    cpu.DefaultConfig(),
-		Power:  power.DefaultConfig(),
-		Supply: circuit.Table1(),
-	}
+	return Config{CPU: cpu.DefaultConfig(), Power: power.DefaultConfig()}
 }
 
 // Result summarises one simulation run.
@@ -190,9 +182,10 @@ type TracePoint struct {
 
 // Simulator runs one application under one technique: a Machine plus
 // the technique control loop (tech.Next → Machine.Step → tech.Observe)
-// and optional per-cycle tracing. The batch kernel in
-// internal/engine/batchkernel drives Machines directly; the scalar path
-// here is the differential reference it is pinned against.
+// and optional per-cycle tracing. Nothing in the engine runs it: every
+// run goes through the batch kernel in internal/engine/batchkernel,
+// which drives Machines directly. The scalar loop here is kept frozen
+// as the differential oracle the kernel is pinned against.
 type Simulator struct {
 	m    *Machine
 	tech Technique
@@ -211,16 +204,6 @@ func New(cfg Config, src cpu.Source, tech Technique) (*Simulator, error) {
 	}
 	return &Simulator{m: m, tech: tech}, nil
 }
-
-// Power exposes the power model (for technique setup needing PhantomFire
-// or mid-level amps).
-func (s *Simulator) Power() *power.Model { return s.m.Power() }
-
-// Core exposes the pipeline model.
-func (s *Simulator) Core() *cpu.Core { return s.m.Core() }
-
-// Machine exposes the technique-independent simulated system.
-func (s *Simulator) Machine() *Machine { return s.m }
 
 // SetTrace installs a per-cycle trace callback, plus optional functions
 // reporting the technique's resonant event count and response level.

@@ -204,7 +204,9 @@ func TestNewRejectsInvalidConfigs(t *testing.T) {
 		t.Error("invalid power config accepted")
 	}
 	bad = DefaultConfig()
-	bad.Supply.C = 0
+	badSupply := circuit.Table1()
+	badSupply.C = 0
+	bad.PDN = &circuit.NetworkConfig{Lumped: &badSupply}
 	if _, err := New(bad, src, nil); err == nil {
 		t.Error("invalid supply config accepted")
 	}
@@ -263,8 +265,16 @@ func TestTechniqueNames(t *testing.T) {
 
 func TestDefaultConfigIsTable1(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Supply != circuit.Table1() {
-		t.Error("default supply is not Table 1")
+	m, err := NewMachine(cfg, cpu.NewSliceSource(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table1, err := circuit.BuildNetwork(circuit.NetworkConfig{Kind: circuit.NetworkLumped}, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.PDN != nil || m.Network().Kind() != circuit.NetworkLumped || m.Network().DomainInfo(0) != table1.DomainInfo(0) {
+		t.Error("default supply is not the lumped Table 1 network")
 	}
 	if cfg.CPU != cpu.DefaultConfig() {
 		t.Error("default CPU is not Table 1")

@@ -118,7 +118,7 @@ func mustRun(t *testing.T, app workload.App, tech Technique, insts uint64) Resul
 func TestTwoStageSupplyInLoop(t *testing.T) {
 	supply := circuit.Table1TwoStage()
 	cfg := DefaultConfig()
-	cfg.TwoStageSupply = &supply
+	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &supply}
 	app, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestTwoStageSupplyInLoop(t *testing.T) {
 	bad := DefaultConfig()
 	badSupply := supply
 	badSupply.C1 = 0
-	bad.TwoStageSupply = &badSupply
+	bad.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &badSupply}
 	if _, err := New(bad, workload.NewGenerator(app.Params, 10), nil); err == nil {
 		t.Error("invalid two-stage supply accepted")
 	}

@@ -35,6 +35,7 @@ package resonance
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/baselines/convctl"
@@ -44,6 +45,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/engine"
+	"repro/internal/engine/batchkernel"
 	"repro/internal/experiments"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -173,8 +175,8 @@ func NewEngine(parallelism int) *Engine {
 
 // EngineOptions configures an Engine beyond its parallelism: a
 // DiskCacheDir adds the persistent result-cache tier (one JSON file per
-// spec content address, shared across processes), and DisableCache turns
-// memoization off entirely.
+// spec content address, shared across processes), and DiskCacheGC sweeps
+// that directory's stale entries once at construction.
 type EngineOptions = engine.Options
 
 // EngineCacheStats is an engine's tier-labelled cache traffic (memory
@@ -259,22 +261,20 @@ func ReplayWorkload(r io.Reader, kind TechniqueKind) (Result, error) {
 		return Result{}, err
 	}
 	// The technique is constructed through the engine's registry — the
-	// same defaulting, validation, and power-model envelope as Simulate —
-	// so every registered kind (including the related-work baselines)
-	// replays without a bespoke construction path here.
+	// same defaulting, validation, and envelope as Simulate — so every
+	// registered kind (including the related-work baselines) replays
+	// without a bespoke construction path here, and it runs as a one-lane
+	// kernel group, like every engine run.
 	tech, _, err := engine.BuildTechnique(engine.Spec{Technique: kind})
 	if err != nil {
 		return Result{}, err
 	}
-	s, err := sim.New(sim.DefaultConfig(), rd, tech)
+	m, err := sim.NewMachine(sim.DefaultConfig(), rd)
 	if err != nil {
 		return Result{}, err
 	}
-	name := string(TechniqueNone)
-	if tech != nil {
-		name = tech.Name()
-	}
-	return s.Run("replayed-trace", name), nil
+	outs, _ := batchkernel.Run(m, "replayed-trace", []batchkernel.Lane{{Tech: tech}})
+	return outs[0].Result, outs[0].Err
 }
 
 // HTMLReport renders a set of experiment reports as one self-contained
@@ -371,32 +371,24 @@ type EnergyShare struct {
 	Percent float64
 }
 
-// EnergyBreakdown re-runs the given simulation and reports where the
-// energy went: the ungated clock floor, each architectural unit's dynamic
-// share, and phantom operations, sorted by consumption.
+// EnergyBreakdown re-runs the given simulation — technique, network and
+// workload included, built exactly as Simulate builds it, but without
+// calling spec.Trace again — and reports where the energy went: the
+// ungated clock floor, each architectural unit's dynamic share, and
+// phantom operations, sorted by consumption. The rows sum to the run's
+// EnergyJ up to the energy still spreading in the power model's ring
+// when the run ends.
 func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
-	app, err := workload.ByName(spec.App)
+	spec.Trace = nil
+	p, err := engine.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	insts := spec.Instructions
-	if insts == 0 {
-		insts = 1_000_000
-	}
-	cfg := sim.DefaultConfig()
-	if spec.System != nil {
-		cfg = *spec.System
-	}
-	gen := workload.NewGenerator(app.Params, insts)
-	// Breakdown runs on the base machine plus whichever technique the
-	// spec selects; reuse Simulate's construction path by running fresh
-	// here with direct access to the power model.
-	s, err := sim.New(cfg, gen, nil)
+	res, err := p.Run()
 	if err != nil {
 		return nil, err
 	}
-	res := s.Run(spec.App, "base")
-	floorJ, unitJ := s.Power().Breakdown()
+	floorJ, unitJ := p.Machine().Power().Breakdown()
 
 	total := res.EnergyJ
 	rows := []EnergyShare{{Unit: "floor", Joules: floorJ}}
@@ -423,13 +415,11 @@ type ViolationReport = sim.ViolationReport
 // analyser attached and returns the per-burst reports alongside the run
 // summary. warningLevel is the resonant event count treated as advance
 // warning (the paper's initial response threshold, 2); lookback bounds
-// how far back warnings are attributed (a few resonant periods).
+// how far back warnings are attributed (a few resonant periods). Bursts
+// are measured against the noise margin of the network the spec
+// simulates (on a multi-domain network, the tightest domain's).
 func Postmortem(spec SimulationSpec, warningLevel, lookback int) ([]ViolationReport, Result, error) {
-	cfg := sim.DefaultConfig()
-	if spec.System != nil {
-		cfg = *spec.System
-	}
-	pm := sim.NewPostmortem(cfg.Supply.NoiseMarginVolts(), warningLevel, lookback)
+	var pm *sim.Postmortem
 	prev := spec.Trace
 	spec.Trace = func(tp TracePoint) {
 		pm.Observe(tp)
@@ -437,7 +427,17 @@ func Postmortem(spec SimulationSpec, warningLevel, lookback int) ([]ViolationRep
 			prev(tp)
 		}
 	}
-	res, err := Simulate(spec)
+	p, err := engine.Prepare(spec)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	net := p.Machine().Network()
+	margin := net.DomainInfo(0).NoiseMarginVolts
+	for d := 1; d < net.Domains(); d++ {
+		margin = math.Min(margin, net.DomainInfo(d).NoiseMarginVolts)
+	}
+	pm = sim.NewPostmortem(margin, warningLevel, lookback)
+	res, err := p.Run()
 	if err != nil {
 		return nil, Result{}, err
 	}

@@ -245,6 +245,62 @@ func TestEnergyBreakdown(t *testing.T) {
 	}
 }
 
+// TestEnergyBreakdownHonoursSpec: the breakdown re-runs the spec it is
+// given — technique included, trace callback excluded — so its rows add
+// up to the energy Simulate reports for that spec, phantom operations
+// among them.
+func TestEnergyBreakdownHonoursSpec(t *testing.T) {
+	spec := SimulationSpec{App: "swim", Instructions: 60_000, Technique: TechniqueTuning}
+	res, err := Simulate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Trace = func(TracePoint) { t.Fatal("EnergyBreakdown called the spec's trace callback") }
+	rows, err := EnergyBreakdown(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	phantom := false
+	for _, r := range rows {
+		sum += r.Joules
+		phantom = phantom || r.Unit == "phantom"
+	}
+	if !phantom || res.PhantomJ == 0 {
+		t.Errorf("no phantom row (run phantom energy %g J)", res.PhantomJ)
+	}
+	if rel := math.Abs(sum-res.EnergyJ) / res.EnergyJ; rel > 0.005 {
+		t.Errorf("rows sum to %g J, Simulate reports %g J (%.2f%% apart)", sum, res.EnergyJ, 100*rel)
+	}
+}
+
+// TestPostmortemUsesNetworkMargin: bursts are measured against the noise
+// margin of the network the spec simulates, so on the Section 2.1
+// package (2.0 V, 0.1 V margin) every burst peaks above 0.1 V.
+func TestPostmortemUsesNetworkMargin(t *testing.T) {
+	supply := Section2Supply()
+	spec := SimulationSpec{App: "lucas", Instructions: 250_000,
+		PDN: &NetworkConfig{Kind: "lumped", Lumped: &supply}}
+	reps, res, err := Postmortem(spec, 2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violations == 0 || len(reps) == 0 {
+		t.Fatalf("no violations (%d) or bursts (%d) to check", res.Violations, len(reps))
+	}
+	margin := supply.NoiseMarginVolts()
+	var covered uint64
+	for _, r := range reps {
+		if r.PeakDeviationV <= margin {
+			t.Errorf("burst at cycle %d peaks at %.4f V, inside the %.3f V margin", r.StartCycle, r.PeakDeviationV, margin)
+		}
+		covered += r.EndCycle - r.StartCycle + 1
+	}
+	if covered < res.Violations {
+		t.Errorf("bursts cover %d cycles, %d violations counted", covered, res.Violations)
+	}
+}
+
 func TestPostmortemFacade(t *testing.T) {
 	reps, res, err := Postmortem(SimulationSpec{App: "lucas", Instructions: 250_000}, 2, 500)
 	if err != nil {
