@@ -207,27 +207,13 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerStep measures one power-model accounting cycle.
+// BenchmarkPowerStep measures one power-model accounting cycle: a
+// constant activity vector, so every unit's deposit is read from the
+// same few table entries.
 func BenchmarkPowerStep(b *testing.B) {
 	m := power.New(power.DefaultConfig(), cpu.DefaultConfig())
 	var act cpu.Activity
 	act.Fetched, act.Dispatched, act.Committed = 8, 8, 8
-	act.Issued[cpu.IntALU] = 6
-	act.IssuedTotal = 6
-	act.L1D = 2
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Step(&act, 0)
-	}
-}
-
-// BenchmarkPowerStepUnmemoized measures the same accounting cycle with
-// the deposit memo bypassed (an activity field too wide for the memo
-// key), isolating what the memoization in BenchmarkPowerStep saves.
-func BenchmarkPowerStepUnmemoized(b *testing.B) {
-	m := power.New(power.DefaultConfig(), cpu.DefaultConfig())
-	var act cpu.Activity
-	act.Fetched, act.Dispatched, act.Committed = 99, 8, 8 // 99 clamps to FetchWidth but defeats the memo key
 	act.Issued[cpu.IntALU] = 6
 	act.IssuedTotal = 6
 	act.L1D = 2
@@ -349,6 +335,34 @@ func BenchmarkBatchKernelForked(b *testing.B) {
 		}
 		if stats.LanesForked == 0 {
 			b.Fatal("no lane forked; benchmark no longer measures divergence handling")
+		}
+	}
+}
+
+// forkSink keeps BenchmarkMachineFork's copies observable.
+var forkSink *sim.Machine
+
+// BenchmarkMachineFork measures one deep copy of a Table 1 lumped
+// machine 1000 cycles into a swim trace: what the batch kernel pays for
+// each cohort that diverges.
+func BenchmarkMachineFork(b *testing.B) {
+	app, err := workload.ByName("swim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := workload.Materialize(app.Params, 60_000)
+	m, err := sim.NewMachine(sim.DefaultConfig(), tr.Source())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		m.Step(cpu.Unlimited, sim.Phantom{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if forkSink, err = m.Fork(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -215,9 +215,16 @@ func (c *Controller) predict() float64 {
 	for k := 0; k < c.cfg.Horizon && k < len(c.h); k++ {
 		v += c.h[k] * latest
 	}
-	for k := c.cfg.Horizon; k < len(c.h); k++ {
-		idx := (c.pos - (k - c.cfg.Horizon) + len(c.hist)*8) % len(c.hist)
-		v += c.h[k] * c.hist[idx]
+	// rest[j] weighs the sample j cycles older than the latest: the
+	// ring walked from pos down to its start, then from its end down.
+	rest := c.h[min(c.cfg.Horizon, len(c.h)):]
+	n := min(len(rest), c.pos+1)
+	for j, hk := range rest[:n] {
+		v += hk * c.hist[c.pos-j]
+	}
+	top := len(c.hist) - 1
+	for j, hk := range rest[n:] {
+		v += hk * c.hist[top-j]
 	}
 	return v
 }

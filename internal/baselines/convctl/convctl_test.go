@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/rng"
 )
 
 func defaultConfig() Config { return Config{Supply: circuit.Table1()} }
@@ -175,5 +176,49 @@ func TestEstimateErrorDegradesPrediction(t *testing.T) {
 	perfect, noisy := run(0), run(10)
 	if noisy <= perfect {
 		t.Errorf("estimate error did not degrade prediction: %g vs %g", noisy, perfect)
+	}
+}
+
+// refPredict is a frozen copy of predict's original history walk, which
+// located every tap's sample with a modulo; it is the oracle for the
+// two-run walk that replaced it.
+func refPredict(c *Controller) float64 {
+	latest := c.hist[c.pos]
+	v := 0.0
+	for k := 0; k < c.cfg.Horizon && k < len(c.h); k++ {
+		v += c.h[k] * latest
+	}
+	for k := c.cfg.Horizon; k < len(c.h); k++ {
+		idx := (c.pos - (k - c.cfg.Horizon) + len(c.hist)*8) % len(c.hist)
+		v += c.h[k] * c.hist[idx]
+	}
+	return v
+}
+
+// TestPredictMatchesModularWalk: the two-run history walk sums the same
+// products in the same order as the modular walk, so every prediction is
+// bit-identical — at every ring position, for short, default and
+// whole-ring horizons.
+func TestPredictMatchesModularWalk(t *testing.T) {
+	taps := New(defaultConfig()).Config().Taps
+	for _, horizon := range []int{1, 4, taps - 1} {
+		cfg := defaultConfig()
+		cfg.Horizon = horizon
+		cfg.EstimateErrorAmps = 3
+		c := New(cfg)
+		r := rng.New(uint64(horizon))
+		var first, last bool
+		for cyc := 0; cyc < 100_000; cyc++ {
+			c.Step(35+70*r.Float64(), 0)
+			if got, want := c.predict(), refPredict(c); got != want {
+				t.Fatalf("horizon %d, cycle %d, pos %d: predict = %v, modular walk = %v",
+					horizon, cyc, c.pos, got, want)
+			}
+			first = first || c.pos == 0
+			last = last || c.pos == len(c.hist)-1
+		}
+		if !first || !last {
+			t.Fatalf("horizon %d: ring ends not visited (pos 0: %v, pos len-1: %v)", horizon, first, last)
+		}
 	}
 }

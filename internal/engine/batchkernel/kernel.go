@@ -173,9 +173,10 @@ type Stats struct {
 	// lockstep sharing factor actually achieved (K for a group that
 	// never diverges, approaching 1 as lanes fork off early).
 	Steps uint64
-	// PowerMemo sums the power model's Step-memoization traffic over the
-	// root machine and every fork (each Step is counted on exactly one
-	// machine; see power.Model.Fork).
+	// PowerMemo summed the traffic of the power model's retired
+	// activity-vector memo.
+	//
+	// Deprecated: always zero; kept because benchmark tooling reads it.
 	PowerMemo power.MemoStats
 }
 
@@ -328,10 +329,6 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 		out[i].Status = Finished
 		out[i].Result = res
 	}
-	ms := m.Power().MemoStats()
-	stats.PowerMemo.Hits += ms.Hits
-	stats.PowerMemo.Misses += ms.Misses
-	stats.PowerMemo.Bypasses += ms.Bypasses
 	return stack
 }
 

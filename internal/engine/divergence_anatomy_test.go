@@ -95,10 +95,10 @@ func anatomyGroup(t *testing.T, label, app string, insts uint64, specs []Spec) {
 		}
 	}
 	sharing := float64(laneCycles) / float64(stats.Steps)
-	t.Logf("%s %-8s lanes=%d laneCycles=%d steps=%d sharing=%.2f forkedLanes=%d cohorts=%d saved=%d memoHit=%.3f firstForks=[%s]",
+	t.Logf("%s %-8s lanes=%d laneCycles=%d steps=%d sharing=%.2f forkedLanes=%d cohorts=%d saved=%d firstForks=[%s]",
 		label, app, len(outs), laneCycles, stats.Steps, sharing,
 		stats.LanesForked, stats.CohortsForked, stats.CyclesSaved,
-		stats.PowerMemo.HitRate(), strings.Join(forks, " "))
+		strings.Join(forks, " "))
 }
 
 func TestDivergenceAnatomy(t *testing.T) {

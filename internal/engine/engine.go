@@ -61,11 +61,6 @@ type Engine struct {
 	inFlight atomic.Int64
 	queued   atomic.Int64
 
-	// Power-model memoization traffic aggregated over every simulation
-	// this engine executed (see power.MemoStats).
-	powerMemoHits    uint64
-	powerMemoLookups uint64
-
 	// Divergence handling aggregated over every lockstep group this
 	// engine executed (see batchkernel.Stats).
 	lanesForked     uint64
@@ -118,9 +113,10 @@ type CacheStats struct {
 	DiskGCRemoved uint64
 	// Entries is the number of distinct specs cached in memory.
 	Entries int
-	// PowerMemoHits and PowerMemoLookups aggregate the power model's
-	// Step-memoization traffic over every simulation this engine
-	// executed; PowerMemoHits/PowerMemoLookups is the hit rate.
+	// PowerMemoHits and PowerMemoLookups counted the traffic of the
+	// power model's retired activity-vector memo.
+	//
+	// Deprecated: always zero; kept because benchmark tooling reads them.
 	PowerMemoHits    uint64
 	PowerMemoLookups uint64
 	// LanesForked counts lockstep lanes that diverged and resumed on a
@@ -140,17 +136,15 @@ func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return CacheStats{
-		Hits:             e.hits,
-		DiskHits:         e.diskHits,
-		Misses:           e.misses,
-		DiskWrites:       e.diskWrites,
-		DiskGCRemoved:    e.diskGCRemoved,
-		Entries:          len(e.entries),
-		PowerMemoHits:    e.powerMemoHits,
-		PowerMemoLookups: e.powerMemoLookups,
-		LanesForked:      e.lanesForked,
-		CohortsReformed:  e.cohortsReformed,
-		ForkCyclesSaved:  e.forkCyclesSaved,
+		Hits:            e.hits,
+		DiskHits:        e.diskHits,
+		Misses:          e.misses,
+		DiskWrites:      e.diskWrites,
+		DiskGCRemoved:   e.diskGCRemoved,
+		Entries:         len(e.entries),
+		LanesForked:     e.lanesForked,
+		CohortsReformed: e.cohortsReformed,
+		ForkCyclesSaved: e.forkCyclesSaved,
 	}
 }
 
@@ -189,12 +183,10 @@ func (e *Engine) releaseSlot() {
 	<-e.slots
 }
 
-// addKernelStats folds one lockstep group's divergence and memoization
-// counters into the engine totals.
+// addKernelStats folds one lockstep group's divergence counters into the
+// engine totals.
 func (e *Engine) addKernelStats(st batchkernel.Stats) {
 	e.mu.Lock()
-	e.powerMemoHits += st.PowerMemo.Hits
-	e.powerMemoLookups += st.PowerMemo.Lookups()
 	e.lanesForked += st.LanesForked
 	e.cohortsReformed += st.CohortsForked
 	e.forkCyclesSaved += st.CyclesSaved

@@ -8,10 +8,10 @@ import (
 
 // Multi-domain operation: a Model can split its per-cycle energy across
 // supply domains by assigning each architectural unit to a domain
-// (per-unit domain assignment). The single-domain Step path is left
-// untouched — StepDomains is a separate accounting path with its own
-// per-domain spreading rings, so existing single-domain simulations
-// remain bit-identical.
+// (per-unit domain assignment). Step and StepDomains share one deposit
+// loop, but StepDomains lays each unit's deposit into its domain's own
+// spreading ring, so the single ring Step reads — and with it every
+// single-domain simulation — is untouched.
 
 // UnitByName resolves a unit name as rendered by Unit.String.
 func UnitByName(name string) (Unit, bool) {
@@ -68,10 +68,7 @@ func (m *Model) EnableDomains(domains int, assign [NumUnits]uint8) {
 	}
 	m.nd = domains
 	m.assign = assign
-	m.pendingDom = make([][]float64, domains)
-	for d := range m.pendingDom {
-		m.pendingDom[d] = make([]float64, spreadRing)
-	}
+	m.pendingDom = make([][spreadRing]float64, domains)
 	// Split the floor by budget share so each domain idles at its share
 	// of IdleWatts; unassigned residue (if a domain owns no units) stays
 	// zero and the weights renormalize over the full budget.
@@ -109,10 +106,9 @@ func (m *Model) DomainIdleAmps(d int) float64 {
 // joules (len(domJ) must equal Domains()) and the total is returned.
 // Phantom current is not accounted here — the simulator injects it as
 // per-domain amps at the network and tracks its energy separately,
-// exactly as the single-domain loop does with Step(act, 0). The path is
-// deliberately unmemoized: per-domain rings would multiply the memo's
-// replay state, and multi-domain runs are new workloads with no
-// bit-identity debt to the cached recipes.
+// exactly as the single-domain loop does with Step(act, 0). Each unit's
+// deposit comes from the same tables Step reads, laid into the ring of
+// the unit's domain.
 func (m *Model) StepDomains(act *cpu.Activity, domJ []float64) float64 {
 	if m.nd == 0 {
 		panic("power.StepDomains: EnableDomains was not called")
@@ -120,21 +116,7 @@ func (m *Model) StepDomains(act *cpu.Activity, domJ []float64) float64 {
 	if len(domJ) != m.nd {
 		panic(fmt.Sprintf("power.StepDomains: %d domain slots for %d domains", len(domJ), m.nd))
 	}
-	var ev [NumUnits]float64
-	m.events(act, &ev)
-	for u := Unit(0); u < NumUnits; u++ {
-		if ev[u] == 0 {
-			continue
-		}
-		total := ev[u] * m.unitEventJ[u]
-		m.perUnit[u] += total
-		n := spreadCycles[u]
-		share := total / float64(n)
-		ring := m.pendingDom[m.assign[u]]
-		for k := uint(0); k < uint(n); k++ {
-			ring[(uint(m.slot)+k)&(spreadRing-1)] += share
-		}
-	}
+	m.depositCycle(act, true)
 	m.floorTot += m.floorJ
 	e := 0.0
 	for d := 0; d < m.nd; d++ {

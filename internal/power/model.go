@@ -135,79 +135,40 @@ func (c Config) Validate() error {
 // spreadRing must cover the longest spread.
 const spreadRing = 16
 
-// Step memoization: throttled and stalled cycles repeat a small set of
-// activity vectors (often the all-idle vector), so the deposit pattern a
-// vector produces is cached in a direct-mapped table keyed by the packed
-// vector. A cached entry stores the per-unit (total, share, spread)
-// triples and a hit replays exactly the additions the uncached path would
-// perform, in the same order — floating-point addition is not
-// associative, so pre-summing deposits would change results; replaying
-// the identical op sequence keeps hit and miss cycles bit-identical.
-const (
-	memoBits = 12
-	memoSize = 1 << memoBits
-)
+// deposit is what one unit adds in a cycle at a given event count: the
+// joules charged to the unit, and the share of them laid into each of
+// the unit's spreadCycles ring slots.
+type deposit struct{ total, share float64 }
 
-// memoRow is one active unit's deposit recipe within a memo entry. The
-// unit index and spread length are packed into single bytes to keep a
-// row at 24 bytes, so the enlarged table stays reasonably cache-dense.
-type memoRow struct {
-	total float64
-	share float64
-	u     uint8
-	n     uint8
-}
+// maxTabled caps each unit's deposit table. A validated cpu.Config
+// bounds unit capacities only from below, so without the cap a
+// configuration from outside the program could make New allocate
+// without bound; counts past a table are evaluated inline, with the
+// expressions the table is filled with.
+const maxTabled = 64
 
-// memoEntry caches the deposit recipe of one activity vector. key holds
-// the packed vector plus one so the zero value marks an empty slot (the
-// all-idle vector packs to zero).
-type memoEntry struct {
-	key  uint64
-	n    uint8
-	rows [NumUnits]memoRow
-}
-
-// MemoStats reports Step's memoization traffic.
+// MemoStats reported the traffic of the activity-vector memo Step once
+// used; per-unit deposit tables replaced that memo.
+//
+// Deprecated: always zero. The type is kept because benchmark tooling
+// still reads its fields.
 type MemoStats struct {
-	// Hits counts cycles served by a cached deposit recipe; Misses
-	// counts cycles that computed and cached a new recipe.
-	Hits, Misses uint64
-	// Bypasses counts cycles whose activity could not be packed into the
-	// memo key (some field above 15) and took the original path.
-	Bypasses uint64
+	Hits, Misses, Bypasses uint64
 }
 
-// Lookups returns the total number of Step calls that consulted the memo.
+// Lookups returns Hits + Misses + Bypasses.
+//
+// Deprecated: always zero, like MemoStats.
 func (s MemoStats) Lookups() uint64 { return s.Hits + s.Misses + s.Bypasses }
 
-// HitRate returns the fraction of Step calls served from the memo.
+// HitRate returns Hits over Lookups, or zero without lookups.
+//
+// Deprecated: always zero, like MemoStats.
 func (s MemoStats) HitRate() float64 {
 	if n := s.Lookups(); n > 0 {
 		return float64(s.Hits) / float64(n)
 	}
 	return 0
-}
-
-// memoKey packs the 13 activity fields events reads into 4-bit lanes.
-// ok is false when any field exceeds a lane (wider machines' peak cycles
-// take the unmemoized path).
-func memoKey(act *cpu.Activity) (key uint64, ok bool) {
-	f0, f1, f2, f3 := act.Fetched, act.Dispatched, act.IssuedTotal, act.Committed
-	f4, f5, f6 := act.L1D, act.L2, act.Mem
-	f7, f8 := act.Issued[cpu.IntALU], act.Issued[cpu.IntMul]
-	f9, f10 := act.Issued[cpu.FPALU], act.Issued[cpu.FPMul]
-	f11, f12 := act.Issued[cpu.Branch], act.Issued[cpu.Store]
-	// One combined range check: OR-ing keeps any bit above 0xF (and the
-	// sign bit of any negative count) visible, exactly as the per-field
-	// v&^0xF test would.
-	if (f0|f1|f2|f3|f4|f5|f6|f7|f8|f9|f10|f11|f12)&^0xF != 0 {
-		return 0, false
-	}
-	key = uint64(f0) | uint64(f1)<<4 | uint64(f2)<<8 | uint64(f3)<<12 |
-		uint64(f4)<<16 | uint64(f5)<<20 | uint64(f6)<<24 |
-		uint64(f7)<<28 | uint64(f8)<<32 | uint64(f9)<<36 | uint64(f10)<<40 |
-		uint64(f11)<<44 | uint64(f12)<<48
-	return key, true
 }
 
 // Model converts cpu.Activity into per-cycle power, current, and energy.
@@ -220,8 +181,13 @@ type Model struct {
 	// unitEventJ is the dynamic energy deposited per event per unit,
 	// already net of the gating residual.
 	unitEventJ [NumUnits]float64
-	// maxEvents is the per-cycle event capacity per unit.
-	maxEvents [NumUnits]float64
+	// maxEvents is the per-cycle event capacity per unit; larger counts
+	// are clamped to it.
+	maxEvents [NumUnits]int
+	// dep[u][c] is unit u's deposit at c events, for c from zero to
+	// min(maxEvents[u], maxTabled). The tables are filled by New and
+	// never written again, so forks share them.
+	dep [NumUnits][]deposit
 	// floorJ is the per-cycle energy with everything idle.
 	floorJ float64
 
@@ -234,13 +200,8 @@ type Model struct {
 	// slices nil — on single-domain models.
 	nd         int
 	assign     [NumUnits]uint8
-	pendingDom [][]float64
+	pendingDom [][spreadRing]float64
 	floorDomJ  []float64
-
-	memo       []memoEntry
-	memoHits   uint64
-	memoMisses uint64
-	memoBypass uint64
 
 	totalJ   float64
 	perUnit  [NumUnits]float64
@@ -255,9 +216,29 @@ func New(cfg Config, cc cpu.Config) *Model {
 		panic(fmt.Sprintf("power.New: %v", err))
 	}
 	m := &Model{cfg: cfg, cc: cc}
-	m.unitEventJ, m.maxEvents, m.floorJ = unitEnergies(cfg, cc)
-	m.memo = make([]memoEntry, memoSize)
+	var maxEvents [NumUnits]float64
+	m.unitEventJ, maxEvents, m.floorJ = unitEnergies(cfg, cc)
+	size := 0
+	for u := Unit(0); u < NumUnits; u++ {
+		m.maxEvents[u] = int(maxEvents[u])
+		size += min(m.maxEvents[u], maxTabled) + 1
+	}
+	// One backing array holds every unit's table.
+	tab := make([]deposit, size)
+	for u := Unit(0); u < NumUnits; u++ {
+		n := min(m.maxEvents[u], maxTabled) + 1
+		m.dep[u], tab = tab[:n:n], tab[n:]
+		for c := range m.dep[u] {
+			m.dep[u][c] = m.unitDeposit(u, c)
+		}
+	}
 	return m
+}
+
+// unitDeposit evaluates unit u's deposit at c events.
+func (m *Model) unitDeposit(u Unit, c int) deposit {
+	total := float64(c) * m.unitEventJ[u]
+	return deposit{total, total / float64(spreadCycles[u])}
 }
 
 // unitEnergies derives the per-unit event energy (net of the gating
@@ -298,20 +279,14 @@ func unitEnergies(cfg Config, cc cpu.Config) (eventJ, maxEvents [NumUnits]float6
 
 // Fork returns an independent copy of the model continuing from the
 // same accounting state: the in-flight energy deposits of the spreading
-// ring, the accumulated totals, and the memo table all carry over, so
-// identical future Step sequences yield bit-identical energies. The
-// memo's traffic counters start at zero on the copy — each Step is
-// counted on exactly one model, so summing MemoStats over a machine and
-// all of its forks gives exact totals.
+// rings and the accumulated totals carry over, so identical future Step
+// sequences yield bit-identical energies. The deposit tables are never
+// written after New, so the copy shares them; a fork costs the model's
+// own fields, about a kilobyte, plus its domain rings.
 func (m *Model) Fork() *Model {
 	f := *m
-	f.memo = append([]memoEntry(nil), m.memo...)
-	f.memoHits, f.memoMisses, f.memoBypass = 0, 0, 0
 	if m.nd > 0 {
-		f.pendingDom = make([][]float64, m.nd)
-		for d := range f.pendingDom {
-			f.pendingDom[d] = append([]float64(nil), m.pendingDom[d]...)
-		}
+		f.pendingDom = append([][spreadRing]float64(nil), m.pendingDom...)
 		f.floorDomJ = append([]float64(nil), m.floorDomJ...)
 	}
 	return &f
@@ -320,26 +295,51 @@ func (m *Model) Fork() *Model {
 // Config returns the electrical configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// events maps an Activity onto per-unit event counts, clamped to each
-// unit's capacity so malformed activity cannot exceed peak power. It
-// writes into *ev to keep the per-cycle path free of array copies.
-func (m *Model) events(act *cpu.Activity, ev *[NumUnits]float64) {
-	ev[UnitFrontend] = float64(act.Fetched)
-	ev[UnitRename] = float64(act.Dispatched)
-	ev[UnitWindow] = float64(act.IssuedTotal)
-	ev[UnitRegfile] = float64(act.IssuedTotal)
-	ev[UnitIntALU] = float64(act.Issued[cpu.IntALU] + act.Issued[cpu.Branch] + act.Issued[cpu.Store])
-	ev[UnitIntMul] = float64(act.Issued[cpu.IntMul])
-	ev[UnitFPALU] = float64(act.Issued[cpu.FPALU])
-	ev[UnitFPMul] = float64(act.Issued[cpu.FPMul])
-	ev[UnitL1D] = float64(act.L1D)
-	ev[UnitL2] = float64(act.L2)
-	ev[UnitMem] = float64(act.Mem)
-	ev[UnitROB] = float64(act.Committed)
-	ev[UnitBus] = float64(act.IssuedTotal)
+// depositCycle accounts one cycle of activity: each unit with events
+// adds its deposit's total to the unit's energy and its share to
+// spreadCycles[u] consecutive slots, from the current one, of the single
+// ring — or, when domains is set, of the ring of the unit's domain.
+// Counts are clamped to each unit's capacity so malformed activity
+// cannot exceed peak power. Units go in order and slots in ring order:
+// floating-point addition is not associative, so this order is part of
+// the result.
+func (m *Model) depositCycle(act *cpu.Activity, domains bool) {
+	counts := [NumUnits]int{
+		UnitFrontend: act.Fetched,
+		UnitRename:   act.Dispatched,
+		UnitWindow:   act.IssuedTotal,
+		UnitRegfile:  act.IssuedTotal,
+		UnitIntALU:   act.Issued[cpu.IntALU] + act.Issued[cpu.Branch] + act.Issued[cpu.Store],
+		UnitIntMul:   act.Issued[cpu.IntMul],
+		UnitFPALU:    act.Issued[cpu.FPALU],
+		UnitFPMul:    act.Issued[cpu.FPMul],
+		UnitL1D:      act.L1D,
+		UnitL2:       act.L2,
+		UnitMem:      act.Mem,
+		UnitROB:      act.Committed,
+		UnitBus:      act.IssuedTotal,
+	}
+	slot := uint(m.slot)
 	for u := Unit(0); u < NumUnits; u++ {
-		if ev[u] > m.maxEvents[u] {
-			ev[u] = m.maxEvents[u]
+		c := min(counts[u], m.maxEvents[u])
+		if c == 0 {
+			continue
+		}
+		var d deposit
+		if tab := m.dep[u]; uint(c) < uint(len(tab)) {
+			d = tab[c]
+		} else {
+			// A negative count (cpu.Core produces none) or one past
+			// the table.
+			d = m.unitDeposit(u, c)
+		}
+		m.perUnit[u] += d.total
+		ring := &m.pending
+		if domains {
+			ring = &m.pendingDom[m.assign[u]]
+		}
+		for k, n := uint(0), uint(spreadCycles[u]); k < n; k++ {
+			ring[(slot+k)&(spreadRing-1)] += d.share
 		}
 	}
 }
@@ -351,42 +351,7 @@ func (m *Model) events(act *cpu.Activity, ev *[NumUnits]float64) {
 // amps model the phantom operations of the second-level response and of
 // [10]: current that does no useful work.
 func (m *Model) Step(act *cpu.Activity, phantomAmps float64) float64 {
-	if key, ok := memoKey(act); ok {
-		en := &m.memo[(key*0x9E3779B97F4A7C15)>>(64-memoBits)]
-		if en.key == key+1 {
-			m.memoHits++
-		} else {
-			m.memoMisses++
-			m.fillMemo(act, key, en)
-		}
-		// Replay the cached recipe: the identical additions, in the
-		// identical order, as the unmemoized loop below.
-		slot := uint(m.slot)
-		for i := 0; i < int(en.n); i++ {
-			r := &en.rows[i]
-			m.perUnit[r.u] += r.total
-			for k := uint(0); k < uint(r.n); k++ {
-				m.pending[(slot+k)&(spreadRing-1)] += r.share
-			}
-		}
-	} else {
-		m.memoBypass++
-		var ev [NumUnits]float64
-		m.events(act, &ev)
-		// Deposit each unit's event energy across its spread window.
-		for u := Unit(0); u < NumUnits; u++ {
-			if ev[u] == 0 {
-				continue
-			}
-			total := ev[u] * m.unitEventJ[u]
-			m.perUnit[u] += total
-			n := spreadCycles[u]
-			share := total / float64(n)
-			for k := uint(0); k < uint(n); k++ {
-				m.pending[(uint(m.slot)+k)&(spreadRing-1)] += share
-			}
-		}
-	}
+	m.depositCycle(act, false)
 	m.floorTot += m.floorJ
 	e := m.floorJ + m.pending[m.slot]
 	m.pending[m.slot] = 0
@@ -398,30 +363,6 @@ func (m *Model) Step(act *cpu.Activity, phantomAmps float64) float64 {
 	m.totalJ += e
 	m.cycles++
 	return e
-}
-
-// fillMemo computes the deposit recipe for act into en. The recipe's
-// totals and shares are produced by the same expressions the unmemoized
-// loop evaluates, so replaying it is bit-identical to that loop.
-func (m *Model) fillMemo(act *cpu.Activity, key uint64, en *memoEntry) {
-	var ev [NumUnits]float64
-	m.events(act, &ev)
-	en.key = key + 1
-	en.n = 0
-	for u := Unit(0); u < NumUnits; u++ {
-		if ev[u] == 0 {
-			continue
-		}
-		total := ev[u] * m.unitEventJ[u]
-		n := spreadCycles[u]
-		en.rows[en.n] = memoRow{total: total, share: total / float64(n), u: uint8(u), n: uint8(n)}
-		en.n++
-	}
-}
-
-// MemoStats returns Step's memoization counters.
-func (m *Model) MemoStats() MemoStats {
-	return MemoStats{Hits: m.memoHits, Misses: m.memoMisses, Bypasses: m.memoBypass}
 }
 
 // CurrentAmps converts a cycle energy (joules) into the average current

@@ -260,9 +260,36 @@ func TestBreakdownAccountsForEverything(t *testing.T) {
 	}
 }
 
-// refStep replays the pre-memoization Step algorithm against a model's
-// calibration, so tests can pin the memoized path bit-identically to the
-// original arithmetic.
+// refEvents is a frozen copy of the per-unit event mapping Step used
+// before the deposit tables: float counts, clamped to each unit's
+// capacity. It keeps the reference paths below independent of the code
+// they check.
+func refEvents(m *Model, act *cpu.Activity, ev *[NumUnits]float64) {
+	ev[UnitFrontend] = float64(act.Fetched)
+	ev[UnitRename] = float64(act.Dispatched)
+	ev[UnitWindow] = float64(act.IssuedTotal)
+	ev[UnitRegfile] = float64(act.IssuedTotal)
+	ev[UnitIntALU] = float64(act.Issued[cpu.IntALU] + act.Issued[cpu.Branch] + act.Issued[cpu.Store])
+	ev[UnitIntMul] = float64(act.Issued[cpu.IntMul])
+	ev[UnitFPALU] = float64(act.Issued[cpu.FPALU])
+	ev[UnitFPMul] = float64(act.Issued[cpu.FPMul])
+	ev[UnitL1D] = float64(act.L1D)
+	ev[UnitL2] = float64(act.L2)
+	ev[UnitMem] = float64(act.Mem)
+	ev[UnitROB] = float64(act.Committed)
+	ev[UnitBus] = float64(act.IssuedTotal)
+	_, maxEvents, _ := unitEnergies(m.cfg, m.cc)
+	for u := Unit(0); u < NumUnits; u++ {
+		if ev[u] > maxEvents[u] {
+			ev[u] = maxEvents[u]
+		}
+	}
+}
+
+// refStep replays the original Step algorithm — every deposit computed
+// from the event count on the spot — against a model's calibration, so
+// tests can pin the table-driven path bit-identically to the original
+// arithmetic.
 type refStep struct {
 	m        *Model
 	pending  [spreadRing]float64
@@ -274,7 +301,7 @@ type refStep struct {
 
 func (r *refStep) step(act *cpu.Activity, phantomAmps float64) float64 {
 	var ev [NumUnits]float64
-	r.m.events(act, &ev)
+	refEvents(r.m, act, &ev)
 	for u := Unit(0); u < NumUnits; u++ {
 		if ev[u] == 0 {
 			continue
@@ -298,28 +325,70 @@ func (r *refStep) step(act *cpu.Activity, phantomAmps float64) float64 {
 	return e
 }
 
-// TestMemoizedStepBitIdentical drives the memoized Step with a repeating
-// (hence memo-hitting) but varied activity stream, including vectors too
-// wide for the memo key, and asserts every cycle's energy is bit-identical
-// to the original deposit algorithm.
-func TestMemoizedStepBitIdentical(t *testing.T) {
-	m := newModel()
-	ref := &refStep{m: newModel()}
-	// A small pool of vectors revisited many times: hits dominate after
-	// the first lap, exactly like throttled/stalled simulation cycles.
-	pool := make([]cpu.Activity, 0, 40)
+// refDomainStep is a frozen copy of the per-domain accounting loop
+// StepDomains ran before the deposit tables, replayed against a
+// domain-enabled model's calibration.
+type refDomainStep struct {
+	m          *Model
+	pendingDom [][]float64
+	slot       int
+	perUnit    [NumUnits]float64
+	floorTot   float64
+	totalJ     float64
+}
+
+func newRefDomainStep(m *Model) *refDomainStep {
+	r := &refDomainStep{m: m, pendingDom: make([][]float64, m.nd)}
+	for d := range r.pendingDom {
+		r.pendingDom[d] = make([]float64, spreadRing)
+	}
+	return r
+}
+
+func (r *refDomainStep) step(act *cpu.Activity, domJ []float64) float64 {
+	var ev [NumUnits]float64
+	refEvents(r.m, act, &ev)
+	for u := Unit(0); u < NumUnits; u++ {
+		if ev[u] == 0 {
+			continue
+		}
+		total := ev[u] * r.m.unitEventJ[u]
+		r.perUnit[u] += total
+		n := spreadCycles[u]
+		share := total / float64(n)
+		ring := r.pendingDom[r.m.assign[u]]
+		for k := uint(0); k < uint(n); k++ {
+			ring[(uint(r.slot)+k)&(spreadRing-1)] += share
+		}
+	}
+	r.floorTot += r.m.floorJ
+	e := 0.0
+	for d := 0; d < r.m.nd; d++ {
+		ed := r.m.floorDomJ[d] + r.pendingDom[d][r.slot]
+		r.pendingDom[d][r.slot] = 0
+		domJ[d] = ed
+		e += ed
+	}
+	r.slot = (r.slot + 1) & (spreadRing - 1)
+	r.totalJ += e
+	return e
+}
+
+// activityPool returns n activity vectors for the bit-identity tests:
+// the all-idle and peak vectors, two that leave the tables' range — one
+// over capacity (Fetched = 99, which clamps) and one negative — and
+// random in-capacity vectors. Streams drawn from a small pool revisit
+// vectors many times, as throttled and stalled simulation cycles do.
+func activityPool(n int, rnd func(int) int) []cpu.Activity {
+	pool := make([]cpu.Activity, 0, n)
 	pool = append(pool, cpu.Activity{})                    // all-idle
 	pool = append(pool, fullActivity(cpu.DefaultConfig())) // peak
 	wide := fullActivity(cpu.DefaultConfig())
-	wide.Fetched = 99 // unpackable: must take the bypass path
+	wide.Fetched = 99 // over capacity: clamps to FetchWidth
 	pool = append(pool, wide)
-	seed := uint64(1)
-	rnd := func(n int) int { // xorshift, deterministic
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		return int(seed % uint64(n))
-	}
+	negative := fullActivity(cpu.DefaultConfig())
+	negative.L2 = -1 // cpu.Core never reports one; must still match
+	pool = append(pool, negative)
 	for len(pool) < cap(pool) {
 		var a cpu.Activity
 		a.Fetched = rnd(9)
@@ -338,6 +407,28 @@ func TestMemoizedStepBitIdentical(t *testing.T) {
 		a.Mem = rnd(2)
 		pool = append(pool, a)
 	}
+	return pool
+}
+
+// xorshift returns a deterministic generator of ints in [0, n).
+func xorshift(seed uint64) func(n int) int {
+	return func(n int) int {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return int(seed % uint64(n))
+	}
+}
+
+// TestDepositTablesBitIdentical drives the table-driven Step with a
+// repeating but varied activity stream, including vectors outside the
+// tables' range, and asserts every cycle's energy is bit-identical to
+// the original deposit algorithm.
+func TestDepositTablesBitIdentical(t *testing.T) {
+	m := newModel()
+	ref := &refStep{m: newModel()}
+	rnd := xorshift(1)
+	pool := activityPool(40, rnd)
 	for i := 0; i < 20000; i++ {
 		act := pool[rnd(len(pool))]
 		phantom := 0.0
@@ -347,7 +438,7 @@ func TestMemoizedStepBitIdentical(t *testing.T) {
 		got := m.Step(&act, phantom)
 		want := ref.step(&act, phantom)
 		if got != want {
-			t.Fatalf("cycle %d: memoized Step = %v, reference = %v", i, got, want)
+			t.Fatalf("cycle %d: Step = %v, reference = %v", i, got, want)
 		}
 	}
 	if m.TotalJoules() != ref.totalJ {
@@ -357,28 +448,53 @@ func TestMemoizedStepBitIdentical(t *testing.T) {
 	if gotFloor != ref.floorTot || gotUnits != ref.perUnit {
 		t.Fatalf("Breakdown diverged")
 	}
-	st := m.MemoStats()
-	if st.Hits == 0 || st.Bypasses == 0 {
-		t.Fatalf("stream did not exercise all memo paths: %+v", st)
+}
+
+// TestStepDomainsTablesBitIdentical pins StepDomains on a two-domain
+// assignment, cycle by cycle and domain by domain, to the frozen
+// per-domain loop it ran before the deposit tables.
+func TestStepDomainsTablesBitIdentical(t *testing.T) {
+	assign := twoDomainAssign(t)
+	m := newModel()
+	m.EnableDomains(2, assign)
+	calib := newModel()
+	calib.EnableDomains(2, assign)
+	ref := newRefDomainStep(calib)
+	rnd := xorshift(7)
+	pool := activityPool(40, rnd)
+	got, want := make([]float64, 2), make([]float64, 2)
+	for i := 0; i < 20000; i++ {
+		act := pool[rnd(len(pool))]
+		eg := m.StepDomains(&act, got)
+		ew := ref.step(&act, want)
+		if eg != ew || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("cycle %d: StepDomains = %v %v, reference = %v %v", i, eg, got, ew, want)
+		}
 	}
-	if st.Lookups() != 20000 {
-		t.Fatalf("lookups = %d, want 20000", st.Lookups())
+	if m.TotalJoules() != ref.totalJ {
+		t.Fatalf("TotalJoules diverged: %v vs %v", m.TotalJoules(), ref.totalJ)
 	}
-	if st.HitRate() < 0.9 {
-		t.Fatalf("hit rate %.2f too low for a 40-vector pool", st.HitRate())
+	gotFloor, gotUnits := m.Breakdown()
+	if gotFloor != ref.floorTot || gotUnits != ref.perUnit {
+		t.Fatalf("Breakdown diverged")
 	}
 }
 
-// TestMemoStatsCountsHitsAndMisses pins the counter semantics.
-func TestMemoStatsCountsHitsAndMisses(t *testing.T) {
-	m := newModel()
-	var act cpu.Activity
-	act.Fetched = 3
-	for i := 0; i < 10; i++ {
-		m.Step(&act, 0)
+// TestWideCoreCountsPastTable: a core wider than the deposit tables
+// (a validated cpu.Config bounds widths only from below) keeps small
+// tables and evaluates the counts past them inline, bit-identically.
+func TestWideCoreCountsPastTable(t *testing.T) {
+	cc := cpu.DefaultConfig()
+	cc.FetchWidth = 1 << 40
+	m := New(DefaultConfig(), cc)
+	if n := len(m.dep[UnitFrontend]); n != maxTabled+1 {
+		t.Fatalf("frontend table has %d entries, want %d", n, maxTabled+1)
 	}
-	st := m.MemoStats()
-	if st.Misses != 1 || st.Hits != 9 || st.Bypasses != 0 {
-		t.Fatalf("stats = %+v, want 1 miss, 9 hits", st)
+	ref := &refStep{m: New(DefaultConfig(), cc)}
+	for _, fetched := range []int{1, maxTabled, maxTabled + 1, 1 << 20, 1 << 40, 1 << 50} {
+		act := cpu.Activity{Fetched: fetched}
+		if got, want := m.Step(&act, 0), ref.step(&act, 0); got != want {
+			t.Fatalf("Fetched = %d: Step = %v, reference = %v", fetched, got, want)
+		}
 	}
 }

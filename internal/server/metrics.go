@@ -76,7 +76,7 @@ func newMetricsSet(paths ...string) *metricsSet {
 func (s *metricsSet) endpoint(path string) *endpointMetrics { return s.endpoints[path] }
 
 // writeProm renders the full scrape in Prometheus text exposition
-// format (version 0.0.4): cache tiers, power-memo counters, queue
+// format (version 0.0.4): cache tiers, lockstep fork counters, queue
 // depth, in-flight lanes, and per-endpoint request counts and latency
 // histograms. Output order is deterministic so scrapes diff cleanly.
 func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
@@ -97,10 +97,6 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_cache_entries Distinct specs resident in the memory tier.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_entries gauge\n")
 	fmt.Fprintf(w, "resonanced_cache_entries %d\n", cs.Entries)
-	fmt.Fprintf(w, "# TYPE resonanced_power_memo_hits_total counter\n")
-	fmt.Fprintf(w, "resonanced_power_memo_hits_total %d\n", cs.PowerMemoHits)
-	fmt.Fprintf(w, "# TYPE resonanced_power_memo_lookups_total counter\n")
-	fmt.Fprintf(w, "resonanced_power_memo_lookups_total %d\n", cs.PowerMemoLookups)
 	fmt.Fprintf(w, "# HELP resonanced_batch_lanes_forked_total Lockstep lanes that diverged and resumed on a forked machine.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_batch_lanes_forked_total counter\n")
 	fmt.Fprintf(w, "resonanced_batch_lanes_forked_total %d\n", cs.LanesForked)

@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -250,4 +251,47 @@ func FuzzMachineFork(f *testing.F) {
 		cfg.MaxCycles = 3000
 		runForkContract(t, cfg, seed, forkCycle%3000, 4000)
 	})
+}
+
+// machineAllocBudget bounds what building a machine, or forking one, may
+// allocate. Either costs the machine's live state, about ten kilobytes
+// on the Table 1 core; the bound leaves room for that to grow but fails
+// on any per-machine table of megabyte size.
+const machineAllocBudget = 256 << 10
+
+// allocatedBy returns the bytes the process allocated while f ran. The
+// count is process-wide, so tests using it must not run in parallel.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMachineAllocationsBounded: a Table 1 lumped machine on a
+// materialized swim trace, and a fork of it 1000 cycles in, each
+// allocate less than machineAllocBudget.
+func TestMachineAllocationsBounded(t *testing.T) {
+	app, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := workload.Materialize(app.Params, 20_000).Source()
+	var m *Machine
+	if n := allocatedBy(func() { m, err = NewMachine(DefaultConfig(), src) }); n >= machineAllocBudget {
+		t.Errorf("NewMachine allocated %d B, want < %d", n, machineAllocBudget)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		m.Step(cpu.Unlimited, Phantom{})
+	}
+	if n := allocatedBy(func() { _, err = m.Fork() }); n >= machineAllocBudget {
+		t.Errorf("Fork allocated %d B, want < %d", n, machineAllocBudget)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -191,11 +191,13 @@ func (m *Machine) buildNetwork() error {
 // buffer), trace-relevant values, and final Results. Every piece of
 // mutable state is duplicated — core scheduler (ROB, wakeup lists,
 // timing wheel, ready bitmap, fetch queue), instruction-source cursor
-// (including generator RNG state), power model (spreading ring, memo,
+// (including generator RNG state), power model (spreading rings and
 // accumulators), supply network, sensor history, and the machine's own
 // statistics counters — so the two machines share nothing written after
-// the fork (the phantom split weights are fixed at construction and stay
-// shared). The batch kernel uses this to resume diverged lanes
+// the fork. What is fixed at construction stays shared: the phantom
+// split weights and the power model's per-unit deposit tables, so a
+// fork costs the machine's live state, about ten kilobytes on the
+// Table 1 core. The batch kernel uses this to resume diverged lanes
 // from their observed prefix instead of re-running them from cycle zero;
 // FuzzMachineFork and the kernel differential harness pin the contract.
 //
@@ -236,8 +238,7 @@ func (m *Machine) Fork() (*Machine, error) {
 	return &f, nil
 }
 
-// Power exposes the power model (for its memoization statistics and
-// energy breakdown).
+// Power exposes the power model (for its energy breakdown).
 func (m *Machine) Power() *power.Model { return m.pwr }
 
 // Done reports whether the instruction stream is exhausted and the
@@ -273,7 +274,7 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 	m.core.StepInto(throttle, act)
 	var coreJ float64
 	if m.nd == 1 {
-		coreJ = m.pwr.Step(act, 0) // the memoized single-rail path
+		coreJ = m.pwr.Step(act, 0)
 	} else {
 		coreJ = m.pwr.StepDomains(act, m.domJ)
 	}

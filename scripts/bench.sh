@@ -18,7 +18,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-BenchmarkCoreStep|BenchmarkDetectorStep|BenchmarkPowerStep|BenchmarkStepCycle|BenchmarkMultiDomainStep|BenchmarkBatchKernelLockstep|BenchmarkBatchKernelForked|BenchmarkTable3ResonanceTuning|BenchmarkTable3WarmDiskCache|BenchmarkRelatedSuiteWarm|BenchmarkFig5Comparison|BenchmarkGeneratorNext|BenchmarkTraceSourceNext|BenchmarkSweepSharded}"
+BENCH="${BENCH:-BenchmarkCoreStep|BenchmarkDetectorStep|BenchmarkPowerStep|BenchmarkCircuitStepHeun|BenchmarkMachineFork|BenchmarkStepCycle|BenchmarkMultiDomainStep|BenchmarkBatchKernelLockstep|BenchmarkBatchKernelForked|BenchmarkTable3ResonanceTuning|BenchmarkTable3WarmDiskCache|BenchmarkRelatedSuiteWarm|BenchmarkFig5Comparison|BenchmarkGeneratorNext|BenchmarkTraceSourceNext|BenchmarkSweepSharded}"
 COUNT="${COUNT:-1}"
 OUT="${OUT:-BENCH_sim.json}"
 RAW="$(mktemp)"
