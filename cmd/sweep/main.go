@@ -195,13 +195,13 @@ func validKind(kind engine.TechniqueKind) bool {
 	return false
 }
 
-// netKindList renders every registered network kind for usage and error
+// netKindList renders every network kind for usage and error
 // text.
 func netKindList() string {
 	return strings.Join(circuit.NetworkKinds(), ", ")
 }
 
-// validNetKind reports whether the PDN kind is registered ("" keeps each
+// validNetKind reports whether the PDN kind is known ("" keeps each
 // spec's default supply).
 func validNetKind(kind string) bool {
 	if kind == "" {

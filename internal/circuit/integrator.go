@@ -130,14 +130,6 @@ func (s *Simulator) Deviation(icpu float64) float64 {
 	return s.state.V + s.p.R*icpu
 }
 
-// Violated reports whether deviation dev exceeds the noise margin.
-func (s *Simulator) Violated(dev float64) bool {
-	if dev < 0 {
-		dev = -dev
-	}
-	return dev > s.p.NoiseMarginVolts()
-}
-
 // RunResult summarises a batch transient simulation.
 type RunResult struct {
 	// Deviations holds the per-cycle noise deviation in volts.

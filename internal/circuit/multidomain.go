@@ -254,9 +254,10 @@ type MultiDomainSimulator struct {
 	state MultiDomainState
 	cycle uint64
 
-	// Scratch state for the Heun predictor, kept on the simulator so
-	// Step performs no per-cycle allocation.
-	pred MultiDomainState
+	// Heun scratch, kept on the simulator so Step performs no per-cycle
+	// allocation: the predictor state and the derivatives evaluated at
+	// the current and predicted states.
+	pred, k1, k2 MultiDomainState
 }
 
 // NewMultiDomainSimulator returns a simulator initialised to the DC
@@ -270,10 +271,19 @@ func NewMultiDomainSimulator(p MultiDomainParams, i0 []float64) *MultiDomainSimu
 	nd := len(p.Domains)
 	s.state.Id = make([]float64, nd)
 	s.state.Vd = make([]float64, nd)
-	s.pred.Id = make([]float64, nd)
-	s.pred.Vd = make([]float64, nd)
+	s.newScratch()
 	s.Reset(i0)
 	return s
+}
+
+// newScratch gives the simulator its own Heun scratch, one allocation
+// for all three states.
+func (s *MultiDomainSimulator) newScratch() {
+	nd := len(s.p.Domains)
+	buf := make([]float64, 6*nd)
+	for _, st := range []*MultiDomainState{&s.pred, &s.k1, &s.k2} {
+		st.Id, st.Vd, buf = buf[:nd], buf[nd:2*nd], buf[2*nd:]
+	}
 }
 
 // Reset restores the DC steady state for per-domain draws i0: every
@@ -327,27 +337,24 @@ func (s *MultiDomainSimulator) Fork() Network {
 	f := *s
 	f.state.Id = append([]float64(nil), s.state.Id...)
 	f.state.Vd = append([]float64(nil), s.state.Vd...)
-	f.pred.Id = make([]float64, len(s.pred.Id))
-	f.pred.Vd = make([]float64, len(s.pred.Vd))
+	f.newScratch()
 	return &f
 }
 
-// derivInto evaluates the stack's ODE right-hand side at st, writing the
-// tier derivatives to the scalar pointers and the per-domain derivatives
-// into dId and dVd.
-func (s *MultiDomainSimulator) derivInto(st *MultiDomainState, draws []float64,
-	dIb, dVb, dIp, dVp *float64, dId, dVd []float64) {
+// derivInto evaluates the stack's ODE right-hand side at st, writing
+// every derivative into the matching field of k.
+func (s *MultiDomainSimulator) derivInto(st *MultiDomainState, draws []float64, k *MultiDomainState) {
 	sumId := 0.0
-	for d := range dId {
+	for d := range k.Id {
 		dd := &s.p.Domains[d]
-		dId[d] = (st.Vp - st.Vd[d] - dd.Rbump*st.Id[d]) / dd.Lbump
-		dVd[d] = (st.Id[d] - draws[d]) / dd.Cdie
+		k.Id[d] = (st.Vp - st.Vd[d] - dd.Rbump*st.Id[d]) / dd.Lbump
+		k.Vd[d] = (st.Id[d] - draws[d]) / dd.Cdie
 		sumId += st.Id[d]
 	}
-	*dIb = -(st.Vb + s.p.Rboard*st.Ib) / s.p.Lboard
-	*dVb = (st.Ib - st.Ip) / s.p.Cboard
-	*dIp = (st.Vb - st.Vp - s.p.Rpkg*st.Ip) / s.p.Lpkg
-	*dVp = (st.Ip - sumId) / s.p.Cpkg
+	k.Ib = -(st.Vb + s.p.Rboard*st.Ib) / s.p.Lboard
+	k.Vb = (st.Ib - st.Ip) / s.p.Cboard
+	k.Ip = (st.Vb - st.Vp - s.p.Rpkg*st.Ip) / s.p.Lpkg
+	k.Vp = (st.Ip - sumId) / s.p.Cpkg
 }
 
 // Step implements Network: advance one processor cycle during which
@@ -355,43 +362,28 @@ func (s *MultiDomainSimulator) derivInto(st *MultiDomainState, draws []float64,
 // IR drop subtracted) into dev[d].
 func (s *MultiDomainSimulator) Step(draws, dev []float64) {
 	nd := len(s.p.Domains)
-	var dIb1, dVb1, dIp1, dVp1 float64
-	var dId1, dVd1 [maxInlineDomains]float64
-	var dId2, dVd2 [maxInlineDomains]float64
-	id1, vd1 := dId1[:0], dVd1[:0]
-	id2, vd2 := dId2[:0], dVd2[:0]
-	if nd <= maxInlineDomains {
-		id1, vd1 = dId1[:nd], dVd1[:nd]
-		id2, vd2 = dId2[:nd], dVd2[:nd]
-	} else {
-		id1, vd1 = make([]float64, nd), make([]float64, nd)
-		id2, vd2 = make([]float64, nd), make([]float64, nd)
-	}
+	st, pr, k1, k2 := &s.state, &s.pred, &s.k1, &s.k2
+	s.derivInto(st, draws, k1)
 
-	st := &s.state
-	s.derivInto(st, draws, &dIb1, &dVb1, &dIp1, &dVp1, id1, vd1)
-
-	pr := &s.pred
-	pr.Ib = st.Ib + s.dt*dIb1
-	pr.Vb = st.Vb + s.dt*dVb1
-	pr.Ip = st.Ip + s.dt*dIp1
-	pr.Vp = st.Vp + s.dt*dVp1
+	pr.Ib = st.Ib + s.dt*k1.Ib
+	pr.Vb = st.Vb + s.dt*k1.Vb
+	pr.Ip = st.Ip + s.dt*k1.Ip
+	pr.Vp = st.Vp + s.dt*k1.Vp
 	for d := 0; d < nd; d++ {
-		pr.Id[d] = st.Id[d] + s.dt*id1[d]
-		pr.Vd[d] = st.Vd[d] + s.dt*vd1[d]
+		pr.Id[d] = st.Id[d] + s.dt*k1.Id[d]
+		pr.Vd[d] = st.Vd[d] + s.dt*k1.Vd[d]
 	}
 
-	var dIb2, dVb2, dIp2, dVp2 float64
-	s.derivInto(pr, draws, &dIb2, &dVb2, &dIp2, &dVp2, id2, vd2)
+	s.derivInto(pr, draws, k2)
 
-	st.Ib += s.dt * 0.5 * (dIb1 + dIb2)
-	st.Vb += s.dt * 0.5 * (dVb1 + dVb2)
-	st.Ip += s.dt * 0.5 * (dIp1 + dIp2)
-	st.Vp += s.dt * 0.5 * (dVp1 + dVp2)
+	st.Ib += s.dt * 0.5 * (k1.Ib + k2.Ib)
+	st.Vb += s.dt * 0.5 * (k1.Vb + k2.Vb)
+	st.Ip += s.dt * 0.5 * (k1.Ip + k2.Ip)
+	st.Vp += s.dt * 0.5 * (k1.Vp + k2.Vp)
 	total := 0.0
 	for d := 0; d < nd; d++ {
-		st.Id[d] += s.dt * 0.5 * (id1[d] + id2[d])
-		st.Vd[d] += s.dt * 0.5 * (vd1[d] + vd2[d])
+		st.Id[d] += s.dt * 0.5 * (k1.Id[d] + k2.Id[d])
+		st.Vd[d] += s.dt * 0.5 * (k1.Vd[d] + k2.Vd[d])
 		total += draws[d]
 	}
 	s.cycle++
@@ -403,7 +395,3 @@ func (s *MultiDomainSimulator) Step(draws, dev []float64) {
 		dev[d] = st.Vd[d] + shared + s.p.Domains[d].Rbump*draws[d]
 	}
 }
-
-// maxInlineDomains bounds the stack-allocated Heun scratch; stacks with
-// more domains fall back to per-Step allocation.
-const maxInlineDomains = 8

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -174,6 +175,39 @@ func TestMultiDomainForkBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMultiDomainStepAllocationFree: Step allocates nothing per cycle at
+// any domain count (two, and nine, more than a small fixed-size scratch
+// would hold), on a built network and on its fork.
+func TestMultiDomainStepAllocationFree(t *testing.T) {
+	for _, nd := range []int{2, 9} {
+		p := Table1TwoDomain()
+		core := p.Domains[0]
+		p.Domains = make([]DomainParams, nd)
+		i0 := make([]float64, nd)
+		for d := range p.Domains {
+			p.Domains[d] = core
+			p.Domains[d].Name = fmt.Sprintf("d%d", d)
+			i0[d] = 10
+		}
+		net, err := BuildNetwork(NetworkConfig{Kind: NetworkMultiDomain, MultiDomain: &p}, i0)
+		if err != nil {
+			t.Fatalf("%d domains: %v", nd, err)
+		}
+		draws, dev := make([]float64, nd), make([]float64, nd)
+		for _, n := range []Network{net, net.Fork()} {
+			c := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				c++
+				draws[c%nd] = 10 + 5*math.Sin(float64(c)/20)
+				n.Step(draws, dev)
+			})
+			if allocs != 0 {
+				t.Errorf("%d domains: Step allocated %v times per cycle, want 0", nd, allocs)
+			}
+		}
+	}
+}
+
 // TestMultiDomainDCImpedance: at DC every capacitor is open, so a
 // domain sees the series resistance of its path to the source.
 func TestMultiDomainDCImpedance(t *testing.T) {
@@ -186,9 +220,9 @@ func TestMultiDomainDCImpedance(t *testing.T) {
 	}
 }
 
-// TestNetworkRegistryKinds pins the registered network kind set and
-// order (the canonical encoding does not depend on the order, but flag
-// help and error text do).
+// TestNetworkRegistryKinds pins the network kind set and order (the
+// canonical encoding does not depend on the order, but flag help, error
+// text and the benchmark's spec lists do).
 func TestNetworkRegistryKinds(t *testing.T) {
 	want := []string{NetworkLumped, NetworkTwoStage, NetworkMultiDomain}
 	got := NetworkKinds()
@@ -203,7 +237,7 @@ func TestNetworkRegistryKinds(t *testing.T) {
 }
 
 // TestNetworkConfigNormalization: empty kind resolves to lumped with
-// Table 1 parameters; unknown kinds error listing the registered kinds;
+// Table 1 parameters; unknown kinds error listing the known kinds;
 // normalization clears the sections of unselected kinds.
 func TestNetworkConfigNormalization(t *testing.T) {
 	n, err := NetworkConfig{}.Normalized()
@@ -232,7 +266,7 @@ func TestNetworkConfigNormalization(t *testing.T) {
 	}
 	for _, k := range NetworkKinds() {
 		if !containsStr(err.Error(), k) {
-			t.Errorf("unknown-kind error %q does not list registered kind %q", err, k)
+			t.Errorf("unknown-kind error %q does not list kind %q", err, k)
 		}
 	}
 }
@@ -246,7 +280,7 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestBuildNetworkAllKinds: every registered kind builds with default
+// TestBuildNetworkAllKinds: every kind builds with default
 // parameters and honours the Network contract at DC.
 func TestBuildNetworkAllKinds(t *testing.T) {
 	for _, kind := range NetworkKinds() {

@@ -1,5 +1,130 @@
 package circuit
 
+import "fmt"
+
+// Network kinds.
+const (
+	// NetworkLumped is the single lumped RLC of Figure 1(b).
+	NetworkLumped = "lumped"
+	// NetworkTwoStage is the two-loop network of Section 2.2.
+	NetworkTwoStage = "twostage"
+	// NetworkMultiDomain is the distributed multi-domain PDN stack.
+	NetworkMultiDomain = "multidomain"
+)
+
+// NetworkKinds returns every network kind, the lumped default first.
+func NetworkKinds() []string {
+	return []string{NetworkLumped, NetworkTwoStage, NetworkMultiDomain}
+}
+
+// NetworkConfig selects and parameterises a PDN model. Exactly one
+// parameter section is meaningful — the one matching Kind — and
+// Normalized clears the rest so equal networks encode equally.
+type NetworkConfig struct {
+	// Kind selects the model; empty means NetworkLumped.
+	Kind string
+	// Lumped parameterises NetworkLumped; nil means Table1.
+	Lumped *Params
+	// TwoStage parameterises NetworkTwoStage; nil means Table1TwoStage.
+	TwoStage *TwoStageParams
+	// MultiDomain parameterises NetworkMultiDomain; nil means
+	// Table1TwoDomain.
+	MultiDomain *MultiDomainParams
+}
+
+// Normalized resolves the config's defaults: the kind (empty means
+// lumped), a private copy of the selected model's parameter section
+// (its defaults when nil), and no other section — so two configs
+// describing the same network become structurally identical, which is
+// what lets the engine key specs on the resolved form. Unknown kinds
+// error, listing the kinds.
+func (c NetworkConfig) Normalized() (NetworkConfig, error) {
+	switch c.Kind {
+	case "", NetworkLumped:
+		p := Table1()
+		if c.Lumped != nil {
+			p = *c.Lumped
+		}
+		return NetworkConfig{Kind: NetworkLumped, Lumped: &p}, nil
+	case NetworkTwoStage:
+		p := Table1TwoStage()
+		if c.TwoStage != nil {
+			p = *c.TwoStage
+		}
+		return NetworkConfig{Kind: NetworkTwoStage, TwoStage: &p}, nil
+	case NetworkMultiDomain:
+		var p MultiDomainParams
+		if c.MultiDomain != nil {
+			p = *c.MultiDomain
+			p.Domains = append([]DomainParams(nil), p.Domains...)
+		} else {
+			p = Table1TwoDomain()
+		}
+		return NetworkConfig{Kind: NetworkMultiDomain, MultiDomain: &p}, nil
+	}
+	return NetworkConfig{}, fmt.Errorf("circuit: unknown network kind %q (registered kinds: %v)", c.Kind, NetworkKinds())
+}
+
+// Validate resolves and checks the config without building a network.
+func (c NetworkConfig) Validate() error {
+	n, err := c.Normalized()
+	if err != nil {
+		return err
+	}
+	return n.check()
+}
+
+// DomainCount returns the resolved config's domain count (zero for an
+// unknown kind).
+func (c NetworkConfig) DomainCount() int {
+	n, err := c.Normalized()
+	if err != nil {
+		return 0
+	}
+	return n.domains()
+}
+
+// BuildNetwork resolves, validates, and constructs the configured
+// network at the DC steady state for per-domain draws i0.
+func BuildNetwork(c NetworkConfig, i0 []float64) (Network, error) {
+	n, err := c.Normalized()
+	if err == nil {
+		err = n.check()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if nd := n.domains(); len(i0) != nd {
+		return nil, fmt.Errorf("circuit: network %q has %d domains, got %d initial currents", n.Kind, nd, len(i0))
+	}
+	switch n.Kind {
+	case NetworkLumped:
+		return &lumpedNetwork{sim: NewSimulator(*n.Lumped, i0[0])}, nil
+	case NetworkTwoStage:
+		return &twoStageNetwork{sim: NewTwoStageSimulator(*n.TwoStage, i0[0])}, nil
+	}
+	return NewMultiDomainSimulator(*n.MultiDomain, i0), nil
+}
+
+// check validates a normalized config's parameter section.
+func (n NetworkConfig) check() error {
+	switch n.Kind {
+	case NetworkLumped:
+		return n.Lumped.Validate()
+	case NetworkTwoStage:
+		return n.TwoStage.Validate()
+	}
+	return n.MultiDomain.Validate()
+}
+
+// domains returns a normalized config's domain count.
+func (n NetworkConfig) domains() int {
+	if n.Kind == NetworkMultiDomain {
+		return len(n.MultiDomain.Domains)
+	}
+	return 1
+}
+
 // Network is the power-delivery seam the simulation loop steps: any
 // transient PDN model that maps per-domain current draws to per-domain
 // supply deviations, one processor cycle at a time. The single lumped
@@ -15,7 +140,7 @@ package circuit
 // deep-copy all electrical state — the sim.Machine fork bit-identity
 // contract extends through the network.
 type Network interface {
-	// Kind names the registered network implementation.
+	// Kind names the network's kind (NetworkConfig.Kind).
 	Kind() string
 	// Domains returns the number of supply domains (≥ 1).
 	Domains() int

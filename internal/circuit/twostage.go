@@ -208,8 +208,3 @@ func (s *TwoStageSimulator) Step(icpu float64) float64 {
 func (s *TwoStageSimulator) Deviation(icpu float64) float64 {
 	return s.state.V2 + (s.p.R1+s.p.R2)*icpu
 }
-
-// Violated reports whether deviation dev exceeds the noise margin.
-func (s *TwoStageSimulator) Violated(dev float64) bool {
-	return math.Abs(dev) > s.p.NoiseMarginVolts()
-}

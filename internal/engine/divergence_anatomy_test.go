@@ -21,35 +21,20 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/engine/batchkernel"
 	"repro/internal/sim"
 	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
-// anatomyTuningConfig mirrors the evaluated Section 5.2 configuration
-// (internal/experiments.paperTuningConfig) so the Table 3 group here
-// diverges exactly like the real experiment's.
+// anatomyTuningConfig is Table 3's tuning configuration (the paper's
+// defaults plus the row's response delay, as internal/experiments builds
+// it) so the Table 3 group here diverges exactly like the real
+// experiment's.
 func anatomyTuningConfig(initialResponseCycles, delayCycles int) tuning.Config {
-	supply := circuit.Table1()
-	lo, hi := supply.ResonanceBandCycles().HalfPeriods()
-	return tuning.Config{
-		Detector: tuning.DetectorConfig{
-			HalfPeriodLo:           lo,
-			HalfPeriodHi:           hi,
-			ThresholdAmps:          32,
-			MaxRepetitionTolerance: 4,
-		},
-		InitialResponseThreshold: 2,
-		SecondResponseThreshold:  3,
-		InitialResponseCycles:    initialResponseCycles,
-		SecondResponseCycles:     35,
-		ReducedIssueWidth:        4,
-		ReducedCachePorts:        1,
-		ResponseDelayCycles:      delayCycles,
-		PhantomTargetAmps:        70,
-	}
+	c := DefaultTuningConfig(initialResponseCycles)
+	c.ResponseDelayCycles = delayCycles
+	return c
 }
 
 // anatomyGroup runs one lane group on one app and logs its anatomy.

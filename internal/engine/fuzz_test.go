@@ -85,7 +85,7 @@ func specFromFuzz(app string, insts uint64, techSel, variant uint8, f1, f2 float
 		cfg.Power.PeakWatts += f2
 		s.System = &cfg
 	}
-	// A PDN section, cycling through every registered network kind and
+	// A PDN section, cycling through every network kind and
 	// attaching explicit (sometimes perturbed) parameters half the time;
 	// the key must fold it into the system section and stay total.
 	if variant%16 >= 8 {
@@ -150,7 +150,7 @@ func FuzzSpecKey(f *testing.F) {
 	f.Add("lowosc", uint64(120_000), uint8(7), uint8(5), 70.0, 40.0, 25, 4000,
 		"lowosc", uint64(120_000), uint8(0), uint8(5), 70.0, 40.0, 25, 4000)
 	// Domain-tuning sections and PDN-bearing variants (variant%16 ≥ 8
-	// attaches a PDN cycling through the registered network kinds).
+	// attaches a PDN cycling through the network kinds).
 	f.Add("swim", uint64(100_000), uint8(8), uint8(9), 70.0, 40.0, 2, 1,
 		"swim", uint64(100_000), uint8(8), uint8(9), 70.0, 40.0, 2, 1)
 	f.Add("lucas", uint64(100_000), uint8(0), uint8(8), 0.0, 0.0, 0, 2,

@@ -51,28 +51,22 @@ func (s Spec) Key() (Key, error) {
 
 // Canonical returns the spec's canonical encoding: the normalized spec's
 // fields serialized in declaration order with fixed-width scalars,
-// length-prefixed strings, and presence bytes for optional sections. It
-// is the ground truth the fuzz tests compare Keys against.
+// length-prefixed strings, and presence bytes for optional sections. PDN
+// is left out (normalization folds it into System) and so is Trace (not
+// part of the identity). It is the ground truth the fuzz tests compare
+// Keys against.
 func (s Spec) Canonical() ([]byte, error) {
 	n, _, err := s.normalized()
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	encodeString(&buf, n.App)
-	encodeUint(&buf, n.Instructions)
-	encodeString(&buf, string(n.Technique))
-	sections := []any{n.Workload, n.System}
-	// Every registered technique's section participates (with a
-	// presence byte) in registration order; normalization guarantees
-	// only the selected technique's section is non-nil.
-	for _, d := range registryOrder {
-		if d.Section != nil {
-			sections = append(sections, d.Section(&n))
+	v := reflect.ValueOf(n)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name == "PDN" || name == "Trace" {
+			continue
 		}
-	}
-	for _, section := range sections {
-		if err := encodeValue(&buf, reflect.ValueOf(section)); err != nil {
+		if err := encodeValue(&buf, v.Field(i)); err != nil {
 			return nil, err
 		}
 	}

@@ -289,7 +289,7 @@ func TestPanickingSimulationResolvesEntry(t *testing.T) {
 // no entry claimed, and keeps the engine serving.
 func TestGroupPanicFailsEveryClaim(t *testing.T) {
 	const kind TechniqueKind = "test-constructor-panic"
-	Register(Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
+	register(Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
 		panic("constructor exploded")
 	}})
 	t.Cleanup(func() {

@@ -1,10 +1,10 @@
 // Technique registry: the single place a control scheme is wired into
 // the engine. A technique registers one Descriptor — its kind string,
-// config defaulting, validation, canonical key encoding, and constructor
-// (plus trace hooks) — and every Spec operation (normalization, Key,
-// Execute) walks the registry instead of switching on the kind. Adding a
-// technique is one Register call and one Spec section field, not three
-// parallel switch edits.
+// config defaulting, validation, and constructor (plus trace hooks) —
+// and every Spec operation (normalization, Validate, Execute) walks the
+// registry instead of switching on the kind. Adding a technique is one
+// register call and one Spec section field, which the canonical
+// encoding picks up by reflection.
 package engine
 
 import (
@@ -50,8 +50,8 @@ type TraceHooks struct {
 
 // Descriptor is one registered technique kind. All functions except
 // Validate operate on normalized specs; a descriptor with a config
-// section must provide Clear, Normalize, and Section so the section
-// participates in default resolution and the canonical encoding.
+// section must provide Clear and Normalize so the section participates
+// in default resolution.
 type Descriptor struct {
 	// Kind is the technique's spec identifier (Spec.Technique).
 	Kind TechniqueKind
@@ -66,10 +66,6 @@ type Descriptor struct {
 	// Validate checks the resolved section; nil means always valid.
 	// Execute reports its error instead of letting a constructor panic.
 	Validate func(n *Spec) error
-	// Section returns the resolved config section (a possibly-nil
-	// pointer) for the canonical encoding; nil means the technique has
-	// no section (the base machine).
-	Section func(n *Spec) any
 	// Build constructs the simulation adapter and its trace hooks from
 	// the resolved section; nil means the uncontrolled base machine.
 	Build func(n *Spec, env Env) (sim.Technique, TraceHooks)
@@ -80,20 +76,18 @@ var (
 	registryOrder []*Descriptor
 )
 
-// Register adds a technique descriptor. It panics on duplicate or
+// register adds a technique descriptor. It panics on duplicate or
 // inconsistent registrations (registration happens at init time; a bad
-// descriptor is a programming error, not a runtime condition). The
-// registration order is part of the canonical encoding, so techniques
-// must be registered deterministically (from a single init).
-func Register(d Descriptor) {
+// descriptor is a programming error, not a runtime condition).
+func register(d Descriptor) {
 	if d.Kind == "" {
-		panic("engine.Register: empty technique kind")
+		panic("engine.register: empty technique kind")
 	}
 	if _, dup := registry[d.Kind]; dup {
-		panic(fmt.Sprintf("engine.Register: duplicate technique %q", d.Kind))
+		panic(fmt.Sprintf("engine.register: duplicate technique %q", d.Kind))
 	}
-	if d.Section != nil && (d.Clear == nil || d.Normalize == nil) {
-		panic(fmt.Sprintf("engine.Register: technique %q has a config section but no Clear/Normalize", d.Kind))
+	if (d.Clear == nil) != (d.Normalize == nil) {
+		panic(fmt.Sprintf("engine.register: technique %q needs both Clear and Normalize or neither", d.Kind))
 	}
 	dd := d
 	registry[d.Kind] = &dd
@@ -129,10 +123,10 @@ func clearSections(n *Spec) {
 
 func init() {
 	// The uncontrolled base processor: no section, no constructor.
-	Register(Descriptor{Kind: TechniqueNone})
+	register(Descriptor{Kind: TechniqueNone})
 
 	// Resonance tuning, the paper's contribution (Section 3).
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueTuning,
 		Clear: func(n *Spec) { n.Tuning = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -148,7 +142,6 @@ func init() {
 			n.Tuning = &tc
 		},
 		Validate: func(n *Spec) error { return n.Tuning.Validate() },
-		Section:  func(n *Spec) any { return n.Tuning },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			rt := sim.NewResonanceTuning(*n.Tuning)
 			return rt, TraceHooks{EventCount: rt.EventCount, Level: rt.Level}
@@ -156,7 +149,7 @@ func init() {
 	})
 
 	// The voltage-threshold scheme of [10].
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueVoltageControl,
 		Clear: func(n *Spec) { n.VoltageControl = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -167,7 +160,6 @@ func init() {
 			n.VoltageControl = &vc
 		},
 		Validate: func(n *Spec) error { return n.VoltageControl.Validate() },
-		Section:  func(n *Spec) any { return n.VoltageControl },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			v := sim.NewVoltageControl(*n.VoltageControl, env.PhantomFireAmps)
 			return v, TraceHooks{Level: v.Level}
@@ -175,7 +167,7 @@ func init() {
 	})
 
 	// Pipeline damping [14].
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueDamping,
 		Clear: func(n *Spec) { n.Damping = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -186,7 +178,6 @@ func init() {
 			n.Damping = &dc
 		},
 		Validate: func(n *Spec) error { return n.Damping.Validate() },
-		Section:  func(n *Spec) any { return n.Damping },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewDamping(*n.Damping), TraceHooks{}
 		},
@@ -195,7 +186,7 @@ func init() {
 	// Convolution-based prediction [8]: the supply defaults to the
 	// spec's own simulated supply, so the impulse response driving the
 	// prediction matches the network being simulated.
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueConvolution,
 		Clear: func(n *Spec) { n.Convolution = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -215,14 +206,13 @@ func init() {
 			n.Convolution = &cc
 		},
 		Validate: func(n *Spec) error { return n.Convolution.Validate() },
-		Section:  func(n *Spec) any { return n.Convolution },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewConvolutionControl(*n.Convolution, env.PhantomFireAmps), TraceHooks{}
 		},
 	})
 
 	// Haar-wavelet detector in the spirit of [11].
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueWavelet,
 		Clear: func(n *Spec) { n.Wavelet = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -236,7 +226,6 @@ func init() {
 			n.Wavelet = &wc
 		},
 		Validate: func(n *Spec) error { return n.Wavelet.Validate() },
-		Section:  func(n *Spec) any { return n.Wavelet },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewWaveletControl(*n.Wavelet), TraceHooks{}
 		},
@@ -244,7 +233,7 @@ func init() {
 
 	// Dual-band resonance tuning (Section 2.2): medium-band controller
 	// at core clock plus a decimated low-band controller.
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueDualBand,
 		Clear: func(n *Spec) { n.DualBand = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -283,7 +272,6 @@ func init() {
 			}
 			return nil
 		},
-		Section: func(n *Spec) any { return n.DualBand },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewDualBandTuning(n.DualBand.Medium, n.DualBand.Low, n.DualBand.DecimationFactor), TraceHooks{}
 		},
@@ -292,7 +280,7 @@ func init() {
 	// Per-domain resonance tuning over a multi-domain PDN: one
 	// medium-band controller per supply domain, each watching its own
 	// rail sensor, with the strongest response applied to the pipeline.
-	Register(Descriptor{
+	register(Descriptor{
 		Kind:  TechniqueDomainTuning,
 		Clear: func(n *Spec) { n.DomainTuning = nil },
 		Normalize: func(orig, n *Spec, env Env) {
@@ -325,7 +313,6 @@ func init() {
 			}
 			return nil
 		},
-		Section: func(n *Spec) any { return n.DomainTuning },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			dt := sim.NewPerDomainTuning(n.DomainTuning.Domains)
 			return dt, TraceHooks{EventCount: dt.EventCount, Level: dt.Level}

@@ -61,59 +61,78 @@ const (
 
 // Spec describes one deterministic simulation run: the application, the
 // run length, the technique and its configuration, and the simulated
-// system. It is the unit of caching — see Key.
+// system. It is the unit of caching — see Key — and, through its JSON
+// tags, the repo's one serialized spec schema: the HTTP server's
+// request body and the sharded-sweep grid manifest both speak it, so a
+// manifest entry could be replayed against the service verbatim.
+// Zero-valued fields resolve to the same defaults every driver uses
+// (Table 1 system, DefaultInstructions, base technique), so a decoded
+// spec has the same content address as the spec it was encoded from.
 type Spec struct {
 	// App names a Table 2 application (see workload.Apps). When Workload
 	// is non-nil App is only a label (defaulting to Workload.Name).
-	App string
+	App string `json:"app,omitempty"`
 	// Instructions is the run length; zero means DefaultInstructions.
-	Instructions uint64
+	Instructions uint64 `json:"instructions,omitempty"`
 	// Technique selects the control scheme; empty means TechniqueNone.
-	Technique TechniqueKind
+	Technique TechniqueKind `json:"technique,omitempty"`
 
 	// Workload overrides the Table 2 application lookup with explicit
 	// synthetic-workload parameters when non-nil. Runners with bespoke
 	// instruction streams (the low-frequency and scaling experiments)
 	// use this to stay inside the cached engine path.
-	Workload *workload.Params
+	Workload *workload.Params `json:"workload,omitempty"`
 
 	// System overrides the Table 1 system when non-nil.
-	System *sim.Config
-	// PDN selects a registered power-delivery-network model when
-	// non-nil. It is sugar for System.PDN (and overrides it): during
-	// normalization the section folds into the system configuration,
-	// which is its single canonical home in the cache key. With neither
-	// set the run simulates the lumped Table 1 supply, keyed exactly as
-	// if that network were spelled out.
-	PDN *circuit.NetworkConfig
+	System *sim.Config `json:"system,omitempty"`
+	// PDN selects the power-delivery-network model when non-nil. It is
+	// sugar for System.PDN (and overrides it): during normalization the
+	// section folds into the system configuration, which is its single
+	// canonical home in the cache key. With neither set the run
+	// simulates the lumped Table 1 supply, keyed exactly as if that
+	// network were spelled out.
+	PDN *circuit.NetworkConfig `json:"pdn,omitempty"`
 	// Tuning overrides the paper's tuning configuration when non-nil
 	// (only used with TechniqueTuning).
-	Tuning *tuning.Config
+	Tuning *tuning.Config `json:"tuning,omitempty"`
 	// VoltageControl overrides the default [10] configuration
 	// (20 mV target, 10 mV noise, 5-cycle delay) when non-nil.
-	VoltageControl *voltctl.Config
+	VoltageControl *voltctl.Config `json:"voltage_control,omitempty"`
 	// Damping overrides the default [14] configuration (50-cycle
 	// window, δ = 16 A) when non-nil.
-	Damping *DampingConfig
+	Damping *DampingConfig `json:"damping,omitempty"`
 	// Convolution overrides the default [8] configuration when non-nil
 	// (only used with TechniqueConvolution). A zero Supply defaults to
 	// the spec's own simulated supply.
-	Convolution *convctl.Config
+	Convolution *convctl.Config `json:"convolution,omitempty"`
 	// Wavelet overrides the default [11]-style configuration when
 	// non-nil (only used with TechniqueWavelet).
-	Wavelet *wavelet.Config
+	Wavelet *wavelet.Config `json:"wavelet,omitempty"`
 	// DualBand overrides the derived dual-band configuration when
 	// non-nil (only used with TechniqueDualBand).
-	DualBand *DualBandConfig
+	DualBand *DualBandConfig `json:"dual_band,omitempty"`
 	// DomainTuning overrides the derived per-domain tuning configuration
 	// when non-nil (only used with TechniqueDomainTuning).
-	DomainTuning *DomainTuningConfig
+	DomainTuning *DomainTuningConfig `json:"domain_tuning,omitempty"`
 
 	// Trace, when non-nil, receives every cycle's waveform point. A
 	// traced run always simulates — the callback's side effects cannot
 	// be replayed from a cached Result — but its result is still stored
-	// for later untraced consumers.
-	Trace func(sim.TracePoint)
+	// for later untraced consumers. It is process-local: neither the
+	// wire form nor the content address carries it.
+	Trace func(sim.TracePoint) `json:"-"`
+}
+
+// SpecWire is the JSON wire form of a Spec: the Spec itself, whose
+// Trace callback the encoding skips.
+type SpecWire = Spec
+
+// WireSpec renders a spec in its wire form, dropping the Trace callback
+// (process-local, and not part of the content address either): a replay
+// of the wire spec computes the same Result.
+func WireSpec(s Spec) SpecWire {
+	s.Trace = nil
+	return s
 }
 
 // DampingConfig aliases the [14] configuration for Spec construction.

@@ -55,7 +55,7 @@ func TestSpecWireRoundTripPreservesKey(t *testing.T) {
 		if err := json.Unmarshal(blob, &w); err != nil {
 			t.Fatalf("fixture %d: unmarshal: %v", i, err)
 		}
-		got, err := w.Spec().Key()
+		got, err := w.Key()
 		if err != nil {
 			t.Fatalf("fixture %d: round-trip key: %v", i, err)
 		}
@@ -78,11 +78,11 @@ func TestSpecWireDropsTrace(t *testing.T) {
 	if err := json.Unmarshal(blob, &w); err != nil {
 		t.Fatal(err)
 	}
-	if w.Spec().Trace != nil {
+	if w.Trace != nil {
 		t.Error("wire round-trip resurrected a Trace callback")
 	}
 	want, _ := Spec{App: "lucas", Instructions: 20_000}.Key()
-	got, err := w.Spec().Key()
+	got, err := w.Key()
 	if err != nil || got != want {
 		t.Errorf("traced spec's wire key = %s, %v; want the untraced key %s", got, err, want)
 	}

@@ -78,7 +78,7 @@ func Ablations(opts Options) (Report, error) {
 		{"sensor-resolution", "8-amp coarse", nil, 8},
 	}
 	for _, v := range variants {
-		cfg := paperTuningConfig(100, 0)
+		cfg := engine.DefaultTuningConfig(100)
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}

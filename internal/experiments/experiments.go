@@ -17,10 +17,8 @@ import (
 	"runtime"
 	"sort"
 
-	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/sim"
-	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -147,29 +145,4 @@ func runApps(eng *engine.Engine, opts Options, spec engine.Spec, apps []string) 
 		specs[i] = s
 	}
 	return eng.RunAll(context.Background(), specs, nil)
-}
-
-// paperTuningConfig is the evaluated resonance-tuning configuration of
-// Section 5.2: Table 1 detector parameters, initial response threshold 2,
-// second-level threshold 3, second-level hold 35 cycles, first-level
-// response 8→4 issue and 2→1 ports, phantom target at the mid current.
-func paperTuningConfig(initialResponseCycles, delayCycles int) tuning.Config {
-	supply := circuit.Table1()
-	lo, hi := supply.ResonanceBandCycles().HalfPeriods()
-	return tuning.Config{
-		Detector: tuning.DetectorConfig{
-			HalfPeriodLo:           lo,
-			HalfPeriodHi:           hi,
-			ThresholdAmps:          32,
-			MaxRepetitionTolerance: 4,
-		},
-		InitialResponseThreshold: 2,
-		SecondResponseThreshold:  3,
-		InitialResponseCycles:    initialResponseCycles,
-		SecondResponseCycles:     35,
-		ReducedIssueWidth:        4,
-		ReducedCachePorts:        1,
-		ResponseDelayCycles:      delayCycles,
-		PhantomTargetAmps:        70,
-	}
 }

@@ -47,7 +47,7 @@ func Fig5(opts Options) (Report, error) {
 		paperED float64
 	}
 	tuningSpec := func(initial int) engine.Spec {
-		cfg := paperTuningConfig(initial, 0)
+		cfg := engine.DefaultTuningConfig(initial)
 		return engine.Spec{Technique: engine.TechniqueTuning, Tuning: &cfg}
 	}
 	voltSpec := func(targetMV, noiseMV float64, delay int) engine.Spec {

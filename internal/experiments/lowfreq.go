@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/circuit"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -71,35 +69,17 @@ func LowFreq(opts Options) (Report, error) {
 	cfg := sim.DefaultConfig()
 	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &supply}
 
-	const factor = 25
-	lowHalfDecimated := int(math.Round(lowPeriod / 2 / factor))
-
-	mediumCfg := paperTuningConfig(100, 0)
-	// The low loop's own threshold: its peak impedance is lower than the
-	// medium peak, so it tolerates larger sustained variations
-	// (margin / |Z_low| ≈ 40 A for this network).
-	lowThreshold := math.Floor(supply.NoiseMarginVolts() / lowPeak.Ohms)
-	lowCfg := tuning.Config{
-		Detector: tuning.DetectorConfig{
-			HalfPeriodLo:           lowHalfDecimated * 8 / 10,
-			HalfPeriodHi:           lowHalfDecimated * 12 / 10,
-			ThresholdAmps:          lowThreshold,
-			MaxRepetitionTolerance: 4,
-		},
-		InitialResponseThreshold: 2,
-		SecondResponseThreshold:  3,
-		InitialResponseCycles:    100, // decimated units: 2500 cycles
-		SecondResponseCycles:     35,
-		ReducedIssueWidth:        4,
-		ReducedCachePorts:        1,
-		PhantomTargetAmps:        70,
-	}
+	// The paper's medium-band controller plus a low-band controller on a
+	// 25:1 decimated current stream. The low loop's peak impedance is
+	// lower than the medium peak, so its threshold tolerates larger
+	// sustained variations (margin / |Z_low| ≈ 40 A for this network).
+	dualCfg := engine.DefaultDualBandConfig(supply)
+	mediumCfg := dualCfg.Medium
 
 	// All three runs go through the cached engine; the row labels are
 	// the experiment's own (the cached Result carries the technique's
 	// canonical name, e.g. "resonance-tuning" for the medium-only row).
 	eng := opts.engine()
-	dualCfg := engine.DualBandConfig{Medium: mediumCfg, Low: lowCfg, DecimationFactor: factor}
 	template := engine.Spec{Workload: &app, System: &cfg, Instructions: opts.instructions()}
 	rows := []struct {
 		label string

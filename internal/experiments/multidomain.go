@@ -123,7 +123,7 @@ func MultiDomain(opts Options) (Report, error) {
 	domCfgs := make([]tuning.Config, len(pdn.Domains))
 	for d := range pdn.Domains {
 		margin := pdn.Domains[d].Vdd * pdn.Domains[d].NoiseMargin
-		c := paperTuningConfig(half*20, 0)
+		c := engine.DefaultTuningConfig(half * 20)
 		c.SecondResponseCycles = half * 4
 		c.Detector.HalfPeriodLo = half * 8 / 10
 		c.Detector.HalfPeriodHi = half * 12 / 10

@@ -44,7 +44,7 @@ func Related(opts Options) (Report, error) {
 	// Every technique is an engine Spec: construction, phantom-fire and
 	// mid-level current derivation, the worker pool, and the result
 	// cache are all the engine's.
-	paperCfg := paperTuningConfig(100, 0)
+	paperCfg := engine.DefaultTuningConfig(100)
 	paperCfg.PhantomTargetAmps = 0 // resolved to the mid current level
 	voltCfg := voltctl.Config{
 		TargetThresholdVolts: 0.020, SensorNoiseVolts: 0.010,

@@ -68,7 +68,8 @@ func Table3(opts Options) (Report, error) {
 	variants := []engine.Spec{{}}
 	cfgs := make([]tuning.Config, len(sweeps))
 	for i, sw := range sweeps {
-		cfgs[i] = paperTuningConfig(sw.initial, sw.delay)
+		cfgs[i] = engine.DefaultTuningConfig(sw.initial)
+		cfgs[i].ResponseDelayCycles = sw.delay
 		variants = append(variants, engine.Spec{Technique: engine.TechniqueTuning, Tuning: &cfgs[i]})
 	}
 	specs := make([]engine.Spec, 0, len(variants)*len(apps))

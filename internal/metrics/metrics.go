@@ -8,7 +8,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -108,11 +107,6 @@ func Summarize(rels []Relative) Summary {
 	s.AvgEnergy /= n
 	s.AvgEnergyDelay /= n
 	return s
-}
-
-// SortByApp orders relatives alphabetically for stable reports.
-func SortByApp(rels []Relative) {
-	sort.Slice(rels, func(i, j int) bool { return rels[i].App < rels[j].App })
 }
 
 // Table is a minimal fixed-width text table for experiment reports.

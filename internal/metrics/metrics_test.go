@@ -22,7 +22,6 @@ func TestCompareComputesRelatives(t *testing.T) {
 	if len(rels) != 2 {
 		t.Fatalf("got %d relatives, want 2", len(rels))
 	}
-	SortByApp(rels)
 	if math.Abs(rels[0].Slowdown-1.1) > 1e-12 {
 		t.Errorf("a slowdown %g, want 1.1", rels[0].Slowdown)
 	}

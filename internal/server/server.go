@@ -127,10 +127,10 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // SpecRequest is the JSON wire form of one simulation spec: the
-// engine's shared wire schema (engine.SpecWire), which the sharded
-// sweep's grid manifest also speaks. Zero-valued fields resolve to the
-// same defaults every other driver uses (Table 1 system, 1M
-// instructions, base technique).
+// engine's Spec (engine.SpecWire), which the sharded sweep's grid
+// manifest also speaks. Zero-valued fields resolve to the same defaults
+// every other driver uses (Table 1 system, 1M instructions, base
+// technique).
 type SpecRequest = engine.SpecWire
 
 // RunRequest is the POST /v1/run body: exactly one of Spec (single run)
@@ -192,31 +192,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var reqs []SpecRequest
+	var specs []engine.Spec
 	switch {
 	case req.Spec != nil && req.Specs != nil:
 		httpError(w, http.StatusBadRequest, `body must carry "spec" or "specs", not both`)
 		return
 	case req.Spec != nil:
-		reqs = []SpecRequest{*req.Spec}
+		specs = []engine.Spec{*req.Spec}
 	case len(req.Specs) > 0:
-		reqs = req.Specs
+		specs = req.Specs
 	default:
 		httpError(w, http.StatusBadRequest, `body must carry one "spec" or a non-empty "specs" grid`)
 		return
 	}
-	if len(reqs) > s.maxSpecs {
-		httpError(w, http.StatusRequestEntityTooLarge, "grid of %d specs exceeds the %d-spec limit", len(reqs), s.maxSpecs)
+	if len(specs) > s.maxSpecs {
+		httpError(w, http.StatusRequestEntityTooLarge, "grid of %d specs exceeds the %d-spec limit", len(specs), s.maxSpecs)
 		return
 	}
 
 	// Validate and key everything up front: the registry's
 	// Normalize/Validate path plus application resolution, so
 	// configuration mistakes are client errors, not failed batches.
-	specs := make([]engine.Spec, len(reqs))
-	keys := make([]engine.Key, len(reqs))
-	for i, sr := range reqs {
-		specs[i] = sr.Spec()
+	keys := make([]engine.Key, len(specs))
+	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return

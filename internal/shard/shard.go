@@ -76,9 +76,9 @@ func Dir(cacheDir string) string { return filepath.Join(cacheDir, "shard") }
 
 // manifestFile is the JSON envelope of a published grid.
 type manifestFile struct {
-	Version int               `json:"v"`
-	GridID  string            `json:"grid_id"`
-	Specs   []engine.SpecWire `json:"specs"`
+	Version int           `json:"v"`
+	GridID  string        `json:"grid_id"`
+	Specs   []engine.Spec `json:"specs"`
 }
 
 // Board is one published grid over a shared cache directory: the
@@ -131,7 +131,6 @@ func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("shard: empty grid")
 	}
-	wire := make([]engine.SpecWire, len(specs))
 	for i, s := range specs {
 		if s.Trace != nil {
 			return nil, fmt.Errorf("shard: point %d carries a Trace callback, which cannot cross a process boundary", i)
@@ -139,7 +138,6 @@ func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("shard: point %d: %w", i, err)
 		}
-		wire[i] = engine.WireSpec(s)
 	}
 	keys, gridID, err := keysAndID(specs)
 	if err != nil {
@@ -149,7 +147,7 @@ func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 	if err := os.MkdirAll(b.leaseDir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	blob, err := json.Marshal(manifestFile{Version: manifestVersion, GridID: gridID, Specs: wire})
+	blob, err := json.Marshal(manifestFile{Version: manifestVersion, GridID: gridID, Specs: specs})
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -220,18 +218,14 @@ func openManifest(cacheDir string, blob []byte) (*Board, error) {
 	if mf.Version != manifestVersion {
 		return nil, fmt.Errorf("shard: manifest version %d, this binary speaks %d", mf.Version, manifestVersion)
 	}
-	specs := make([]engine.Spec, len(mf.Specs))
-	for i, w := range mf.Specs {
-		specs[i] = w.Spec()
-	}
-	keys, gridID, err := keysAndID(specs)
+	keys, gridID, err := keysAndID(mf.Specs)
 	if err != nil {
 		return nil, err
 	}
 	if gridID != mf.GridID {
 		return nil, fmt.Errorf("shard: manifest grid id %s, recomputed %s — published by an incompatible binary", mf.GridID, gridID)
 	}
-	return board(cacheDir, specs, keys, gridID), nil
+	return board(cacheDir, mf.Specs, keys, gridID), nil
 }
 
 // doneSet reads the shared cache directory once and returns the set of

@@ -150,7 +150,7 @@ func TestOpenRejectsIncompatibleManifests(t *testing.T) {
 		t.Error("corrupt manifest accepted")
 	}
 
-	good, err := json.Marshal(manifestFile{Version: manifestVersion + 1, GridID: "x", Specs: []engine.SpecWire{{App: "lucas"}}})
+	good, err := json.Marshal(manifestFile{Version: manifestVersion + 1, GridID: "x", Specs: []engine.Spec{{App: "lucas"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOpenRejectsIncompatibleManifests(t *testing.T) {
 		t.Errorf("future manifest version accepted (err %v)", err)
 	}
 
-	skewed, err := json.Marshal(manifestFile{Version: manifestVersion, GridID: "0123456789abcdef", Specs: []engine.SpecWire{{App: "lucas", Instructions: 10_000}}})
+	skewed, err := json.Marshal(manifestFile{Version: manifestVersion, GridID: "0123456789abcdef", Specs: []engine.Spec{{App: "lucas", Instructions: 10_000}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,10 +117,10 @@ func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
 	return m, nil
 }
 
-// buildNetwork constructs the machine's PDN through the network registry
-// (a nil Config.PDN resolves to the lumped Table 1 supply). A
-// multi-domain kind additionally splits the power model per-domain (from
-// the domains' PowerUnits lists) and instantiates per-rail sensors.
+// buildNetwork constructs the machine's PDN (a nil Config.PDN resolves
+// to the lumped Table 1 supply). A multi-domain network additionally
+// splits the power model per-domain (from the domains' PowerUnits lists)
+// and instantiates per-rail sensors.
 func (m *Machine) buildNetwork() error {
 	cfg := m.cfg
 	var ncfg circuit.NetworkConfig
@@ -128,36 +128,33 @@ func (m *Machine) buildNetwork() error {
 		ncfg = *cfg.PDN
 	}
 	ncfg, err := ncfg.Normalized()
-	if err == nil {
-		err = ncfg.Validate()
-	}
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	nd := ncfg.DomainCount()
-	if cfg.SensorDomain < 0 || cfg.SensorDomain > nd {
-		return fmt.Errorf("sim: sensor domain %d out of range for a %d-domain PDN", cfg.SensorDomain, nd)
-	}
-	i0 := make([]float64, nd)
-	if nd > 1 {
-		lists := make([][]string, nd)
-		for d, dp := range ncfg.MultiDomain.Domains {
+	i0 := []float64{m.pwr.IdleAmps()}
+	if md := ncfg.MultiDomain; md != nil && len(md.Domains) > 1 {
+		lists := make([][]string, len(md.Domains))
+		for d, dp := range md.Domains {
 			lists[d] = dp.PowerUnits
 		}
 		assign, err := power.AssignmentFromNames(lists)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-		m.pwr.EnableDomains(nd, assign)
+		m.pwr.EnableDomains(len(lists), assign)
+		i0 = make([]float64, len(lists))
 		for d := range i0 {
 			i0[d] = m.pwr.DomainIdleAmps(d)
 		}
-	} else {
-		i0[0] = m.pwr.IdleAmps()
 	}
+	// BuildNetwork validates the parameters before building.
 	net, err := circuit.BuildNetwork(ncfg, i0)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	nd := net.Domains()
+	if cfg.SensorDomain < 0 || cfg.SensorDomain > nd {
+		return fmt.Errorf("sim: sensor domain %d out of range for a %d-domain PDN", cfg.SensorDomain, nd)
 	}
 	m.net = net
 	m.nd = nd

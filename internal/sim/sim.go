@@ -87,12 +87,12 @@ type Technique interface {
 type Config struct {
 	CPU   cpu.Config
 	Power power.Config
-	// PDN selects the power-delivery network from the registered network
-	// kinds (the lumped RLC of Figure 1(b), the two-stage network of
-	// Section 2.2, the multi-domain stack); nil means the lumped Table 1
-	// supply. A multi-domain kind splits the power model's current
-	// per-domain (by unit assignment), senses each rail separately, and
-	// checks each domain against its own noise margin.
+	// PDN selects the power-delivery network (the lumped RLC of Figure
+	// 1(b), the two-stage network of Section 2.2, the multi-domain
+	// stack); nil means the lumped Table 1 supply. A multi-domain kind
+	// splits the power model's current per-domain (by unit assignment),
+	// senses each rail separately, and checks each domain against its
+	// own noise margin.
 	PDN *circuit.NetworkConfig
 	// SensorDelayCycles delays the current sensor readings fed to the
 	// technique (resonance tuning tolerates several cycles).

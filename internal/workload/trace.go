@@ -16,7 +16,6 @@ import "repro/internal/cpu"
 // pin this for every Table 2 application.
 type Trace struct {
 	params Params
-	limit  uint64
 
 	meta       []uint8
 	src1, src2 []uint16
@@ -35,7 +34,6 @@ func Materialize(p Params, limit uint64) *Trace {
 	n := int(min(limit, 1<<24))
 	t := &Trace{
 		params: p,
-		limit:  limit,
 		meta:   make([]uint8, 0, n),
 		src1:   make([]uint16, 0, n),
 		src2:   make([]uint16, 0, n),
@@ -53,10 +51,6 @@ func Materialize(p Params, limit uint64) *Trace {
 
 // Params returns the application parameters the trace was drawn from.
 func (t *Trace) Params() Params { return t.params }
-
-// Limit returns the instruction limit the trace was materialized with.
-// It equals Len for every bounded generator.
-func (t *Trace) Limit() uint64 { return t.limit }
 
 // Len returns the number of instructions in the trace.
 func (t *Trace) Len() int { return len(t.meta) }
