@@ -183,11 +183,9 @@ func main() {
 	}
 	if *stats {
 		cs := eng.CacheStats()
-		ts := resonance.TraceStoreStats()
 		fmt.Printf("cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
 			cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
-		fmt.Printf("trace-stats: built=%d reused=%d bypassed=%d evicted=%d resident_mb=%.1f\n",
-			ts.Builds, ts.Hits, ts.Bypasses, ts.Evictions, float64(ts.Bytes)/(1<<20))
+		fmt.Println(resonance.TraceStoreStats())
 	}
 }
 

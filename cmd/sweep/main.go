@@ -163,11 +163,9 @@ func main() {
 // off the coordinator's merge to prove nothing re-simulated).
 func printStats(eng *engine.Engine) {
 	cs := eng.CacheStats()
-	ts := workload.SharedTraces().Stats()
 	fmt.Fprintf(os.Stderr, "cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
 		cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
-	fmt.Fprintf(os.Stderr, "trace-stats: built=%d reused=%d bypassed=%d evicted=%d resident_mb=%.1f\n",
-		ts.Builds, ts.Hits, ts.Bypasses, ts.Evictions, float64(ts.Bytes)/(1<<20))
+	fmt.Fprintln(os.Stderr, workload.SharedTraces().Stats())
 }
 
 // kindList renders every registered technique kind for usage and error

@@ -12,9 +12,14 @@ import (
 // observing when the noise margin is violated.
 //
 // Cross-checks against the paper's worked examples: for the Section 2
-// supply (2 V, 5 GHz, Q≈6.3) this procedure yields a threshold of ~10 A,
-// a band-edge tolerance of ~13 A and a repetition tolerance of ~6 half
-// waves; for the Table 1 supply it yields ~31-32 A and ~4.
+// supply (2 V, 5 GHz, Q≈6.3) this procedure yields a threshold of 10 A,
+// a band-edge tolerance of 13 A and a repetition tolerance of 6 half
+// waves, as the paper does. For the Table 1 supply it yields a 35 A
+// threshold, a 44 A band-edge tolerance and a repetition tolerance of
+// 4; the paper's threshold is 32 A. The bisection uses sustained sines,
+// whose smallest violating swing (35.4 A) is larger than a square
+// wave's (27.9 A, its fundamental being 4/π larger), and the paper's
+// 32 A lies between the two.
 type Calibration struct {
 	// ThresholdAmps is the resonant current variation threshold M:
 	// repeated peak-to-peak variations at or below this value never

@@ -11,17 +11,11 @@ func TestCalibrateTable1MatchesPaper(t *testing.T) {
 		t.Fatalf("Calibrate: %v", err)
 	}
 	// Paper Table 1: resonant current variation threshold 32 A and
-	// maximum repetition tolerance 4. Integrator details shift these
-	// slightly; require the same ballpark.
-	if cal.ThresholdAmps < 28 || cal.ThresholdAmps > 36 {
-		t.Errorf("threshold = %g A, want ≈ 32 A", cal.ThresholdAmps)
-	}
-	if cal.MaxRepetitionTolerance < 2 || cal.MaxRepetitionTolerance > 6 {
-		t.Errorf("max repetition tolerance = %d, want ≈ 4", cal.MaxRepetitionTolerance)
-	}
-	if cal.BandEdgeToleranceAmps <= cal.ThresholdAmps {
-		t.Errorf("band-edge tolerance %g should exceed resonant threshold %g",
-			cal.BandEdgeToleranceAmps, cal.ThresholdAmps)
+	// maximum repetition tolerance 4. The sine-stimulus bisection lands
+	// the threshold at 35 A (see Calibration); pin the exact output.
+	want := Calibration{ThresholdAmps: 35, MaxRepetitionTolerance: 4, BandEdgeToleranceAmps: 44}
+	if cal != want {
+		t.Errorf("Calibrate(Table1()) = %+v, want %+v", cal, want)
 	}
 }
 

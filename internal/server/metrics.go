@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/workload"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds: 100 µs to
@@ -77,11 +78,13 @@ func (s *metricsSet) endpoint(path string) *endpointMetrics { return s.endpoints
 
 // writeProm renders the full scrape in Prometheus text exposition
 // format (version 0.0.4): cache tiers, lockstep fork counters, queue
-// depth, in-flight lanes, and per-endpoint request counts and latency
-// histograms. Output order is deterministic so scrapes diff cleanly.
+// depth, in-flight lanes, the shared trace store, and per-endpoint
+// request counts and latency histograms. Output order is deterministic
+// so scrapes diff cleanly.
 func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	cs := eng.CacheStats()
 	ld := eng.Load()
+	ts := workload.SharedTraces().Stats()
 
 	fmt.Fprintf(w, "# HELP resonanced_cache_hits_total Runs served from a cache tier without simulating.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_hits_total counter\n")
@@ -113,6 +116,27 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_engine_queue_depth Runs waiting for a free worker slot.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_engine_queue_depth gauge\n")
 	fmt.Fprintf(w, "resonanced_engine_queue_depth %d\n", ld.Queued)
+
+	for _, c := range []struct {
+		name, help string
+		v          uint64
+	}{
+		{"builds", "Instruction streams the trace store built from scratch.", ts.Builds},
+		{"extensions", "Stored instruction streams extended to serve a longer run.", ts.Extensions},
+		{"hits", "Runs served from stored instructions.", ts.Hits},
+		{"bypasses", "Runs whose stream exceeds the trace budget, generated live.", ts.Bypasses},
+		{"evictions", "Instruction streams evicted to stay within the trace budget.", ts.Evictions},
+	} {
+		fmt.Fprintf(w, "# HELP resonanced_trace_store_%s_total %s\n", c.name, c.help)
+		fmt.Fprintf(w, "# TYPE resonanced_trace_store_%s_total counter\n", c.name)
+		fmt.Fprintf(w, "resonanced_trace_store_%s_total %d\n", c.name, c.v)
+	}
+	fmt.Fprintf(w, "# HELP resonanced_trace_store_entries Applications with a resident instruction stream.\n")
+	fmt.Fprintf(w, "# TYPE resonanced_trace_store_entries gauge\n")
+	fmt.Fprintf(w, "resonanced_trace_store_entries %d\n", ts.Entries)
+	fmt.Fprintf(w, "# HELP resonanced_trace_store_bytes Packed instruction bytes resident in the trace store.\n")
+	fmt.Fprintf(w, "# TYPE resonanced_trace_store_bytes gauge\n")
+	fmt.Fprintf(w, "resonanced_trace_store_bytes %d\n", ts.Bytes)
 
 	paths := make([]string, 0, len(s.endpoints))
 	for p := range s.endpoints {

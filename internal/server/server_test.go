@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -404,6 +405,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", strings.TrimSpace(want))
+		}
+	}
+
+	// The shared trace store is process-wide, so other tests move its
+	// numbers: check each series is exported with a value.
+	for _, name := range []string{
+		"resonanced_trace_store_builds_total",
+		"resonanced_trace_store_extensions_total",
+		"resonanced_trace_store_hits_total",
+		"resonanced_trace_store_bypasses_total",
+		"resonanced_trace_store_evictions_total",
+		"resonanced_trace_store_entries",
+		"resonanced_trace_store_bytes",
+	} {
+		if !regexp.MustCompile(`(?m)^` + name + ` \d+$`).MatchString(scrape) {
+			t.Errorf("scrape missing a %s sample", name)
 		}
 	}
 

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"container/list"
+	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cpu"
@@ -13,53 +15,63 @@ import (
 // (100M instructions ≈ 500 MB each) can pin in memory.
 const DefaultTraceBudget = 1 << 30 // 1 GiB
 
-// TraceStats reports a TraceStore's traffic.
+// TraceStats reports a TraceStore's traffic. Every request is counted
+// exactly once, as a build, an extension, a hit or a bypass.
 type TraceStats struct {
-	// Builds counts traces materialized (one live Generator run each);
-	// Hits counts requests served from (or coalesced onto) a stored
-	// trace.
-	Builds, Hits uint64
+	// Builds counts streams started from scratch (one fresh Generator
+	// each); Extensions counts stored streams lengthened to serve a
+	// longer request; Hits counts requests served from stored
+	// instructions, including those coalesced onto an in-flight build
+	// that covers them.
+	Builds, Extensions, Hits uint64
 	// Bypasses counts requests whose trace alone would exceed the byte
 	// budget and therefore streamed from a live Generator instead.
 	Bypasses uint64
-	// Evictions counts traces dropped to stay within the budget.
+	// Evictions counts streams dropped to stay within the budget.
 	Evictions uint64
-	// Entries and Bytes describe the store's current contents.
+	// Entries and Bytes describe the store's current contents: one
+	// stream per application.
 	Entries int
 	Bytes   uint64
 }
 
-// traceKey identifies a trace by content: Params holds only scalar
-// fields, so struct equality is exactly "same application model", and
-// the limit pins the stream length. Two requests with equal keys always
-// want the identical instruction sequence.
-type traceKey struct {
-	params Params
-	limit  uint64
+// String renders the stats as the trace-stats line the command-line
+// tools print at the end of a run.
+func (st TraceStats) String() string {
+	return fmt.Sprintf("trace-stats: built=%d extended=%d reused=%d bypassed=%d evicted=%d entries=%d resident_mb=%.1f",
+		st.Builds, st.Extensions, st.Hits, st.Bypasses, st.Evictions, st.Entries, float64(st.Bytes)/(1<<20))
 }
 
-// traceEntry is one store slot, created before its materialization
-// starts so concurrent requests for the same trace coalesce onto a
-// single Generator run.
+// traceEntry is one application's store slot: the longest stream built
+// for it so far and the Generator positioned at that stream's end. It is
+// created before its first build starts, so concurrent requests coalesce
+// onto a single Generator run.
 type traceEntry struct {
-	key  traceKey
-	done chan struct{}
-	tr   *Trace
-	elem *list.Element // nil until materialized and accounted
+	tr  *Trace     // longest published stream; empty until the first build
+	gen *Generator // positioned at tr's end; nil until the first build
+
+	// busy is non-nil while a build or extension is in flight; the
+	// builder alone touches gen meanwhile.
+	busy chan struct{}
+	elem *list.Element // nil while unpublished or busy
 }
 
-// TraceStore materializes each (application, limit) instruction stream
-// once and shares the packed, read-only Trace across every concurrent
-// run that asks for it. A byte budget with LRU eviction bounds resident
-// trace data; requests that cannot fit (a single stream larger than the
-// whole budget) fall back to live generation, which is bit-identical by
-// construction. The zero value is not usable; construct with
-// NewTraceStore or use the process-wide Shared store.
+// TraceStore materializes each application's instruction stream once and
+// shares the packed, read-only Trace across every concurrent run that
+// asks for it. A stream of n instructions is the first n of the
+// application's one stream (the generator's phase and episode state do
+// not depend on the limit), so the store keeps a single entry per
+// application: shorter requests are prefix views of it, and a longer one
+// extends it in place of starting over. A byte budget with LRU eviction
+// bounds resident trace data; requests that cannot fit (a single stream
+// larger than the whole budget) fall back to live generation, which is
+// bit-identical by construction. The zero value is not usable; construct
+// with NewTraceStore or use the process-wide Shared store.
 type TraceStore struct {
 	mu      sync.Mutex
 	budget  uint64
-	entries map[traceKey]*traceEntry
-	lru     *list.List // of *traceEntry, front = most recently used
+	entries map[Params]*traceEntry // Params is all-scalar: equality is "same application model"
+	lru     *list.List             // of *traceEntry, front = most recently used
 	bytes   uint64
 	stats   TraceStats
 }
@@ -73,7 +85,7 @@ func NewTraceStore(budgetBytes int64) *TraceStore {
 	}
 	return &TraceStore{
 		budget:  b,
-		entries: make(map[traceKey]*traceEntry),
+		entries: make(map[Params]*traceEntry),
 		lru:     list.New(),
 	}
 }
@@ -122,52 +134,88 @@ func (s *TraceStore) Source(p Params, limit uint64) cpu.Source {
 	return NewGenerator(p, limit)
 }
 
-// Get returns the stored trace for (p, limit), materializing it on first
-// request, or nil when the trace alone would exceed the store's budget
-// (callers fall back to live generation). Concurrent first requests for
-// the same key coalesce onto one materialization.
+// Get returns the trace of application p's first limit instructions, or
+// nil when the trace alone would exceed the store's budget (callers fall
+// back to live generation). A request the stored stream covers is a
+// prefix view of it; a longer one extends the stream first, building it
+// from scratch on the first request. Concurrent requests coalesce onto
+// one build per application.
 func (s *TraceStore) Get(p Params, limit uint64) *Trace {
-	key := traceKey{params: p, limit: limit}
 	s.mu.Lock()
 	if limit > s.budget/bytesPerInst { // overflow-safe limit*bytesPerInst > budget
 		s.stats.Bypasses++
 		s.mu.Unlock()
 		return nil
 	}
-	if en, ok := s.entries[key]; ok {
-		s.stats.Hits++
-		if en.elem != nil {
-			s.lru.MoveToFront(en.elem)
+	n := int(limit)
+	for {
+		en, ok := s.entries[p]
+		switch {
+		case !ok:
+			en = &traceEntry{tr: &Trace{params: p}}
+			s.entries[p] = en
+			s.stats.Builds++
+			return s.extendLocked(en, n)
+		case en.tr.Len() >= n:
+			s.stats.Hits++
+			if en.elem != nil {
+				s.lru.MoveToFront(en.elem)
+			}
+			tr := en.tr
+			s.mu.Unlock()
+			return tr.prefix(n)
+		case en.busy != nil:
+			// Too short, and the generator is the builder's until it
+			// publishes: wait, then look again. The build may cover n
+			// (a hit), or the entry may be evicted meanwhile.
+			busy := en.busy
+			s.mu.Unlock()
+			<-busy
+			s.mu.Lock()
+		default:
+			s.stats.Extensions++
+			return s.extendLocked(en, n)
 		}
-		s.mu.Unlock()
-		<-en.done
-		return en.tr
 	}
-	en := &traceEntry{key: key, done: make(chan struct{})}
-	s.entries[key] = en
-	s.stats.Builds++
+}
+
+// extendLocked builds en's stream out to n instructions and publishes it.
+// It is called with s.mu held and returns with it released. The entry
+// leaves the LRU while the build runs, so it cannot be evicted under the
+// builder; its published prefix keeps serving shorter requests.
+func (s *TraceStore) extendLocked(en *traceEntry, n int) *Trace {
+	busy := make(chan struct{})
+	en.busy = busy
+	if en.elem != nil {
+		s.lru.Remove(en.elem)
+		en.elem = nil
+	}
+	old := en.tr
 	s.mu.Unlock()
 
-	tr := Materialize(p, limit)
+	if en.gen == nil {
+		en.gen = NewGenerator(old.params, math.MaxUint64)
+	}
+	tr := old.extend(en.gen, n)
 
 	s.mu.Lock()
 	// Publish the trace before entering the LRU: evictLocked reads
 	// en.tr, and a SetBudget shrink racing this insert may evict the
 	// entry in the same critical section.
-	en.tr = tr
-	s.bytes += tr.SizeBytes()
+	en.tr, en.busy = tr, nil
+	s.bytes += tr.SizeBytes() - old.SizeBytes()
 	en.elem = s.lru.PushFront(en)
 	s.evictLocked()
 	s.mu.Unlock()
-	close(en.done)
+	close(busy)
 	return tr
 }
 
-// evictLocked drops least-recently-used traces until the store fits its
-// budget. In-flight materializations (no lru element yet) are never
-// evicted here; they account themselves on completion. Runs already
-// holding an evicted *Trace keep replaying it safely — eviction only
-// drops the store's reference.
+// evictLocked drops least-recently-used streams until the store fits its
+// budget. Entries under construction (no lru element) are never evicted
+// here; they account themselves on completion. Runs already holding an
+// evicted *Trace keep replaying it safely — eviction only drops the
+// store's reference.
 func (s *TraceStore) evictLocked() {
 	for s.bytes > s.budget {
 		back := s.lru.Back()
@@ -176,7 +224,7 @@ func (s *TraceStore) evictLocked() {
 		}
 		en := back.Value.(*traceEntry)
 		s.lru.Remove(back)
-		delete(s.entries, en.key)
+		delete(s.entries, en.tr.params)
 		s.bytes -= en.tr.SizeBytes()
 		s.stats.Evictions++
 	}

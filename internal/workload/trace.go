@@ -3,11 +3,12 @@ package workload
 import "repro/internal/cpu"
 
 // Trace is one application's instruction stream, materialized by running
-// a Generator to completion once and packed into parallel slices (one
-// meta byte plus two uint16 producer distances per instruction — 5
-// bytes/inst, versus the ~10 RNG draws the live Generator spends per
-// instruction). A Trace is immutable after Materialize: any number of
-// runs may replay it concurrently through independent cursors.
+// a Generator once and packed into parallel slices (one meta byte plus
+// two uint16 producer distances per instruction — 5 bytes/inst, versus
+// the ~10 RNG draws the live Generator spends per instruction). A Trace
+// is immutable once built: any number of runs may replay it concurrently
+// through independent cursors, and a shorter trace of the same
+// application may be a prefix view sharing its arrays.
 //
 // Replay is bit-identical to live generation — the trace stores the
 // exact per-instruction RNG outcomes, so a core fed by Source() sees the
@@ -28,25 +29,40 @@ const bytesPerInst = 5
 // returns the packed trace. It panics on invalid parameters, exactly
 // like NewGenerator.
 func Materialize(p Params, limit uint64) *Trace {
-	g := NewGenerator(p, limit)
-	// Bounded limits are the norm; cap the preallocation so a defensive
-	// "unlimited" limit doesn't allocate the address space up front.
-	n := int(min(limit, 1<<24))
-	t := &Trace{
-		params: p,
-		meta:   make([]uint8, 0, n),
-		src1:   make([]uint16, 0, n),
-		src2:   make([]uint16, 0, n),
+	return (&Trace{params: p}).extend(NewGenerator(p, limit), int(limit))
+}
+
+// extend returns the first n (>= t.Len()) instructions of t's stream in
+// new arrays sized exactly to n: t's instructions copied, then the rest
+// drawn from g, which must be positioned at t's end and yield at least
+// that many. t is never written, so every view of it stays valid.
+func (t *Trace) extend(g *Generator, n int) *Trace {
+	e := &Trace{
+		params: t.params,
+		meta:   make([]uint8, n),
+		src1:   make([]uint16, n),
+		src2:   make([]uint16, n),
 	}
-	for {
-		in, ok := g.Next()
-		if !ok {
-			return t
-		}
-		t.meta = append(t.meta, cpu.PackMeta(in))
-		t.src1 = append(t.src1, in.SrcDist1)
-		t.src2 = append(t.src2, in.SrcDist2)
+	k := copy(e.meta, t.meta)
+	copy(e.src1, t.src1)
+	copy(e.src2, t.src2)
+	for i := k; i < n; i++ {
+		in, _ := g.Next()
+		e.meta[i] = cpu.PackMeta(in)
+		e.src1[i] = in.SrcDist1
+		e.src2[i] = in.SrcDist2
 	}
+	return e
+}
+
+// prefix returns the trace of t's first n (<= t.Len()) instructions: t
+// itself when n is its whole length, otherwise a view sharing t's
+// read-only arrays.
+func (t *Trace) prefix(n int) *Trace {
+	if n == len(t.meta) {
+		return t
+	}
+	return &Trace{params: t.params, meta: t.meta[:n], src1: t.src1[:n], src2: t.src2[:n]}
 }
 
 // Params returns the application parameters the trace was drawn from.

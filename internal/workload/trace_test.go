@@ -156,3 +156,120 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Errorf("store not emptied by budget shrink: %+v", st)
 	}
 }
+
+// replayMatches reports the first instruction at which tr's replay
+// differs from the live Generator's n-instruction stream and from
+// Materialize(p, n), or -1 when all three agree through the end.
+func replayMatches(tr *Trace, p Params, n uint64) int {
+	ref := Materialize(p, n)
+	gen := NewGenerator(p, n)
+	src := tr.Source()
+	for i := 0; ; i++ {
+		want, wok := gen.Next()
+		got, gok := src.Next()
+		if wok != gok || wok && (got != want || got != ref.At(i)) {
+			return i
+		}
+		if !wok {
+			return -1
+		}
+	}
+}
+
+// TestStoreServesPrefixesAndExtensions: one application requested at
+// mixed lengths — shorter, equal, longer, then shorter again — replays
+// exactly the stream Materialize and the live Generator produce for each
+// length, from one build and one extension. Traces handed out before the
+// extension still replay their own prefix afterwards.
+func TestStoreServesPrefixesAndExtensions(t *testing.T) {
+	app, err := ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewTraceStore(0)
+	lengths := []uint64{4_000, 1_500, 4_000, 9_000, 2_500}
+	traces := make([]*Trace, len(lengths))
+	for k, n := range lengths {
+		traces[k] = s.Get(app.Params, n)
+		if at := replayMatches(traces[k], app.Params, n); at >= 0 {
+			t.Fatalf("request %d (%d insts): replay diverges at instruction %d", k, n, at)
+		}
+	}
+	for k, n := range lengths {
+		if at := replayMatches(traces[k], app.Params, n); at >= 0 {
+			t.Errorf("request %d (%d insts) changed after later requests: diverges at %d", k, n, at)
+		}
+	}
+	want := TraceStats{Builds: 1, Extensions: 1, Hits: 3, Entries: 1, Bytes: 9_000 * bytesPerInst}
+	if st := s.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestStoreOneEntryPerApplication: any number of distinct lengths of one
+// application leave one stream, the longest, resident.
+func TestStoreOneEntryPerApplication(t *testing.T) {
+	app, err := ByName("lucas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewTraceStore(0)
+	lengths := []uint64{3_000, 1_000, 7_000, 5_000, 2_000, 8_000, 6_000, 4_000}
+	for _, n := range lengths {
+		s.Get(app.Params, n)
+	}
+	st := s.Stats()
+	if st.Entries != 1 || st.Bytes != 8_000*bytesPerInst {
+		t.Errorf("store holds %d entries / %d bytes, want 1 / %d", st.Entries, st.Bytes, 8_000*bytesPerInst)
+	}
+	if st.Builds != 1 || st.Extensions != 2 || st.Hits != uint64(len(lengths))-3 {
+		t.Errorf("stats = %+v, want 1 build, 2 extensions, %d hits", st, len(lengths)-3)
+	}
+}
+
+// TestStoreConcurrentPrefixesAndExtensions: goroutines replaying short
+// prefixes of one application while others extend its stream all see
+// the exact stream, and the store ends with the longest one resident.
+func TestStoreConcurrentPrefixesAndExtensions(t *testing.T) {
+	app, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const longest, steps, workers = 12_000, 6, 8
+	ref := Materialize(app.Params, longest)
+	s := NewTraceStore(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 1; k <= steps; k++ {
+				// Even workers lengthen the stream step by step; odd
+				// ones replay ever shorter prefixes of it.
+				n := k*longest/steps - w
+				if w%2 == 1 {
+					n = (steps+1-k)*500 + w
+				}
+				src := s.Get(app.Params, uint64(n)).Source()
+				for i := 0; i < n; i++ {
+					if got, ok := src.Next(); !ok || got != ref.At(i) {
+						t.Errorf("worker %d, %d insts: instruction %d is %+v (ok %v), want %+v", w, n, i, got, ok, ref.At(i))
+						return
+					}
+				}
+				if _, ok := src.Next(); ok {
+					t.Errorf("worker %d: replay runs past %d instructions", w, n)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Entries != 1 || st.Bytes != longest*bytesPerInst || st.Builds != 1 {
+		t.Errorf("stats = %+v, want 1 build and one %d-instruction entry", st, longest)
+	}
+	if got := st.Builds + st.Extensions + st.Hits; got != workers*steps {
+		t.Errorf("builds+extensions+hits = %d, want one per request (%d)", got, workers*steps)
+	}
+}

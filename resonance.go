@@ -191,14 +191,18 @@ func NewEngineWithOptions(o EngineOptions) *Engine {
 	return engine.New(o)
 }
 
-// WorkloadTraceStats is the shared trace store's traffic (materialized
-// builds, replay hits, budget bypasses, evictions, resident bytes).
+// WorkloadTraceStats is the shared trace store's traffic (streams built
+// from scratch, streams extended, replay hits, budget bypasses,
+// evictions) and its contents (one entry per application, resident
+// bytes). Its String method renders the command-line tools'
+// trace-stats line.
 type WorkloadTraceStats = workload.TraceStats
 
 // TraceStoreStats reports the process-wide trace store's counters. Every
 // simulation routed through an Engine (or Simulate) draws its
-// instruction stream from this store: each application's stream is
-// materialized once and replayed everywhere.
+// instruction stream from this store. It keeps one stream per
+// application, the longest any run has asked for: a shorter run replays
+// a prefix of it, and a longer one extends it.
 func TraceStoreStats() WorkloadTraceStats { return workload.SharedTraces().Stats() }
 
 // SetTraceStoreBudget bounds the resident bytes of the process-wide
