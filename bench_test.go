@@ -181,16 +181,18 @@ func (c cyclingTrace) Next() (cpu.Inst, bool) {
 
 // BenchmarkCoreStep measures one out-of-order pipeline cycle on a
 // steady instruction mix, through the StepInto hot path the simulation
-// loop uses. The core is fed from a materialized trace, as it is in
-// engine runs, so the measurement is the pipeline itself rather than
-// pipeline plus stream generation.
+// loop uses. The core is fed the *cpu.TraceSource of a materialized
+// trace, as it is in engine runs, so it fetches through the trace window
+// and the measurement is the pipeline itself rather than pipeline plus
+// stream generation. When the trace drains, a fresh core replays it,
+// with the timer stopped.
 func BenchmarkCoreStep(b *testing.B) {
 	app, err := workload.ByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := cyclingTrace{workload.Materialize(app.Params, 1<<20).Source()}
-	core := cpu.New(cpu.DefaultConfig(), src)
+	tr := workload.Materialize(app.Params, 1<<20)
+	core := cpu.New(cpu.DefaultConfig(), tr.Source())
 	var act cpu.Activity
 	// The steady-state step must not allocate at all; without this guard
 	// (and the ResetTimer below excluding trace materialization) the
@@ -203,6 +205,11 @@ func BenchmarkCoreStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if core.Done() {
+			b.StopTimer()
+			core = cpu.New(cpu.DefaultConfig(), tr.Source())
+			b.StartTimer()
+		}
 		core.StepInto(cpu.Unlimited, &act)
 	}
 }

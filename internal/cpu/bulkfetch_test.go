@@ -27,57 +27,24 @@ func randomTrace(r *rand.Rand, n int) (meta []uint8, src1, src2 []uint16) {
 	return meta, src1, src2
 }
 
-// nextOnly hides a TraceSource's NextN so a core falls back to the
-// per-instruction path.
+// nextOnly hides a TraceSource's type so a core reads it through Next
+// into its fetch ring instead of opening a window on the trace.
 type nextOnly struct{ t *TraceSource }
 
 func (n nextOnly) Next() (Inst, bool) { return n.t.Next() }
 
-// TestTraceSourceNextNMatchesNext decodes the same trace through NextN
-// (with varying chunk sizes) and through Next and requires identical
-// instructions.
-func TestTraceSourceNextNMatchesNext(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	meta, src1, src2 := randomTrace(r, 4096)
-	a := NewTraceSource(meta, src1, src2)
-	b := NewTraceSource(meta, src1, src2)
-	buf := make([]Inst, 9)
-	for {
-		n := 1 + r.Intn(len(buf))
-		got := a.NextN(buf[:n])
-		for i := 0; i < got; i++ {
-			want, ok := b.Next()
-			if !ok {
-				t.Fatalf("NextN delivered past the stream end")
-			}
-			if buf[i] != want {
-				t.Fatalf("NextN inst %v != Next inst %v", buf[i], want)
-			}
-		}
-		if got < n {
-			break
-		}
-	}
-	if _, ok := b.Next(); ok {
-		t.Fatalf("NextN ended before Next")
-	}
-	if a.NextN(buf) != 0 {
-		t.Fatalf("NextN after exhaustion delivered instructions")
-	}
-}
-
 // TestBulkFetchMatchesScalarFetch runs two cores over the same trace —
-// one through the BulkSource fast path, one through the Next-only
-// fallback — under a throttle schedule that exercises partial fetches,
-// and requires bit-identical per-cycle Activity.
+// one reading it in place through the trace window, one through the
+// Next-filled ring — under a throttle schedule that exercises partial
+// fetches, and requires bit-identical per-cycle Activity.
 func TestBulkFetchMatchesScalarFetch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	meta, src1, src2 := randomTrace(r, 20000)
 	cfg := DefaultConfig()
 	bulk := New(cfg, NewTraceSource(meta, src1, src2))
 	scalar := New(cfg, nextOnly{NewTraceSource(meta, src1, src2)})
-	if bulk.bulk == nil || scalar.bulk != nil {
-		t.Fatalf("test wiring: bulk path not selected as intended")
+	if bulk.trace == nil || bulk.fqWrap != 0 || scalar.trace != nil || scalar.fqWrap != cfg.FetchQueue {
+		t.Fatalf("test wiring: trace window not selected as intended")
 	}
 	var actA, actB Activity
 	for cyc := 0; ; cyc++ {

@@ -27,25 +27,22 @@ type Activity struct {
 	ROBOccupancy int // reorder-buffer occupancy at end of cycle
 }
 
-// instruction lifecycle states inside the ROB.
-const (
-	stWaiting uint8 = iota // dispatched, waiting for operands or a unit
-	stExec                 // issued; result ready at doneAt
-)
+// notDone is the completion cycle of an instruction that has not
+// issued: no cycle reaches it, so "doneAt <= cycle" alone tells whether
+// a result is available.
+const notDone = ^uint64(0)
 
 // noLink terminates the intrusive dependent/wheel lists.
 const noLink int32 = -1
 
-// robEntry is one in-flight instruction. Scheduling is event-driven: the
-// entry carries its unresolved-operand count, an intrusive list of the
-// entries waiting on its result (depHead, with per-operand next links in
-// the waiters), and a link onto the completion timing wheel.
+// robEntry is one in-flight instruction, 32 bytes. Scheduling is
+// event-driven: the entry carries its unresolved-operand count, an
+// intrusive list of the entries waiting on its result (depHead, with
+// per-operand next links in the waiters), and a link onto the completion
+// timing wheel. The producer distances are consumed at dispatch, so the
+// entry keeps only what issue and commit read of the instruction.
 type robEntry struct {
-	inst    Inst
-	seq     uint64
-	state   uint8
-	pending uint8  // unresolved source operands
-	doneAt  uint64 // valid when state == stExec
+	doneAt uint64 // cycle the result is ready; notDone until issue
 
 	// depHead is the first waiter on this entry's result, encoded as
 	// slot<<1|operand; depNext are this entry's own next-links, one per
@@ -53,6 +50,11 @@ type robEntry struct {
 	depHead   int32
 	depNext   [2]int32
 	wheelNext int32 // next entry completing in the same wheel bucket
+
+	class        Class
+	mem          MemLevel
+	mispredicted bool
+	pending      uint8 // unresolved source operands
 }
 
 // Core is the cycle-level out-of-order processor model. Create one with
@@ -68,10 +70,11 @@ type robEntry struct {
 type Core struct {
 	cfg Config
 	src Source
-	// bulk is src's BulkSource extension when it has one (materialized
-	// traces do), letting fetch fill the queue without per-instruction
-	// interface calls.
-	bulk BulkSource
+	// trace is src when it is a *TraceSource. The fetch queue is then a
+	// window on the trace's own arrays: fetch moves the trace's cursor
+	// (the window's end) and dispatch decodes instructions where they
+	// sit. Any other source fills a ring from Next.
+	trace *TraceSource
 
 	cycle   uint64
 	seqNext uint64 // sequence number of the next dispatched instruction
@@ -100,10 +103,17 @@ type Core struct {
 	classLat [NumClasses]uint64
 	memLat   [3]uint64
 
-	fq      []Inst // fetch queue ring
-	fqHead  int
-	fqCount int
-	srcDone bool
+	// The fetch queue holds fqCount instructions, in the packed trace
+	// form, from index fqHead of fqMeta/fqSrc1/fqSrc2. With a trace
+	// source those are the trace's arrays and the queue never wraps
+	// (fqWrap is 0); otherwise they are a ring of FetchQueue entries
+	// (fqWrap) that fetch fills from Next.
+	fqMeta         []uint8
+	fqSrc1, fqSrc2 []uint16
+	fqHead         int
+	fqCount        int
+	fqWrap         int
+	srcDone        bool
 
 	iqCount  int // dispatched but unissued
 	lsqCount int // loads+stores in flight
@@ -111,7 +121,7 @@ type Core struct {
 	// Branch-redirect state: dispatch and fetch stop behind a
 	// mispredicted branch until it resolves plus the redirect penalty.
 	blockedOnBranch bool
-	blockedSeq      uint64
+	blockedSlot     int // ROB slot of the branch dispatch is blocked on
 	redirectClearAt uint64
 
 	committed uint64
@@ -150,10 +160,16 @@ func New(cfg Config, src Source) *Core {
 		ready:     make([]uint64, (robCap+63)/64),
 		wheel:     make([]int32, wheelLen),
 		wheelMask: uint64(wheelLen - 1),
-		fq:        make([]Inst, cfg.FetchQueue),
 	}
-	if b, ok := src.(BulkSource); ok {
-		c.bulk = b
+	if t, ok := src.(*TraceSource); ok {
+		c.trace = t
+		c.fqMeta, c.fqSrc1, c.fqSrc2 = t.meta, t.src1, t.src2
+		c.fqHead = t.pos
+	} else {
+		c.fqMeta = make([]uint8, cfg.FetchQueue)
+		c.fqSrc1 = make([]uint16, cfg.FetchQueue)
+		c.fqSrc2 = make([]uint16, cfg.FetchQueue)
+		c.fqWrap = cfg.FetchQueue
 	}
 	for i := range c.wheel {
 		c.wheel[i] = noLink
@@ -181,14 +197,18 @@ func (c *Core) Fork() (*Core, error) {
 	}
 	f := *c
 	f.src = fs.Fork()
-	f.bulk = nil
-	if b, ok := f.src.(BulkSource); ok {
-		f.bulk = b
+	if c.trace != nil {
+		// The window's arrays are the shared read-only trace; only the
+		// cursor is the clone's own.
+		f.trace = f.src.(*TraceSource)
+	} else {
+		f.fqMeta = append([]uint8(nil), c.fqMeta...)
+		f.fqSrc1 = append([]uint16(nil), c.fqSrc1...)
+		f.fqSrc2 = append([]uint16(nil), c.fqSrc2...)
 	}
 	f.rob = append([]robEntry(nil), c.rob...)
 	f.ready = append([]uint64(nil), c.ready...)
 	f.wheel = append([]int32(nil), c.wheel...)
-	f.fq = append([]Inst(nil), c.fq...)
 	return &f, nil
 }
 
@@ -258,13 +278,13 @@ func (c *Core) Step(t Throttle) Activity {
 func (c *Core) StepInto(t Throttle, act *Activity) {
 	*act = Activity{}
 	c.wake()
-	ports := t.cachePorts(c.cfg)
+	ports := t.cachePorts(c.cfg.CachePorts)
 	portsUsed := 0
 
 	c.commit(act, ports, &portsUsed)
 	c.issue(act, &t, ports, &portsUsed)
 	c.dispatch(act)
-	c.fetch(act, t)
+	c.fetch(act, t.StallFetch)
 
 	act.IQOccupancy = c.iqCount
 	act.ROBOccupancy = c.robCount
@@ -303,17 +323,17 @@ func (c *Core) wake() {
 func (c *Core) commit(act *Activity, ports int, portsUsed *int) {
 	for act.Committed < c.cfg.CommitWidth && c.robCount > 0 {
 		e := &c.rob[c.oldestSeq()&c.robMask]
-		if e.state != stExec || e.doneAt > c.cycle {
+		if e.doneAt > c.cycle {
 			break
 		}
-		if e.inst.Class == Store {
+		if e.class == Store {
 			if *portsUsed >= ports {
 				break // store write needs a cache port
 			}
 			*portsUsed++
-			c.countMemAccess(act, e.inst.Mem)
+			c.countMemAccess(act, e.mem)
 		}
-		if e.inst.Class == Load || e.inst.Class == Store {
+		if e.class == Load || e.class == Store {
 			c.lsqCount--
 		}
 		c.robCount--
@@ -329,7 +349,7 @@ func (c *Core) issue(act *Activity, t *Throttle, ports int, portsUsed *int) {
 	if c.readyCount == 0 {
 		return
 	}
-	width := t.issueWidth(c.cfg)
+	width := t.issueWidth(c.cfg.IssueWidth)
 	if width == 0 {
 		return
 	}
@@ -360,7 +380,7 @@ func (c *Core) issue(act *Activity, t *Throttle, ports int, portsUsed *int) {
 			w &= w - 1
 			remaining--
 			e := &c.rob[slot]
-			cl := e.inst.Class
+			cl := e.class
 			if unitsUsed[cl] >= c.unitCap[cl] {
 				continue
 			}
@@ -377,12 +397,11 @@ func (c *Core) issue(act *Activity, t *Throttle, ports int, portsUsed *int) {
 			unitsUsed[cl]++
 			if cl == Load {
 				*portsUsed++
-				c.countMemAccess(act, e.inst.Mem)
+				c.countMemAccess(act, e.mem)
 			}
-			e.state = stExec
 			lat := c.classLat[cl]
 			if cl == Load {
-				lat = c.memLat[e.inst.Mem]
+				lat = c.memLat[e.mem]
 			}
 			e.doneAt = c.cycle + lat
 			wb := &c.wheel[e.doneAt&c.wheelMask]
@@ -394,7 +413,7 @@ func (c *Core) issue(act *Activity, t *Throttle, ports int, portsUsed *int) {
 			act.IssuedTotal++
 			if cl == Branch {
 				act.BranchesResolved++
-				if e.inst.Mispredicted && c.blockedOnBranch && e.seq == c.blockedSeq {
+				if e.mispredicted && c.blockedOnBranch && slot == c.blockedSlot {
 					c.blockedOnBranch = false
 					c.redirectClearAt = e.doneAt + uint64(c.cfg.MispredictPenalty)
 				}
@@ -424,134 +443,123 @@ func (c *Core) frontendBlocked() bool {
 	return c.blockedOnBranch || c.cycle < c.redirectClearAt
 }
 
+// dispatch renames up to DecodeWidth instructions from the fetch queue
+// into the ROB, decoding each packed instruction straight into its entry.
+// Only a mispredicted branch blocks the frontend mid-cycle, and dispatch
+// stops right behind it, so the check before the loop covers every
+// instruction.
 func (c *Core) dispatch(act *Activity) {
+	if c.frontendBlocked() {
+		return
+	}
 	for act.Dispatched < c.cfg.DecodeWidth &&
 		c.fqCount > 0 &&
 		c.robCount < c.cfg.ROBSize &&
-		c.iqCount < c.cfg.IQSize &&
-		!c.frontendBlocked() {
+		c.iqCount < c.cfg.IQSize {
 
-		in := c.fq[c.fqHead]
-		if (in.Class == Load || in.Class == Store) && c.lsqCount >= c.cfg.LSQSize {
+		h := c.fqHead
+		m := c.fqMeta[h]
+		cl := Class(m & metaClassMask)
+		memOp := cl == Load || cl == Store
+		if memOp && c.lsqCount >= c.cfg.LSQSize {
 			break
 		}
+		dist1, dist2 := c.fqSrc1[h], c.fqSrc2[h]
 		c.fqHead++
-		if c.fqHead == c.cfg.FetchQueue {
+		if c.fqHead == c.fqWrap {
 			c.fqHead = 0
 		}
 		c.fqCount--
 
-		seq := c.seqNext
-		slot := int(seq & c.robMask)
+		slot := int(c.seqNext & c.robMask)
 		e := &c.rob[slot]
-		*e = robEntry{
-			inst:    in,
-			seq:     seq,
-			state:   stWaiting,
-			depHead: noLink,
-			depNext: [2]int32{noLink, noLink},
-		}
+		e.doneAt = notDone
+		e.class = cl
+		e.mem = MemLevel(m >> metaMemShift & metaMemMask)
+		e.mispredicted = m&metaMispredict != 0
+		e.depHead = noLink
+		e.depNext = [2]int32{noLink, noLink}
 		e.wheelNext = noLink
+		older := uint64(c.robCount)
+		pending := c.link(e, slot, 0, dist1, older) + c.link(e, slot, 1, dist2, older)
+		e.pending = uint8(pending)
 		c.seqNext++
 		c.robCount++
 		c.iqCount++
-		pending := c.linkOperand(e, slot, 0, seq, in.SrcDist1) +
-			c.linkOperand(e, slot, 1, seq, in.SrcDist2)
-		e.pending = uint8(pending)
 		if pending == 0 {
 			c.setReady(slot)
 		}
-		if in.Class == Load || in.Class == Store {
+		if memOp {
 			c.lsqCount++
 		}
 		act.Dispatched++
-		if in.Class == Branch && in.Mispredicted {
+		if cl == Branch && e.mispredicted {
 			c.blockedOnBranch = true
-			c.blockedSeq = seq
+			c.blockedSlot = slot
 			break // nothing younger dispatches until redirect
 		}
 	}
 }
 
-// linkOperand resolves one source operand of the entry being dispatched.
-// It returns 0 if the operand is already available (no producer, producer
-// retired, or producer completed) and 1 if it is pending, in which case
-// the entry is threaded onto the producer's waiter list for wakeup at the
-// producer's completion cycle.
-func (c *Core) linkOperand(e *robEntry, slot, op int, seq uint64, dist uint16) int {
-	if dist == 0 {
+// link resolves source operand op of the entry being dispatched into
+// slot, whose producer is dist instructions older. older is how many
+// in-flight instructions precede the entry: a producer further back
+// predates the stream or has retired, and one whose result is ready by
+// this cycle is available too. link returns 0 for an available operand
+// and 1 for a pending one, which it threads onto the producer's waiter
+// list for wakeup at the producer's completion cycle.
+func (c *Core) link(e *robEntry, slot, op int, dist uint16, older uint64) int {
+	if dist == 0 || uint64(dist) > older {
 		return 0
 	}
-	d := uint64(dist)
-	if d > seq {
-		return 0 // producer predates the stream
-	}
-	p := seq - d
-	if p < c.oldestSeq() {
-		return 0 // producer has retired
-	}
-	pe := &c.rob[p&c.robMask]
-	if pe.state == stExec && pe.doneAt <= c.cycle {
-		return 0 // producer completed this cycle or earlier
+	pe := &c.rob[(uint64(slot)-uint64(dist))&c.robMask]
+	if pe.doneAt <= c.cycle {
+		return 0
 	}
 	e.depNext[op] = pe.depHead
 	pe.depHead = int32(slot<<1 | op)
 	return 1
 }
 
-func (c *Core) fetch(act *Activity, t Throttle) {
-	if t.StallFetch || c.srcDone || c.frontendBlocked() {
+// fetch brings up to FetchWidth instructions into the fetch queue, as
+// many as it has room for. Reaching the end of the stream before that
+// marks the source done, on whichever cycle the shortfall happens.
+func (c *Core) fetch(act *Activity, stall bool) {
+	if stall || c.srcDone || c.frontendBlocked() {
 		return
 	}
-	if c.bulk != nil {
-		// The scalar loop below pulls exactly min(width-room) instructions
-		// unless the stream ends first, so the whole fetch is one or two
-		// contiguous ring fills. A short delivery is exactly the condition
-		// under which the scalar loop would have seen ok=false.
-		want := c.cfg.FetchWidth - act.Fetched
-		if room := c.cfg.FetchQueue - c.fqCount; room < want {
-			want = room
-		}
-		if want <= 0 {
-			return
-		}
-		tail := c.fqHead + c.fqCount
-		if tail >= c.cfg.FetchQueue {
-			tail -= c.cfg.FetchQueue
-		}
-		n1 := want
-		if wrap := c.cfg.FetchQueue - tail; n1 > wrap {
-			n1 = wrap
-		}
-		got := c.bulk.NextN(c.fq[tail : tail+n1])
-		if got == n1 && want > n1 {
-			got += c.bulk.NextN(c.fq[:want-n1])
-		}
-		if got < want {
+	want := c.cfg.FetchWidth
+	if room := c.cfg.FetchQueue - c.fqCount; room < want {
+		want = room
+	}
+	got := 0
+	if t := c.trace; t != nil {
+		got = len(t.meta) - t.pos
+		if got >= want {
+			got = want
+		} else {
 			c.srcDone = true
 		}
+		t.pos += got
 		c.fqCount += got
-		c.fetchedN += uint64(got)
-		act.Fetched += got
-		act.L1I += got
-		return
-	}
-	for act.Fetched < c.cfg.FetchWidth && c.fqCount < c.cfg.FetchQueue {
-		in, ok := c.src.Next()
-		if !ok {
-			c.srcDone = true
-			break
+	} else {
+		for ; got < want; got++ {
+			in, ok := c.src.Next()
+			if !ok {
+				c.srcDone = true
+				break
+			}
+			tail := c.fqHead + c.fqCount
+			if tail >= c.fqWrap {
+				tail -= c.fqWrap
+			}
+			c.fqMeta[tail], c.fqSrc1[tail], c.fqSrc2[tail] = PackMeta(in), in.SrcDist1, in.SrcDist2
+			c.fqCount++
 		}
-		tail := c.fqHead + c.fqCount
-		if tail >= c.cfg.FetchQueue {
-			tail -= c.cfg.FetchQueue
-		}
-		c.fq[tail] = in
-		c.fqCount++
-		c.fetchedN++
-		act.Fetched++
-		act.L1I++
 	}
+	c.fetchedN += uint64(got)
+	act.Fetched = got
+	act.L1I = got
 }
 
 // Run advances the core until the stream drains or maxCycles elapse,

@@ -82,9 +82,38 @@ func diffConfigs() []Config {
 	return []Config{table1, odd, tiny}
 }
 
+// streamSource names one way of delivering a stream to a core.
+type streamSource struct {
+	name string
+	of   func([]Inst) Source
+}
+
+// diffSources are the two ways a stream reaches the event-driven core:
+// one instruction per Next call (a SliceSource), and a packed trace
+// (a TraceSource over PackMeta bytes), which is how engine runs replay
+// the shared trace store. The scan reference always reads the slice.
+func diffSources() []streamSource {
+	return []streamSource{
+		{"slice", func(s []Inst) Source { return NewSliceSource(append([]Inst(nil), s...)) }},
+		{"trace", func(s []Inst) Source { return packTrace(s) }},
+	}
+}
+
+// packTrace packs a stream into the trace form the trace store keeps.
+func packTrace(s []Inst) *TraceSource {
+	meta := make([]uint8, len(s))
+	src1 := make([]uint16, len(s))
+	src2 := make([]uint16, len(s))
+	for i, in := range s {
+		meta[i], src1[i], src2[i] = PackMeta(in), in.SrcDist1, in.SrcDist2
+	}
+	return NewTraceSource(meta, src1, src2)
+}
+
 // TestSchedulerMatchesScanReference: the event-driven scheduler must
 // produce a bit-identical per-cycle Activity stream to the scan-based
-// reference core on randomized workloads under every throttle schedule.
+// reference core on randomized workloads under every throttle schedule,
+// whichever way the stream is delivered.
 func TestSchedulerMatchesScanReference(t *testing.T) {
 	var amps [NumClasses]float64
 	for cl := Class(0); cl < NumClasses; cl++ {
@@ -93,35 +122,39 @@ func TestSchedulerMatchesScanReference(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
 		for _, sched := range diffSchedules(amps) {
 			t.Run(fmt.Sprintf("cfg%d/%s", ci, sched.name), func(t *testing.T) {
-				for seed := uint64(1); seed <= 8; seed++ {
-					n := 400 + int(seed%600)
-					stream := randomStream(seed*131+uint64(ci), n)
-					ev := New(cfg, NewSliceSource(append([]Inst(nil), stream...)))
-					ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
-					ev.SetClassCurrentEstimates(amps)
-					ref.SetClassCurrentEstimates(amps)
+				for _, src := range diffSources() {
+					t.Run(src.name, func(t *testing.T) {
+						for seed := uint64(1); seed <= 8; seed++ {
+							n := 400 + int(seed%600)
+							stream := randomStream(seed*131+uint64(ci), n)
+							ev := New(cfg, src.of(stream))
+							ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
+							ev.SetClassCurrentEstimates(amps)
+							ref.SetClassCurrentEstimates(amps)
 
-					limit := uint64(n)*uint64(cfg.MemLat+cfg.MispredictPenalty+16) + 4096
-					for cyc := uint64(0); cyc < limit; cyc++ {
-						if ev.Done() && ref.Done() {
-							break
+							limit := uint64(n)*uint64(cfg.MemLat+cfg.MispredictPenalty+16) + 4096
+							for cyc := uint64(0); cyc < limit; cyc++ {
+								if ev.Done() && ref.Done() {
+									break
+								}
+								th := sched.at(cyc)
+								got := ev.Step(th)
+								want := ref.Step(th)
+								if got != want {
+									t.Fatalf("seed %d cycle %d: activity diverged\n got %+v\nwant %+v",
+										seed, cyc, got, want)
+								}
+							}
+							if !ev.Done() || !ref.Done() {
+								t.Fatalf("seed %d: stream did not drain (event done=%v, scan done=%v)",
+									seed, ev.Done(), ref.Done())
+							}
+							if ev.Committed() != uint64(n) || ref.Committed() != uint64(n) {
+								t.Fatalf("seed %d: committed %d/%d, want %d",
+									seed, ev.Committed(), ref.Committed(), n)
+							}
 						}
-						th := sched.at(cyc)
-						got := ev.Step(th)
-						want := ref.Step(th)
-						if got != want {
-							t.Fatalf("seed %d cycle %d: activity diverged\n got %+v\nwant %+v",
-								seed, cyc, got, want)
-						}
-					}
-					if !ev.Done() || !ref.Done() {
-						t.Fatalf("seed %d: stream did not drain (event done=%v, scan done=%v)",
-							seed, ev.Done(), ref.Done())
-					}
-					if ev.Committed() != uint64(n) || ref.Committed() != uint64(n) {
-						t.Fatalf("seed %d: committed %d/%d, want %d",
-							seed, ev.Committed(), ref.Committed(), n)
-					}
+					})
 				}
 			})
 		}
@@ -129,7 +162,8 @@ func TestSchedulerMatchesScanReference(t *testing.T) {
 }
 
 // TestSchedulerMatchesScanLongRun: one long random stream per config under
-// the mixed schedule, as a deeper soak than the per-schedule cases.
+// the mixed schedule and each delivery, as a deeper soak than the
+// per-schedule cases.
 func TestSchedulerMatchesScanLongRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -141,19 +175,21 @@ func TestSchedulerMatchesScanLongRun(t *testing.T) {
 	sched := diffSchedules(amps)[6] // mixed
 	for ci, cfg := range diffConfigs() {
 		stream := randomStream(977+uint64(ci), 30_000)
-		ev := New(cfg, NewSliceSource(append([]Inst(nil), stream...)))
-		ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
-		ev.SetClassCurrentEstimates(amps)
-		ref.SetClassCurrentEstimates(amps)
-		for cyc := uint64(0); !ev.Done() || !ref.Done(); cyc++ {
-			th := sched.at(cyc)
-			got := ev.Step(th)
-			want := ref.Step(th)
-			if got != want {
-				t.Fatalf("cfg %d cycle %d: activity diverged\n got %+v\nwant %+v", ci, cyc, got, want)
-			}
-			if cyc > 10_000_000 {
-				t.Fatal("livelock")
+		for _, src := range diffSources() {
+			ev := New(cfg, src.of(stream))
+			ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
+			ev.SetClassCurrentEstimates(amps)
+			ref.SetClassCurrentEstimates(amps)
+			for cyc := uint64(0); !ev.Done() || !ref.Done(); cyc++ {
+				th := sched.at(cyc)
+				got := ev.Step(th)
+				want := ref.Step(th)
+				if got != want {
+					t.Fatalf("cfg %d %s cycle %d: activity diverged\n got %+v\nwant %+v", ci, src.name, cyc, got, want)
+				}
+				if cyc > 10_000_000 {
+					t.Fatal("livelock")
+				}
 			}
 		}
 	}

@@ -91,21 +91,17 @@ type Inst struct {
 }
 
 // Source supplies the instruction stream executed by the core.
+//
+// The core reads a *TraceSource in place: its fetch queue is a window on
+// the trace's packed arrays, and fetch only advances the trace's cursor.
+// Every other source — the live workload Generator, a trace.Reader, a
+// SliceSource or a RepeatSource — is read one Next call per fetched
+// instruction into a small ring in the same packed form, so dispatch is
+// one loop whichever way the stream arrives.
 type Source interface {
 	// Next returns the next instruction, or ok=false when the stream
 	// is exhausted.
 	Next() (inst Inst, ok bool)
-}
-
-// BulkSource is an optional Source extension that delivers a run of
-// instructions in one call, letting the core's fetch stage fill its
-// queue without a per-instruction interface call. A short delivery
-// (fewer than len(dst)) means the stream is exhausted.
-type BulkSource interface {
-	Source
-	// NextN fills dst with up to len(dst) instructions and returns how
-	// many were delivered.
-	NextN(dst []Inst) int
 }
 
 // ForkableSource is an optional Source extension for sources whose

@@ -7,6 +7,12 @@ package cpu
 // produce bit-identical per-cycle Activity streams under every throttle
 // shape. Keep this in sync with nothing: it is frozen on purpose.
 
+// scan-reference instruction states inside the ROB.
+const (
+	stWaiting uint8 = iota // dispatched, waiting for operands or a unit
+	stExec                 // issued; result ready at doneAt
+)
+
 type scanROBEntry struct {
 	inst   Inst
 	seq    uint64
@@ -84,7 +90,7 @@ func (c *scanCore) operandReady(seq uint64, dist uint16) bool {
 
 func (c *scanCore) Step(t Throttle) Activity {
 	var act Activity
-	ports := t.cachePorts(c.cfg)
+	ports := t.cachePorts(c.cfg.CachePorts)
 	portsUsed := 0
 
 	c.commit(&act, ports, &portsUsed)
@@ -122,7 +128,7 @@ func (c *scanCore) commit(act *Activity, ports int, portsUsed *int) {
 }
 
 func (c *scanCore) issue(act *Activity, t Throttle, ports int, portsUsed *int) {
-	width := t.issueWidth(c.cfg)
+	width := t.issueWidth(c.cfg.IssueWidth)
 	if width == 0 {
 		return
 	}

@@ -29,24 +29,26 @@ type Throttle struct {
 // Unlimited is the throttle that imposes no restrictions.
 var Unlimited = Throttle{IssueCurrentBudget: -1}
 
-// issueWidth resolves the effective issue width under configuration cfg.
-func (t Throttle) issueWidth(cfg Config) int {
+// issueWidth resolves the effective issue width against the configured
+// width full.
+func (t *Throttle) issueWidth(full int) int {
 	if t.StallIssue {
 		return 0
 	}
-	if t.IssueWidth > 0 && t.IssueWidth < cfg.IssueWidth {
+	if t.IssueWidth > 0 && t.IssueWidth < full {
 		return t.IssueWidth
 	}
-	return cfg.IssueWidth
+	return full
 }
 
-// cachePorts resolves the effective L1 data port count.
-func (t Throttle) cachePorts(cfg Config) int {
-	if t.CachePorts > 0 && t.CachePorts < cfg.CachePorts {
+// cachePorts resolves the effective L1 data port count against the
+// configured count full.
+func (t *Throttle) cachePorts(full int) int {
+	if t.CachePorts > 0 && t.CachePorts < full {
 		return t.CachePorts
 	}
-	return cfg.CachePorts
+	return full
 }
 
 // budgeted reports whether an issue-current budget is in force.
-func (t Throttle) budgeted() bool { return t.IssueCurrentBudget >= 0 }
+func (t *Throttle) budgeted() bool { return t.IssueCurrentBudget >= 0 }

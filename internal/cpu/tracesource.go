@@ -37,7 +37,9 @@ func UnpackMeta(m uint8) (Class, MemLevel, bool) {
 // Source with a Next that is an index increment and three slice loads —
 // no branch-heavy RNG sampling — so replaying a stored workload costs a
 // fraction of generating it (see BenchmarkGeneratorNext vs
-// BenchmarkTraceSourceNext).
+// BenchmarkTraceSourceNext). A Core given a TraceSource does not call
+// Next at all: it reads the packed arrays in place and moves the cursor
+// as it fetches.
 //
 // The backing slices are shared, never written: any number of
 // TraceSources may replay the same trace concurrently.
@@ -73,34 +75,6 @@ func (t *TraceSource) Next() (Inst, bool) {
 		SrcDist1:     t.src1[i],
 		SrcDist2:     t.src2[i],
 	}, true
-}
-
-// NextN implements BulkSource: it decodes a run of up to len(dst)
-// instructions with plain slice indexing, no per-instruction interface
-// dispatch. The decoded instructions are identical to len(dst)
-// consecutive Next calls.
-func (t *TraceSource) NextN(dst []Inst) int {
-	i := t.pos
-	n := len(t.meta) - i
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if n <= 0 {
-		return 0
-	}
-	meta, src1, src2 := t.meta[i:i+n], t.src1[i:i+n], t.src2[i:i+n]
-	for k := 0; k < n; k++ {
-		m := meta[k]
-		dst[k] = Inst{
-			Class:        Class(m & metaClassMask),
-			Mem:          MemLevel(m >> metaMemShift & metaMemMask),
-			Mispredicted: m&metaMispredict != 0,
-			SrcDist1:     src1[k],
-			SrcDist2:     src2[k],
-		}
-	}
-	t.pos = i + n
-	return n
 }
 
 // Fork implements ForkableSource: the backing trace slices are shared

@@ -94,19 +94,20 @@ func (l *Lane) name() string {
 	return "base"
 }
 
-// next asks the lane's technique for its decision, converting a panic
-// into an error so one broken lane cannot take down the cohort.
-func (l *Lane) next() (th cpu.Throttle, ph sim.Phantom, err error) {
+// next stores the lane's decision for the coming cycle in *d, converting
+// a panic into an error so one broken lane cannot take down the cohort.
+func (l *Lane) next(d *decision) (err error) {
 	if l.Tech == nil {
-		return cpu.Unlimited, sim.Phantom{}, nil
+		*d = decision{th: cpu.Unlimited}
+		return nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batchkernel: technique %s panicked in Next: %v", l.name(), r)
 		}
 	}()
-	th, ph = l.Tech.Next()
-	return th, ph, nil
+	d.th, d.ph = l.Tech.Next()
+	return nil
 }
 
 // observe delivers the cycle's observation and trace point to the lane,
@@ -124,16 +125,21 @@ func (l *Lane) observe(obs *sim.Observation) (err error) {
 		l.Tech.Observe(obs)
 	}
 	if l.Trace != nil {
-		tp := sim.TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts}
-		if l.EventCount != nil {
-			tp.EventCount = l.EventCount()
-		}
-		if l.Level != nil {
-			tp.ResponseLevel = l.Level()
-		}
-		l.Trace(tp)
+		l.trace(obs)
 	}
 	return nil
+}
+
+// trace delivers the cycle's trace point to the lane's Trace callback.
+func (l *Lane) trace(obs *sim.Observation) {
+	tp := sim.TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts}
+	if l.EventCount != nil {
+		tp.EventCount = l.EventCount()
+	}
+	if l.Level != nil {
+		tp.ResponseLevel = l.Level()
+	}
+	l.Trace(tp)
 }
 
 // Outcome describes how one lane ended.
@@ -238,24 +244,14 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 
 	for len(c.live) > 0 && !m.Done() && m.Cycles() < limit {
 		if c.pending == nil && len(c.live) == 1 {
-			// Sole survivor: no lockstep check to run, so skip the
-			// decision bookkeeping — this is the common state once a
-			// cohort has shed its other lanes.
+			// Sole survivor: no lockstep check to run, so the lane runs
+			// to the end on its own — the common state once a cohort
+			// has shed its other lanes.
 			i := c.live[0]
-			th, ph, err := lanes[i].next()
-			if err != nil {
-				out[i].Status, out[i].FailedAt, out[i].Err = Failed, m.Cycles(), err
+			if !runLone(m, &lanes[i], &out[i], stats) {
 				c.live = c.live[:0]
-				break
 			}
-			obs := m.Step(th, ph)
-			stats.Steps++
-			if err := lanes[i].observe(obs); err != nil {
-				out[i].Status, out[i].FailedAt, out[i].Err = Failed, obs.Cycle, err
-				c.live = c.live[:0]
-				break
-			}
-			continue
+			break
 		}
 
 		// Decide: every live lane's control for this cycle — the
@@ -269,12 +265,10 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 		} else {
 			n := 0
 			for _, i := range c.live {
-				th, ph, err := lanes[i].next()
-				if err != nil {
+				if err := lanes[i].next(&decisions[i]); err != nil {
 					out[i].Status, out[i].FailedAt, out[i].Err = Failed, m.Cycles(), err
 					continue
 				}
-				decisions[i] = decision{th: th, ph: ph}
 				c.live[n] = i
 				n++
 			}
@@ -330,6 +324,54 @@ func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out
 		out[i].Result = res
 	}
 	return stack
+}
+
+// runLone steps a cohort's only lane to the end of the run and reports
+// whether it got there. A panic in the lane's technique or trace
+// callbacks fails the lane exactly as next and observe do, under one
+// deferred recover for the whole run instead of two per cycle. A panic
+// inside Machine.Step is not the lane's: the recover leaves it alone, so
+// it unwinds out of Run like a panic in a lockstep step.
+func runLone(m *sim.Machine, l *Lane, out *Outcome, stats *Stats) (finished bool) {
+	const (
+		inNext = iota
+		inStep
+		inObserve
+	)
+	phase := inNext
+	defer func() {
+		if finished || phase == inStep {
+			return
+		}
+		r := recover()
+		// The lane stopped on the cycle it was deciding (Next) or
+		// observing (Observe, which comes after that cycle's step).
+		at, where := m.Cycles(), "Next"
+		if phase == inObserve {
+			at, where = at-1, "Observe"
+		}
+		out.Status, out.FailedAt = Failed, at
+		out.Err = fmt.Errorf("batchkernel: technique %s panicked in %s: %v", l.name(), where, r)
+	}()
+	limit := m.CycleLimit()
+	for !m.Done() && m.Cycles() < limit {
+		phase = inNext
+		th, ph := cpu.Unlimited, sim.Phantom{}
+		if l.Tech != nil {
+			th, ph = l.Tech.Next()
+		}
+		phase = inStep
+		obs := m.Step(th, ph)
+		stats.Steps++
+		phase = inObserve
+		if l.Tech != nil {
+			l.Tech.Observe(obs)
+		}
+		if l.Trace != nil {
+			l.trace(obs)
+		}
+	}
+	return true
 }
 
 // forkCohorts regroups the lanes that just left a cohort: lanes sharing

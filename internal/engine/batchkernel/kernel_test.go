@@ -6,8 +6,11 @@ package batchkernel_test
 // different cycles), K=9 (more lanes than distinct behaviours, so
 // duplicates must stay in lockstep — and fork — together), cascading
 // re-splits (a forked cohort splitting again), a lane panicking
-// mid-batch and another panicking after it forked, and an unforkable
-// instruction source (a lane that must fork fails with the fork error).
+// mid-batch and another panicking after it forked, panics in Observe
+// and in the trace callbacks of a lone lane (a one-lane group or a forked
+// survivor), an unforkable instruction source (a lane that must fork
+// fails with the fork error), and an instruction source that panics
+// inside Machine.Step (not a lane's failure: the panic leaves Run).
 
 import (
 	"strings"
@@ -54,11 +57,12 @@ func (u *unforkableSource) Next() (cpu.Inst, bool) { return u.inner.Next() }
 // optionally panics in Next at panicAt. Cycle position is driven by
 // Observe calls, exactly as for a real technique.
 type scriptTech struct {
-	name          string
-	throttleFrom  uint64 // 0 = never throttle
-	throttleFrom2 uint64 // 0 = no second phase
-	panicAt       uint64 // 0 = never panic
-	cycle         uint64
+	name           string
+	throttleFrom   uint64 // 0 = never throttle
+	throttleFrom2  uint64 // 0 = no second phase
+	panicAt        uint64 // 0 = never panic
+	panicObserveAt uint64 // 0 = Observe never panics
+	cycle          uint64
 
 	recs []obsRecord
 }
@@ -85,6 +89,9 @@ func (s *scriptTech) Next() (cpu.Throttle, sim.Phantom) {
 }
 
 func (s *scriptTech) Observe(obs *sim.Observation) {
+	if s.panicObserveAt != 0 && obs.Cycle >= s.panicObserveAt {
+		panic("scripted observe panic")
+	}
 	rec := obsRecord{obs: *obs, act: *obs.Activity}
 	rec.obs.Activity = nil
 	s.recs = append(s.recs, rec)
@@ -93,7 +100,8 @@ func (s *scriptTech) Observe(obs *sim.Observation) {
 
 // clone returns a fresh technique with the same script and no state.
 func (s *scriptTech) clone() *scriptTech {
-	return &scriptTech{name: s.name, throttleFrom: s.throttleFrom, throttleFrom2: s.throttleFrom2, panicAt: s.panicAt}
+	return &scriptTech{name: s.name, throttleFrom: s.throttleFrom, throttleFrom2: s.throttleFrom2,
+		panicAt: s.panicAt, panicObserveAt: s.panicObserveAt}
 }
 
 // scalarRun replays one scripted lane on the frozen scalar Simulator.
@@ -385,4 +393,136 @@ func TestUnforkableSourceFails(t *testing.T) {
 	}
 	checkLane(t, "base", scripts[0], outs[0], 0)
 	checkLane(t, "quiet", scripts[2], outs[2], 0)
+}
+
+// TestLonePanicInObserveOrTrace pins how a lane that is alone in its
+// cohort fails when its technique panics in Observe or one of its trace
+// callbacks (Trace, EventCount, Level) panics: Failed, at the cycle whose
+// observation panicked, with the "panicked in Observe" error, having
+// observed exactly the scalar prefix. Each case runs as a one-lane group
+// and as a survivor that forked off a base lane at cycle 40.
+func TestLonePanicInObserveOrTrace(t *testing.T) {
+	const at = 100
+	// fuse returns a callback that panics on its at+1'th call, i.e. while
+	// the lane observes cycle at.
+	fuse := func(what string) func() {
+		n := 0
+		return func() {
+			if n == at {
+				panic(what)
+			}
+			n++
+		}
+	}
+	cases := []struct {
+		name string
+		lane func(sc *scriptTech) batchkernel.Lane
+		// msg is the recovered panic; observed the cycles the technique
+		// recorded before its lane failed.
+		msg      string
+		observed int
+	}{
+		{"observe", func(sc *scriptTech) batchkernel.Lane {
+			sc.panicObserveAt = at
+			return batchkernel.Lane{Tech: sc, TechName: sc.name}
+		}, "scripted observe panic", at},
+		{"trace", func(sc *scriptTech) batchkernel.Lane {
+			f := fuse("trace panic")
+			return batchkernel.Lane{Tech: sc, TechName: sc.name, Trace: func(sim.TracePoint) { f() }}
+		}, "trace panic", at + 1},
+		{"eventcount", func(sc *scriptTech) batchkernel.Lane {
+			f := fuse("event count panic")
+			return batchkernel.Lane{Tech: sc, TechName: sc.name, Trace: func(sim.TracePoint) {},
+				EventCount: func() int { f(); return 0 }}
+		}, "event count panic", at + 1},
+		{"level", func(sc *scriptTech) batchkernel.Lane {
+			f := fuse("level panic")
+			return batchkernel.Lane{Tech: sc, TechName: sc.name, Trace: func(sim.TracePoint) {},
+				Level: func() int { f(); return 0 }}
+		}, "level panic", at + 1},
+	}
+	for _, tc := range cases {
+		for _, forked := range []bool{false, true} {
+			label := tc.name + "/alone"
+			sc := &scriptTech{name: "bomb"}
+			var lanes []batchkernel.Lane
+			if forked {
+				label = tc.name + "/forked"
+				sc.throttleFrom = 40
+				lanes = append(lanes, batchkernel.Lane{})
+			}
+			lanes = append(lanes, tc.lane(sc))
+			m, err := sim.NewMachine(sim.DefaultConfig(), edgeSource())
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, _ := batchkernel.Run(m, "edge", lanes)
+			out := outs[len(outs)-1]
+			if out.Status != batchkernel.Failed || out.FailedAt != at {
+				t.Errorf("%s: status %v at %d, want failed at %d", label, out.Status, out.FailedAt, at)
+			}
+			want := "batchkernel: technique bomb panicked in Observe: " + tc.msg
+			if out.Err == nil || out.Err.Error() != want {
+				t.Errorf("%s: err %v, want %q", label, out.Err, want)
+			}
+			if len(sc.recs) != tc.observed {
+				t.Errorf("%s: observed %d cycles, want %d", label, len(sc.recs), tc.observed)
+			}
+			ref := sc.clone()
+			ref.panicObserveAt = 0
+			sRecs, _ := scalarRun(t, ref)
+			compareObs(t, label, sc.recs, sRecs, tc.observed)
+			if forked {
+				if out.Forks != 1 || out.FirstForkAt != 40 {
+					t.Errorf("%s: forks=%d firstForkAt=%d, want 1 at 40", label, out.Forks, out.FirstForkAt)
+				}
+				checkLane(t, label+"/base", nil, outs[0], 0)
+			}
+		}
+	}
+}
+
+// fusedSource is a forkable instruction source whose Next panics once it
+// has delivered left instructions: the panic is raised inside
+// Machine.Step, by the machine, not by any lane.
+type fusedSource struct {
+	inner cpu.ForkableSource
+	left  int
+}
+
+func (f *fusedSource) Next() (cpu.Inst, bool) {
+	if f.left == 0 {
+		panic("fused source blew")
+	}
+	f.left--
+	return f.inner.Next()
+}
+
+func (f *fusedSource) Fork() cpu.Source {
+	return &fusedSource{inner: f.inner.Fork().(cpu.ForkableSource), left: f.left}
+}
+
+// TestMachinePanicLeavesRun: a panic inside Machine.Step belongs to the
+// whole group, so it must propagate out of Run (where the engine's group
+// recover fails every spec), never end as one lane's Failed outcome —
+// whether the machine steps a one-lane group, a lockstep cohort, or the
+// lone survivor of a cohort that others forked off.
+func TestMachinePanicLeavesRun(t *testing.T) {
+	groups := map[string][]*scriptTech{
+		"one-lane": {{name: "quiet"}},
+		"lockstep": {nil, {name: "quiet-a"}, {name: "quiet-b"}},
+		"survivor": {nil, {name: "th40", throttleFrom: 40}},
+	}
+	for name, scripts := range groups {
+		src := &fusedSource{inner: edgeSource().(cpu.ForkableSource), left: 600}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_, outs, _ := runGroupOn(t, scripts, src)
+			t.Errorf("%s: Run returned outcomes %+v, want the source's panic", name, outs)
+			return nil
+		}()
+		if got != "fused source blew" {
+			t.Errorf("%s: recovered %v, want the source's panic", name, got)
+		}
+	}
 }

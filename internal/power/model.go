@@ -193,6 +193,10 @@ type Model struct {
 
 	pending [spreadRing]float64
 	slot    int
+	// counts is depositCycle's per-unit event buffer. Every slot is
+	// written each cycle, so keeping it here saves zeroing a fresh
+	// array per cycle.
+	counts [NumUnits]int
 
 	// Multi-domain accounting (see EnableDomains in domains.go): unit →
 	// domain assignment, one spreading ring per domain, and the ungated
@@ -304,21 +308,20 @@ func (m *Model) Config() Config { return m.cfg }
 // floating-point addition is not associative, so this order is part of
 // the result.
 func (m *Model) depositCycle(act *cpu.Activity, domains bool) {
-	counts := [NumUnits]int{
-		UnitFrontend: act.Fetched,
-		UnitRename:   act.Dispatched,
-		UnitWindow:   act.IssuedTotal,
-		UnitRegfile:  act.IssuedTotal,
-		UnitIntALU:   act.Issued[cpu.IntALU] + act.Issued[cpu.Branch] + act.Issued[cpu.Store],
-		UnitIntMul:   act.Issued[cpu.IntMul],
-		UnitFPALU:    act.Issued[cpu.FPALU],
-		UnitFPMul:    act.Issued[cpu.FPMul],
-		UnitL1D:      act.L1D,
-		UnitL2:       act.L2,
-		UnitMem:      act.Mem,
-		UnitROB:      act.Committed,
-		UnitBus:      act.IssuedTotal,
-	}
+	counts := &m.counts
+	counts[UnitFrontend] = act.Fetched
+	counts[UnitRename] = act.Dispatched
+	counts[UnitWindow] = act.IssuedTotal
+	counts[UnitRegfile] = act.IssuedTotal
+	counts[UnitIntALU] = act.Issued[cpu.IntALU] + act.Issued[cpu.Branch] + act.Issued[cpu.Store]
+	counts[UnitIntMul] = act.Issued[cpu.IntMul]
+	counts[UnitFPALU] = act.Issued[cpu.FPALU]
+	counts[UnitFPMul] = act.Issued[cpu.FPMul]
+	counts[UnitL1D] = act.L1D
+	counts[UnitL2] = act.L2
+	counts[UnitMem] = act.Mem
+	counts[UnitROB] = act.Committed
+	counts[UnitBus] = act.IssuedTotal
 	slot := uint(m.slot)
 	for u := Unit(0); u < NumUnits; u++ {
 		c := min(counts[u], m.maxEvents[u])

@@ -55,7 +55,10 @@ type Machine struct {
 	domObs       DomainObservation
 
 	act cpu.Activity // per-cycle activity buffer, reused to avoid copies
-	obs Observation  // per-cycle observation buffer, reused likewise
+	// obs is the per-cycle observation buffer, reused likewise. Its
+	// Activity and PerDomain pointers aim at act and domObs from
+	// construction on; Step writes only the scalar fields.
+	obs Observation
 
 	phantomJ  float64
 	violation uint64
@@ -113,6 +116,10 @@ func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
 	}
 	if err := m.buildNetwork(); err != nil {
 		return nil, err
+	}
+	m.obs.Activity = &m.act
+	if m.nd > 1 {
+		m.obs.PerDomain = &m.domObs
 	}
 	return m, nil
 }
@@ -226,10 +233,8 @@ func (m *Machine) Fork() (*Machine, error) {
 	}
 	// The observation buffer's Activity and PerDomain pointers must aim
 	// at the clone's own buffers, not the original's.
-	if f.obs.Activity != nil {
-		f.obs.Activity = &f.act
-	}
-	if f.obs.PerDomain != nil {
+	f.obs.Activity = &f.act
+	if m.nd > 1 {
 		f.obs.PerDomain = &f.domObs
 	}
 	return &f, nil
@@ -333,14 +338,12 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 		}
 	}
 
-	var perDomain *DomainObservation
 	if m.bank != nil {
 		for d, amps := range m.draws {
 			m.domObs.SensedAmps[d] = m.bank.Read(d, amps)
 			m.domObs.Amps[d] = amps
 			m.domObs.DeviationVolts[d] = m.devs[d]
 		}
-		perDomain = &m.domObs
 	}
 	var sensed float64
 	switch {
@@ -363,17 +366,14 @@ func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 	if totalAmps > m.maxAmps {
 		m.maxAmps = totalAmps
 	}
-	m.obs = Observation{
-		Cycle:          m.cycles,
-		SensedAmps:     sensed,
-		TotalAmps:      totalAmps,
-		DeviationVolts: worst,
-		IssuedEstAmps:  est,
-		Activity:       act,
-		PerDomain:      perDomain,
-	}
+	obs := &m.obs
+	obs.Cycle = m.cycles
+	obs.SensedAmps = sensed
+	obs.TotalAmps = totalAmps
+	obs.DeviationVolts = worst
+	obs.IssuedEstAmps = est
 	m.cycles++
-	return &m.obs
+	return obs
 }
 
 // Network exposes the machine's power-delivery network.

@@ -14,16 +14,20 @@ import (
 // two-tier response.
 type ResonanceTuning struct {
 	ctrl *tuning.Controller
-	next tuning.Response
+	next *tuning.Response // the controller's latest response
 }
 
 // NewResonanceTuning returns the technique for the given configuration.
 func NewResonanceTuning(cfg tuning.Config) *ResonanceTuning {
 	return &ResonanceTuning{
 		ctrl: tuning.NewController(cfg),
-		next: tuning.Response{Throttle: cpu.Unlimited},
+		next: &idleResponse,
 	}
 }
+
+// idleResponse is what a tuning technique applies before its controller
+// has observed a cycle. Like the controller's responses, it is only read.
+var idleResponse = tuning.Response{Throttle: cpu.Unlimited}
 
 // Name implements Technique.
 func (t *ResonanceTuning) Name() string { return "resonance-tuning" }
@@ -234,8 +238,8 @@ type DualBandTuning struct {
 
 	acc     float64
 	n       int
-	nextMed tuning.Response
-	nextLow tuning.Response
+	nextMed *tuning.Response
+	nextLow *tuning.Response
 	lowLeft int // processor cycles the current low response still covers
 }
 
@@ -250,8 +254,8 @@ func NewDualBandTuning(mediumCfg, lowCfg tuning.Config, factor int) *DualBandTun
 		medium:  tuning.NewController(mediumCfg),
 		low:     tuning.NewController(lowCfg),
 		factor:  factor,
-		nextMed: tuning.Response{Throttle: cpu.Unlimited},
-		nextLow: tuning.Response{Throttle: cpu.Unlimited},
+		nextMed: &idleResponse,
+		nextLow: &idleResponse,
 	}
 }
 
@@ -306,7 +310,7 @@ func (t *DualBandTuning) LowStats() tuning.Stats { return t.low.Stats() }
 // usual mid-level target works unchanged.
 type PerDomainTuning struct {
 	ctrls []*tuning.Controller
-	next  []tuning.Response
+	next  []*tuning.Response
 }
 
 // NewPerDomainTuning builds one controller per domain configuration (at
@@ -317,11 +321,11 @@ func NewPerDomainTuning(cfgs []tuning.Config) *PerDomainTuning {
 	}
 	t := &PerDomainTuning{
 		ctrls: make([]*tuning.Controller, len(cfgs)),
-		next:  make([]tuning.Response, len(cfgs)),
+		next:  make([]*tuning.Response, len(cfgs)),
 	}
 	for d, cfg := range cfgs {
 		t.ctrls[d] = tuning.NewController(cfg)
-		t.next[d] = tuning.Response{Throttle: cpu.Unlimited}
+		t.next[d] = &idleResponse
 	}
 	return t
 }

@@ -203,8 +203,10 @@ func (c *Controller) Stats() Stats {
 }
 
 // Step consumes the sensed core current for the cycle just simulated and
-// returns the response to apply next cycle.
-func (c *Controller) Step(sensedAmps float64) Response {
+// returns the response to apply next cycle. The response is one of the
+// controller's own, fixed when NewController built them: callers read it
+// and must not modify it.
+func (c *Controller) Step(sensedAmps float64) *Response {
 	ev, found := c.det.Step(sensedAmps)
 	if found {
 		// Keep the earliest scheduled engagement: later events must not
@@ -244,5 +246,5 @@ func (c *Controller) Step(sensedAmps float64) Response {
 	}
 	c.stats.Cycles++
 	c.cycle++
-	return *resp
+	return resp
 }

@@ -29,7 +29,7 @@ func table1Controller() Config {
 func driveController(c *Controller, w circuit.Waveform, n int) []Response {
 	out := make([]Response, n)
 	for i := 0; i < n; i++ {
-		out[i] = c.Step(w.At(i))
+		out[i] = *c.Step(w.At(i))
 	}
 	return out
 }
