@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cacheflags"
 	"repro/internal/profiling"
 )
 
@@ -36,10 +37,8 @@ func writeFile(path string, data []byte) {
 func main() {
 	var (
 		insts    = flag.Uint64("insts", 0, "instructions per application (0 = 1,000,000)")
-		parallel = flag.Int("parallel", 0, "concurrent application runs (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent result-cache directory (warm runs replay finished results without simulating)")
-		cacheGC  = flag.Bool("cache-gc", false, "sweep the cache directory at startup, removing old-schema and corrupt entries")
-		traceMB  = flag.Int64("trace-budget-mb", 0, "workload trace store budget in MiB (0 = 1024)")
+		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cache    = cacheflags.Register(flag.CommandLine)
 		out      = flag.String("out", "", "also write each report to <out>/<id>.txt")
 		svg      = flag.String("svg", "", "also render figures as SVG into this directory")
 		jsonOut  = flag.String("json", "", "also write each report's structured data to <json>/<id>.json")
@@ -82,15 +81,8 @@ func main() {
 	// for it. With -cache-dir, finished results also persist across
 	// invocations: a warm second run replays them from disk without
 	// simulating.
-	if *traceMB != 0 {
-		resonance.SetTraceStoreBudget(*traceMB << 20)
-	}
-	eng := resonance.NewEngineWithOptions(resonance.EngineOptions{
-		Parallelism:  *parallel,
-		DiskCacheDir: *cacheDir,
-		DiskCacheGC:  *cacheGC,
-	})
-	opts := resonance.Options{Instructions: *insts, Parallelism: *parallel, Engine: eng}
+	eng := cache.Engine(*parallel)
+	opts := resonance.Options{Instructions: *insts, Engine: eng}
 	var reports []resonance.Report
 	for _, id := range ids {
 		start := time.Now()
@@ -122,14 +114,5 @@ func main() {
 		writeFile(*htmlOut, []byte(resonance.HTMLReport(reports)))
 		fmt.Printf("combined report written to %s\n", *htmlOut)
 	}
-	printRunStats(eng)
-}
-
-// printRunStats emits the end-of-run cache and trace-store counters in a
-// stable, greppable form (CI asserts sim_misses=0 on a warm cache pass).
-func printRunStats(eng *resonance.Engine) {
-	cs := eng.CacheStats()
-	fmt.Printf("cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
-		cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
-	fmt.Println(resonance.TraceStoreStats())
+	cacheflags.PrintStats(os.Stdout, eng)
 }

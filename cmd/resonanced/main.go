@@ -29,32 +29,22 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/cacheflags"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent result-cache directory shared across restarts")
-		cacheGC  = flag.Bool("cache-gc", false, "sweep the cache directory at startup, removing old-schema and corrupt entries")
-		traceMB  = flag.Int64("trace-budget-mb", 0, "workload trace store budget in MiB (0 = 1024)")
+		cache    = cacheflags.Register(flag.CommandLine)
 		maxSpecs = flag.Int("max-specs", server.DefaultMaxSpecs, "largest grid accepted in one request")
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "bound on graceful drain after SIGTERM")
 	)
 	flag.Parse()
 
-	if *traceMB != 0 {
-		workload.SharedTraces().SetBudget(*traceMB << 20)
-	}
-	eng := engine.New(engine.Options{
-		Parallelism:  *parallel,
-		DiskCacheDir: *cacheDir,
-		DiskCacheGC:  *cacheGC,
-	})
-	if *cacheGC && *cacheDir != "" {
+	eng := cache.Engine(*parallel)
+	if cache.GC && cache.Dir != "" {
 		fmt.Fprintf(os.Stderr, "resonanced: cache gc removed %d stale files\n", eng.CacheStats().DiskGCRemoved)
 	}
 
@@ -98,8 +88,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "resonanced: %v\n", err)
 	}
 
-	cs := eng.CacheStats()
-	fmt.Fprintf(os.Stderr, "cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
-		cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
+	cacheflags.PrintStats(os.Stderr, eng)
 	fmt.Fprintln(os.Stderr, "resonanced: drained")
 }

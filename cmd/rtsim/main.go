@@ -15,26 +15,26 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"repro"
+	"repro/internal/cacheflags"
 )
 
 func main() {
 	var (
-		app      = flag.String("app", "parser", "application name (see -list)")
-		insts    = flag.Uint64("insts", 1_000_000, "instructions to simulate")
-		tech     = flag.String("tech", "base", "technique: base, tuning, voltctl, damping")
-		initial  = flag.Int("initial-response", 100, "tuning: initial response time in cycles")
-		delay    = flag.Int("delay", 0, "tuning: detection-to-response delay in cycles")
-		trace    = flag.String("trace", "", "write per-cycle CSV trace to this file")
-		record   = flag.String("record", "", "record the instruction stream to this file and exit")
-		replay   = flag.String("replay", "", "replay a recorded instruction stream instead of -app")
-		spect    = flag.Bool("spectrum", false, "analyse the run's current spectrum against the resonance band")
-		energy   = flag.Bool("energy", false, "print the per-unit energy breakdown")
-		cacheDir = flag.String("cache-dir", "", "persistent result-cache directory (a warm re-run replays the finished result without simulating)")
-		traceMB  = flag.Int64("trace-budget-mb", 0, "workload trace store budget in MiB (0 = 1024)")
-		stats    = flag.Bool("cache-stats", false, "print cache and trace-store counters after the run")
-		list     = flag.Bool("list", false, "list applications and exit")
+		app     = flag.String("app", "parser", "application name (see -list)")
+		insts   = flag.Uint64("insts", 1_000_000, "instructions to simulate")
+		tech    = flag.String("tech", "base", "technique: "+kindList())
+		initial = flag.Int("initial-response", 100, "tuning: initial response time in cycles")
+		delay   = flag.Int("delay", 0, "tuning: detection-to-response delay in cycles")
+		trace   = flag.String("trace", "", "write per-cycle CSV trace to this file")
+		record  = flag.String("record", "", "record the instruction stream to this file and exit")
+		replay  = flag.String("replay", "", "replay a recorded instruction stream instead of -app")
+		spect   = flag.Bool("spectrum", false, "analyse the run's current spectrum against the resonance band")
+		energy  = flag.Bool("energy", false, "print the per-unit energy breakdown")
+		cache   = cacheflags.Register(flag.CommandLine)
+		list    = flag.Bool("list", false, "list applications and exit")
 	)
 	flag.Parse()
 
@@ -129,13 +129,7 @@ func main() {
 		res resonance.Result
 		err error
 	}
-	if *traceMB != 0 {
-		resonance.SetTraceStoreBudget(*traceMB << 20)
-	}
-	eng := resonance.NewEngineWithOptions(resonance.EngineOptions{
-		Parallelism:  1,
-		DiskCacheDir: *cacheDir,
-	})
+	eng := cache.Engine(1)
 	ch := make(chan outcome, 1)
 	go func() {
 		res, err := eng.Run(ctx, spec)
@@ -181,12 +175,17 @@ func main() {
 			fmt.Printf("  %-10s %8.4g J  (%.1f%%)\n", row.Unit, row.Joules, row.Percent)
 		}
 	}
-	if *stats {
-		cs := eng.CacheStats()
-		fmt.Printf("cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
-			cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
-		fmt.Println(resonance.TraceStoreStats())
+	cacheflags.PrintStats(os.Stdout, eng)
+}
+
+// kindList renders every registered technique kind for the usage text.
+func kindList() string {
+	ks := resonance.TechniqueKinds()
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = string(k)
 	}
+	return strings.Join(out, ", ")
 }
 
 func fatal(err error) {

@@ -38,12 +38,12 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/cacheflags"
 	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/profiling"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -60,9 +60,7 @@ func main() {
 		thresh    = flag.String("threshold", "1,2", "initial response thresholds (event count)")
 		secondMin = flag.String("second", "35", "second-level hold times (cycles)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir  = flag.String("cache-dir", "", "persistent result-cache directory (warm re-sweeps replay finished points without simulating)")
-		cacheGC   = flag.Bool("cache-gc", false, "sweep the cache directory at startup, removing old-schema and corrupt entries")
-		traceMB   = flag.Int64("trace-budget-mb", 0, "workload trace store budget in MiB (0 = 1024)")
+		cache     = cacheflags.Register(flag.CommandLine)
 		out       = flag.String("o", "", "write CSV to this file instead of stdout")
 		progressF = flag.Bool("progress", false, "print points done/total, completion rate, and ETA to stderr")
 		coordF    = flag.Bool("coordinate", false, "sharded mode: publish the grid to -cache-dir, fork -workers local workers, wait for completion, and merge the byte-identical CSV")
@@ -102,28 +100,24 @@ func main() {
 	if *workerF && *coordF {
 		fatal(fmt.Errorf("-worker and -coordinate are mutually exclusive"))
 	}
-	if (*workerF || *coordF) && *cacheDir == "" {
+	if (*workerF || *coordF) && cache.Dir == "" {
 		fatal(fmt.Errorf("sharded modes require -cache-dir: the shared directory is the coordination substrate"))
 	}
 
-	if *traceMB != 0 {
-		workload.SharedTraces().SetBudget(*traceMB << 20)
-	}
-	eng := engine.New(engine.Options{Parallelism: *parallel, DiskCacheDir: *cacheDir, DiskCacheGC: *cacheGC})
+	eng := cache.Engine(*parallel)
 	sh := shardOpts{
-		cacheDir:    *cacheDir,
+		cache:       cache,
 		workers:     *workersF,
 		leaseExpiry: *leaseF,
 		poll:        *pollF,
 		parallel:    *parallel,
-		traceMB:     *traceMB,
 		progress:    *progressF,
 		dieAfter:    *dieAfterF,
 	}
 
 	if *workerF {
 		_, err := workerMain(context.Background(), eng, sh)
-		printStats(eng)
+		cacheflags.PrintStats(os.Stderr, eng)
 		if errors.Is(err, shard.ErrAbandoned) {
 			stopProfiles()
 			os.Exit(3)
@@ -155,17 +149,9 @@ func main() {
 		}
 		m.finish()
 	}
-	printStats(eng)
-}
-
-// printStats emits the end-of-run cache/trace accounting lines every
-// driver in the repo shares (the sharded smoke test greps sim_misses
-// off the coordinator's merge to prove nothing re-simulated).
-func printStats(eng *engine.Engine) {
-	cs := eng.CacheStats()
-	fmt.Fprintf(os.Stderr, "cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d\n",
-		cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
-	fmt.Fprintln(os.Stderr, workload.SharedTraces().Stats())
+	// The sharded smoke test greps sim_misses off the coordinator's
+	// merge to prove nothing re-simulated.
+	cacheflags.PrintStats(os.Stderr, eng)
 }
 
 // kindList renders every registered technique kind for usage and error

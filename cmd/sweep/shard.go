@@ -18,18 +18,18 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/cacheflags"
 	"repro/internal/engine"
 	"repro/internal/shard"
 )
 
 // shardOpts carries the sharded-mode flag values.
 type shardOpts struct {
-	cacheDir    string
+	cache       *cacheflags.Flags
 	workers     int
 	leaseExpiry time.Duration
 	poll        time.Duration
 	parallel    int
-	traceMB     int64
 	progress    bool
 	dieAfter    int
 }
@@ -60,7 +60,7 @@ func shardSpecs(g sweepGrid) []engine.Spec {
 // (waiting for a coordinator to publish one if necessary) and claim
 // points until the grid is complete everywhere.
 func workerMain(ctx context.Context, eng *engine.Engine, o shardOpts) (shard.WorkerStats, error) {
-	b, err := shard.Open(ctx, o.cacheDir, o.poll)
+	b, err := shard.Open(ctx, o.cache.Dir, o.poll)
 	if err != nil {
 		return shard.WorkerStats{}, err
 	}
@@ -87,12 +87,12 @@ func workerMain(ctx context.Context, eng *engine.Engine, o shardOpts) (shard.Wor
 // wall-clock story differs.
 func coordinate(ctx context.Context, eng *engine.Engine, g sweepGrid, w io.Writer, o shardOpts) error {
 	specs := shardSpecs(g)
-	b, err := shard.Publish(o.cacheDir, specs)
+	b, err := shard.Publish(o.cache.Dir, specs)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "coordinator: published grid %s (%d points) to %s\n",
-		b.GridID, len(specs), shard.Dir(o.cacheDir))
+		b.GridID, len(specs), shard.Dir(o.cache.Dir))
 
 	exited, err := startWorkers(o)
 	if err != nil {
@@ -132,17 +132,13 @@ func startWorkers(o shardOpts) (<-chan struct{}, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: cannot locate own binary to fork workers: %w", err)
 	}
-	args := []string{
+	args := append([]string{
 		"-worker",
-		"-cache-dir", o.cacheDir,
 		"-lease-expiry", o.leaseExpiry.String(),
 		"-shard-poll", o.poll.String(),
-	}
+	}, o.cache.WorkerArgs()...)
 	if o.parallel > 0 {
 		args = append(args, "-parallel", strconv.Itoa(o.parallel))
-	}
-	if o.traceMB != 0 {
-		args = append(args, "-trace-budget-mb", strconv.FormatInt(o.traceMB, 10))
 	}
 	cmds := make([]*exec.Cmd, o.workers)
 	for i := range cmds {

@@ -131,6 +131,13 @@ type CacheStats struct {
 	ForkCyclesSaved uint64
 }
 
+// String renders the stats as the cache-stats line the command-line
+// tools print at the end of a run.
+func (cs CacheStats) String() string {
+	return fmt.Sprintf("cache-stats: mem_hits=%d disk_hits=%d sim_misses=%d disk_writes=%d entries=%d",
+		cs.Hits, cs.DiskHits, cs.Misses, cs.DiskWrites, cs.Entries)
+}
+
 // CacheStats returns a snapshot of the cache counters.
 func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()

@@ -340,8 +340,9 @@ func Execute(spec Spec) (sim.Result, error) {
 
 // Prepared is a spec resolved for simulation on its own machine — the
 // construction path Execute takes — for callers that must read machine
-// state the Result does not carry (the power model's energy breakdown,
-// the network's noise margins), before or after the run.
+// or technique state the Result does not carry (the power model's energy
+// breakdown, the network's noise margins, per-domain controller
+// statistics), before or after the run.
 type Prepared struct {
 	job
 	m *sim.Machine
@@ -362,6 +363,9 @@ func Prepare(spec Spec) (*Prepared, error) {
 
 // Machine returns the simulated system the run steps.
 func (p *Prepared) Machine() *sim.Machine { return p.m }
+
+// Technique returns the technique the run steps; nil for the base machine.
+func (p *Prepared) Technique() sim.Technique { return p.lane.Tech }
 
 // Run simulates the prepared spec to completion; call it once.
 func (p *Prepared) Run() (sim.Result, error) {

@@ -52,13 +52,6 @@ type ablationVariant struct {
 //   - current-sensor resolution exact / 1 A / 8 A;
 //   - Heun vs forward-Euler circuit integration accuracy.
 func Ablations(opts Options) (Report, error) {
-	eng := opts.engine()
-	base, err := runAblationSuite(eng, opts, nil, 0)
-	if err != nil {
-		return Report{}, err
-	}
-	data := &AblationData{}
-
 	variants := []ablationVariant{
 		{"band-coverage", "full band 42-60 (paper)", nil, 0},
 		{"band-coverage", "resonant half-period only (50)", func(c *tuning.Config) {
@@ -77,20 +70,26 @@ func Ablations(opts Options) (Report, error) {
 		{"sensor-resolution", "whole-amp (paper)", nil, 0},
 		{"sensor-resolution", "8-amp coarse", nil, 8},
 	}
-	for _, v := range variants {
+	// Each variant carries its own system, so the sensor-resolution
+	// variants simulate their own machines; the rest share each
+	// application's lockstep group with the base.
+	specs := make([]engine.Spec, len(variants))
+	for i, v := range variants {
 		cfg := engine.DefaultTuningConfig(100)
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}
-		results, err := runAblationSuite(eng, opts, &cfg, v.sensorRes)
-		if err != nil {
-			return Report{}, fmt.Errorf("ablation %s/%s: %w", v.study, v.name, err)
-		}
-		rels, err := metrics.Compare(base, results)
-		if err != nil {
-			return Report{}, err
-		}
-		sum := metrics.Summarize(rels)
+		sys := sim.DefaultConfig()
+		sys.SensorResolutionAmps = v.sensorRes
+		specs[i] = engine.Spec{Technique: engine.TechniqueTuning, Tuning: &cfg, System: &sys}
+	}
+	c, err := compare(opts, ablationApps, engine.Spec{}, specs...)
+	if err != nil {
+		return Report{}, err
+	}
+	data := &AblationData{}
+	for i, v := range variants {
+		sum := c.sums[i]
 		data.Rows = append(data.Rows, AblationRow{
 			Study:               v.study,
 			Variant:             v.name,
@@ -117,21 +116,6 @@ func Ablations(opts Options) (Report, error) {
 	fmt.Fprintf(&b, "\nintegrator worst error vs closed form: Heun %.3g V, Euler %.3g V\n",
 		data.IntegratorErrHeun, data.IntegratorErrEuler)
 	return Report{ID: "ablations", Text: b.String(), Data: data}, nil
-}
-
-// runAblationSuite runs the ablation subset under one tuning variant
-// (nil = uncontrolled base) with the given sensor resolution, through
-// the engine's worker pool and cache.
-func runAblationSuite(eng *engine.Engine, opts Options, cfg *tuning.Config, sensorRes float64) ([]sim.Result, error) {
-	scfg := sim.DefaultConfig()
-	scfg.SensorResolutionAmps = sensorRes
-	spec := engine.Spec{System: &scfg}
-	if cfg != nil {
-		c := *cfg
-		spec.Technique = engine.TechniqueTuning
-		spec.Tuning = &c
-	}
-	return runApps(eng, opts, spec, ablationApps)
 }
 
 // integratorWorstError measures the worst deviation error of the given

@@ -6,38 +6,35 @@
 // (technique of [10]), the pipeline-damping sweep of Table 5, the
 // comparison of Figure 5, and the repo's own ablation studies.
 //
-// Every experiment is deterministic. Experiments that simulate the whole
-// SPEC2K suite fan application runs out across a worker pool and join
-// before reporting, so reports are reproducible bit-for-bit.
+// Every experiment is deterministic. Every technique-vs-base comparison
+// (see compare) submits all of its runs as one engine batch, which fans
+// them out across the engine's worker pool and joins before reporting,
+// so reports are reproducible bit-for-bit.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Options tunes how experiments run. The zero value is usable: it selects
-// the paper's Table 1 system, a scaled-down instruction budget, and full
-// parallelism.
+// the paper's Table 1 system, a scaled-down instruction budget, and a
+// private engine.
 type Options struct {
 	// Instructions is the per-application instruction budget. Zero
 	// means 1,000,000 (the paper runs 500M; see EXPERIMENTS.md for the
 	// scaling discussion).
 	Instructions uint64
-	// Parallelism bounds concurrent application simulations; zero means
-	// GOMAXPROCS.
-	Parallelism int
 	// Engine, when non-nil, executes the experiment's simulations,
 	// sharing its worker pool and result cache with every other
 	// experiment run through it (the 26-app baseline suite then
 	// simulates once per process instead of once per table). Nil means
-	// a private engine with Parallelism workers.
+	// a private engine with default options.
 	Engine *engine.Engine
 }
 
@@ -48,21 +45,13 @@ func (o Options) instructions() uint64 {
 	return o.Instructions
 }
 
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
-}
-
 // engine returns the shared engine, or a private one for this
-// experiment. Runners call it once at their top so that at least the
-// experiment's own repeated points (its baseline suite) are cached.
+// experiment.
 func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return engine.New(engine.Options{Parallelism: o.parallelism()})
+	return engine.New(engine.Options{})
 }
 
 // Report is the outcome of one experiment: a human-readable text block
@@ -119,30 +108,45 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, ids)
 }
 
-// runSuite simulates every Table 2 application under the technique
-// configuration carried by spec (App and Instructions are filled in per
-// application), through the engine's worker pool and cache, returning
-// results in Table 2 application order.
-func runSuite(eng *engine.Engine, opts Options, spec engine.Spec) ([]sim.Result, error) {
-	apps := workload.Apps()
-	names := make([]string, len(apps))
-	for i, app := range apps {
-		names[i] = app.Params.Name
-	}
-	return runApps(eng, opts, spec, names)
+// comparison is one technique-vs-base batch: the base configuration's
+// results, each variant's results (both in application order), and each
+// variant's summary against the base — the paper's whole evaluation
+// method, relative slowdown and energy-delay over the uncontrolled
+// machine.
+type comparison struct {
+	base     []sim.Result
+	variants [][]sim.Result
+	sums     []metrics.Summary
 }
 
-// runApps simulates the named applications under the technique
-// configuration carried by spec (App and Instructions are filled in per
-// application), through the engine's worker pool and cache, returning
-// results in the given order.
-func runApps(eng *engine.Engine, opts Options, spec engine.Spec, apps []string) ([]sim.Result, error) {
-	specs := make([]engine.Spec, len(apps))
-	for i, name := range apps {
-		s := spec
-		s.App = name
-		s.Instructions = opts.instructions()
-		specs[i] = s
+// compare runs base and every variant over apps (App and Instructions
+// are filled in per application) as one RunAll: the base configuration
+// first, then each variant, in application order within each. Every
+// application's configurations that share a simulated system therefore
+// share a MachineKey, and the engine packs them into one lockstep group.
+func compare(opts Options, apps []string, base engine.Spec, variants ...engine.Spec) (comparison, error) {
+	specs := make([]engine.Spec, 0, (1+len(variants))*len(apps))
+	for _, cfg := range append([]engine.Spec{base}, variants...) {
+		for _, app := range apps {
+			cfg.App = app
+			cfg.Instructions = opts.instructions()
+			specs = append(specs, cfg)
+		}
 	}
-	return eng.RunAll(context.Background(), specs, nil)
+	all, err := opts.engine().RunAll(context.Background(), specs, nil)
+	if err != nil {
+		return comparison{}, err
+	}
+	n := len(apps)
+	c := comparison{base: all[:n]}
+	for v := range variants {
+		results := all[(v+1)*n : (v+2)*n]
+		rels, err := metrics.Compare(c.base, results)
+		if err != nil {
+			return comparison{}, err
+		}
+		c.variants = append(c.variants, results)
+		c.sums = append(c.sums, metrics.Summarize(rels))
+	}
+	return c, nil
 }

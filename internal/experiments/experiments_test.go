@@ -44,11 +44,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.instructions() != 1_000_000 {
 		t.Errorf("default instructions %d", o.instructions())
 	}
-	if o.parallelism() < 1 {
-		t.Error("default parallelism must be positive")
-	}
-	o = Options{Instructions: 5, Parallelism: 3}
-	if o.instructions() != 5 || o.parallelism() != 3 {
+	o = Options{Instructions: 5}
+	if o.instructions() != 5 {
 		t.Error("explicit options not honoured")
 	}
 }

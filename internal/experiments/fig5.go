@@ -9,7 +9,7 @@ import (
 	"repro/internal/baselines/voltctl"
 	"repro/internal/circuit"
 	"repro/internal/engine"
-	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // Fig5Bar is one design point of the Figure 5 comparison.
@@ -33,11 +33,6 @@ type Fig5Data struct {
 // 0.25 of the threshold. The expected shape: resonance tuning wins,
 // followed by damping, with [10] worst once sensors are realistic.
 func Fig5(opts Options) (Report, error) {
-	eng := opts.engine()
-	base, err := runSuite(eng, opts, engine.Spec{})
-	if err != nil {
-		return Report{}, err
-	}
 	supply := circuit.Table1()
 	window := int(math.Round(supply.ResonantPeriodCycles() / 2))
 
@@ -73,26 +68,21 @@ func Fig5(opts Options) (Report, error) {
 		{"F: damping, δ=0.25×threshold", dampSpec(8), 1.26},
 	}
 
+	variants := make([]engine.Spec, len(points))
+	for i, pt := range points {
+		variants[i] = pt.spec
+	}
+	c, err := compare(opts, workload.Names(), engine.Spec{}, variants...)
+	if err != nil {
+		return Report{}, err
+	}
 	data := &Fig5Data{}
-	for _, pt := range points {
-		results, err := runSuite(eng, opts, pt.spec)
-		if err != nil {
-			return Report{}, err
-		}
-		rels, err := metrics.Compare(base, results)
-		if err != nil {
-			return Report{}, err
-		}
-		sum := metrics.Summarize(rels)
-		tech := "?"
-		if len(results) > 0 {
-			tech = results[0].Technique
-		}
+	for i, pt := range points {
 		data.Bars = append(data.Bars, Fig5Bar{
 			Label:          pt.label,
-			Technique:      tech,
-			AvgEnergyDelay: sum.AvgEnergyDelay,
-			AvgSlowdown:    sum.AvgSlowdown,
+			Technique:      c.variants[i][0].Technique,
+			AvgEnergyDelay: c.sums[i].AvgEnergyDelay,
+			AvgSlowdown:    c.sums[i].AvgSlowdown,
 			PaperED:        pt.paperED,
 		})
 	}

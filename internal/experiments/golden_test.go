@@ -15,11 +15,12 @@ var update = flag.Bool("update", false, "rewrite the golden report files under t
 
 // goldenIDs are the experiments pinned by golden reports: the analytic
 // impedance curve, the full-suite classification, the headline
-// technique comparison, and the two-domain PDN scenario. Together they
-// cover the circuit models, the workload generator, the base machine,
-// all three techniques, and the multi-domain stack — a drift in any of
-// them shows up as a golden diff.
-var goldenIDs = []string{"fig1c", "table2", "fig5", "multidomain"}
+// technique comparison, the two-domain PDN scenario, and the three
+// technique sweeps of Tables 3-5. Together they cover the circuit
+// models, the workload generator, the base machine, all three
+// techniques, and the multi-domain stack — a drift in any of them shows
+// up as a golden diff.
+var goldenIDs = []string{"fig1c", "table2", "fig5", "multidomain", "table3", "table4", "table5"}
 
 // goldenInstructions keeps the harness fast enough for every CI run; the
 // reports differ from the paper-scale ones only in magnitude, not in

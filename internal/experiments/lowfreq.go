@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -79,43 +78,24 @@ func LowFreq(opts Options) (Report, error) {
 	// All three runs go through the cached engine; the row labels are
 	// the experiment's own (the cached Result carries the technique's
 	// canonical name, e.g. "resonance-tuning" for the medium-only row).
-	eng := opts.engine()
-	template := engine.Spec{Workload: &app, System: &cfg, Instructions: opts.instructions()}
-	rows := []struct {
-		label string
-		spec  engine.Spec
-	}{
-		{"base", template},
-		{"medium-only", template},
-		{"dual-band", template},
-	}
-	rows[1].spec.Technique = engine.TechniqueTuning
-	rows[1].spec.Tuning = &mediumCfg
-	rows[2].spec.Technique = engine.TechniqueDualBand
-	rows[2].spec.DualBand = &dualCfg
-
-	specs := make([]engine.Spec, len(rows))
-	for i, r := range rows {
-		specs[i] = r.spec
-	}
-	results, err := eng.RunAll(context.Background(), specs, nil)
+	base := engine.Spec{Workload: &app, System: &cfg}
+	medium := base
+	medium.Technique = engine.TechniqueTuning
+	medium.Tuning = &mediumCfg
+	dual := base
+	dual.Technique = engine.TechniqueDualBand
+	dual.DualBand = &dualCfg
+	c, err := compare(opts, []string{app.Name}, base, medium, dual)
 	if err != nil {
 		return Report{}, err
 	}
-	base := results[0]
-
 	data := &LowFreqData{LowPeak: lowPeak, MediumPeak: medPeak}
-	for i, r := range results {
-		slow := 1.0
-		if base.Cycles > 0 {
-			slow = float64(r.Cycles) / float64(base.Cycles)
-		}
-		data.Rows = append(data.Rows, LowFreqRow{
-			Technique:  rows[i].label,
-			Violations: r.Violations,
-			Slowdown:   slow,
-			Cycles:     r.Cycles,
-		})
+	data.Rows = append(data.Rows, LowFreqRow{Technique: "base",
+		Violations: c.base[0].Violations, Slowdown: 1, Cycles: c.base[0].Cycles})
+	for i, label := range []string{"medium-only", "dual-band"} {
+		r := c.variants[i][0]
+		data.Rows = append(data.Rows, LowFreqRow{Technique: label,
+			Violations: r.Violations, Slowdown: c.sums[i].AvgSlowdown, Cycles: r.Cycles})
 	}
 
 	var b strings.Builder

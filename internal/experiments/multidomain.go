@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/engine"
-	"repro/internal/engine/batchkernel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tuning"
@@ -132,59 +130,36 @@ func MultiDomain(opts Options) (Report, error) {
 	}
 
 	netCfg := circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain, MultiDomain: &pdn}
-	template := engine.Spec{Workload: &app, Instructions: opts.instructions()}
-	rows := []struct {
-		network, technique string
-		spec               engine.Spec
-	}{
-		{"lumped", "base", template},
-		{"multidomain", "base", template},
-		{"multidomain", "domain-tuning", template},
-	}
-	rows[1].spec.PDN = &netCfg
-	rows[2].spec.PDN = &netCfg
-	rows[2].spec.Technique = engine.TechniqueDomainTuning
-	rows[2].spec.DomainTuning = &engine.DomainTuningConfig{Domains: domCfgs}
-
-	eng := opts.engine()
-	specs := make([]engine.Spec, len(rows))
-	for i, r := range rows {
-		specs[i] = r.spec
-	}
-	results, err := eng.RunAll(context.Background(), specs, nil)
+	lumped := engine.Spec{Workload: &app, Instructions: opts.instructions()}
+	multi := lumped
+	multi.PDN = &netCfg
+	tuned := multi
+	tuned.Technique = engine.TechniqueDomainTuning
+	tuned.DomainTuning = &engine.DomainTuningConfig{Domains: domCfgs}
+	c, err := compare(opts, []string{app.Name}, lumped, multi, tuned)
 	if err != nil {
 		return Report{}, err
 	}
-	base := results[0]
-
 	data := &MultiDomainData{Peaks: peaks, PackagePeakHz: pkgPeak.FrequencyHz}
-	for i, r := range results {
-		slow := 1.0
-		if base.Cycles > 0 {
-			slow = float64(r.Cycles) / float64(base.Cycles)
-		}
-		data.Rows = append(data.Rows, MultiDomainRow{
-			Network:    rows[i].network,
-			Technique:  rows[i].technique,
-			Violations: r.Violations,
-			Slowdown:   slow,
-			Cycles:     r.Cycles,
-		})
+	data.Rows = append(data.Rows, MultiDomainRow{Network: "lumped", Technique: "base",
+		Violations: c.base[0].Violations, Slowdown: 1, Cycles: c.base[0].Cycles})
+	for i, tech := range []string{"base", "domain-tuning"} {
+		r := c.variants[i][0]
+		data.Rows = append(data.Rows, MultiDomainRow{Network: "multidomain", Technique: tech,
+			Violations: r.Violations, Slowdown: c.sums[i].AvgSlowdown, Cycles: r.Cycles})
 	}
 
 	// Per-domain detail needs the machine and controller instances, so
-	// the two multi-domain rows run once more outside the cache: the
+	// the two multi-domain rows run once more outside the cache, each on
+	// a machine the engine builds from the row's own spec: the
 	// uncontrolled run's per-rail violation split and the tuned run's
 	// per-controller detection counts, proving each domain detects and
 	// responds on its own rail.
-	cfg := sim.DefaultConfig()
-	cfg.PDN = &netCfg
-	baseStats, _, err := runMultiDirect(cfg, app, opts.instructions(), nil)
+	baseStats, _, err := domainStats(multi)
 	if err != nil {
 		return Report{}, err
 	}
-	tech := sim.NewPerDomainTuning(domCfgs)
-	tunedStats, ctrlStats, err := runMultiDirect(cfg, app, opts.instructions(), tech)
+	tunedStats, ctrlStats, err := domainStats(tuned)
 	if err != nil {
 		return Report{}, err
 	}
@@ -226,25 +201,20 @@ func MultiDomain(opts Options) (Report, error) {
 	return Report{ID: "multidomain", Text: b.String(), Data: data}, nil
 }
 
-// runMultiDirect runs one multi-domain configuration outside the engine
-// cache, as a one-lane kernel group on a machine it keeps, and returns
-// the machine's per-domain statistics, plus the per-domain controller
-// statistics when tech is non-nil.
-func runMultiDirect(cfg sim.Config, app workload.Params, insts uint64, tech *sim.PerDomainTuning) ([]sim.DomainStat, []tuning.Stats, error) {
-	m, err := sim.NewMachine(cfg, workload.SharedTraces().Source(app, insts))
+// domainStats runs spec on a machine of its own, outside the cache, and
+// returns the machine's per-domain statistics plus, under domain-tuning,
+// each domain controller's.
+func domainStats(spec engine.Spec) ([]sim.DomainStat, []tuning.Stats, error) {
+	p, err := engine.Prepare(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	lane := batchkernel.Lane{TechName: "multidomain-direct"}
-	if tech != nil {
-		lane.Tech = tech
-	}
-	if outs, _ := batchkernel.Run(m, app.Name, []batchkernel.Lane{lane}); outs[0].Err != nil {
-		return nil, nil, outs[0].Err
+	if _, err := p.Run(); err != nil {
+		return nil, nil, err
 	}
 	var ctrl []tuning.Stats
-	if tech != nil {
-		ctrl = tech.DomainStats()
+	if t, ok := p.Technique().(*sim.PerDomainTuning); ok {
+		ctrl = t.DomainStats()
 	}
-	return m.DomainStats(), ctrl, nil
+	return p.Machine().DomainStats(), ctrl, nil
 }

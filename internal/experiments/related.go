@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/baselines/convctl"
-	"repro/internal/baselines/voltctl"
-	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 )
@@ -33,54 +31,36 @@ type RelatedData struct {
 // This goes beyond the paper's own evaluation (which covers [10] and
 // [14]) by also implementing the two schemes it discusses qualitatively.
 func Related(opts Options) (Report, error) {
-	eng := opts.engine()
-	base, err := runApps(eng, opts, engine.Spec{}, ablationApps)
-	if err != nil {
-		return Report{}, err
-	}
-	data := &RelatedData{}
-
-	supply := circuit.Table1()
 	// Every technique is an engine Spec: construction, phantom-fire and
 	// mid-level current derivation, the worker pool, and the result
-	// cache are all the engine's.
-	paperCfg := engine.DefaultTuningConfig(100)
-	paperCfg.PhantomTargetAmps = 0 // resolved to the mid current level
-	voltCfg := voltctl.Config{
-		TargetThresholdVolts: 0.020, SensorNoiseVolts: 0.010,
-		SensorDelayCycles: 5, Seed: 777,
-	}
-	dampCfg := engine.DampingConfig{WindowCycles: 50, DeltaAmps: 16, Scale: dampingScale}
-	convPerfect := convctl.Config{Supply: supply}
-	convNoisy := convctl.Config{Supply: supply, EstimateErrorAmps: 10, Seed: 99}
+	// cache are all the engine's. A nil section runs the engine's
+	// default configuration, which for each row is the one compared
+	// here: the paper's tuning configuration, [10] at 20 mV / 10 mV /
+	// 5 cycles, [14] at δ = 0.5 × threshold, and [8] on the simulated
+	// Table 1 supply.
 	techs := []struct {
 		name string
 		spec engine.Spec
 	}{
-		{"resonance tuning (paper)",
-			engine.Spec{Technique: engine.TechniqueTuning, Tuning: &paperCfg}},
-		{"voltage control [10] (20mV/10mV/5cyc)",
-			engine.Spec{Technique: engine.TechniqueVoltageControl, VoltageControl: &voltCfg}},
-		{"pipeline damping [14] (δ=0.5×threshold)",
-			engine.Spec{Technique: engine.TechniqueDamping, Damping: &dampCfg}},
-		{"convolution control [8], perfect estimates",
-			engine.Spec{Technique: engine.TechniqueConvolution, Convolution: &convPerfect}},
-		{"convolution control [8], ±10 A estimate error",
-			engine.Spec{Technique: engine.TechniqueConvolution, Convolution: &convNoisy}},
-		{"wavelet detector [11]-style",
-			engine.Spec{Technique: engine.TechniqueWavelet}},
+		{"resonance tuning (paper)", engine.Spec{Technique: engine.TechniqueTuning}},
+		{"voltage control [10] (20mV/10mV/5cyc)", engine.Spec{Technique: engine.TechniqueVoltageControl}},
+		{"pipeline damping [14] (δ=0.5×threshold)", engine.Spec{Technique: engine.TechniqueDamping}},
+		{"convolution control [8], perfect estimates", engine.Spec{Technique: engine.TechniqueConvolution}},
+		{"convolution control [8], ±10 A estimate error", engine.Spec{Technique: engine.TechniqueConvolution,
+			Convolution: &convctl.Config{EstimateErrorAmps: 10, Seed: 99}}},
+		{"wavelet detector [11]-style", engine.Spec{Technique: engine.TechniqueWavelet}},
 	}
-
-	for _, tc := range techs {
-		results, err := runApps(eng, opts, tc.spec, ablationApps)
-		if err != nil {
-			return Report{}, fmt.Errorf("related: %s: %w", tc.name, err)
-		}
-		rels, err := metrics.Compare(base, results)
-		if err != nil {
-			return Report{}, err
-		}
-		sum := metrics.Summarize(rels)
+	variants := make([]engine.Spec, len(techs))
+	for i, tc := range techs {
+		variants[i] = tc.spec
+	}
+	c, err := compare(opts, ablationApps, engine.Spec{}, variants...)
+	if err != nil {
+		return Report{}, err
+	}
+	data := &RelatedData{}
+	for i, tc := range techs {
+		sum := c.sums[i]
 		data.Rows = append(data.Rows, RelatedRow{
 			Technique:           tc.name,
 			AvgSlowdown:         sum.AvgSlowdown,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -51,12 +50,11 @@ type ScalingData struct {
 // calibration, detector band, and a workload oscillating in its band.
 func Scaling(opts Options) (Report, error) {
 	data := &ScalingData{}
-	eng := opts.engine()
 	for _, k := range []float64{0.5, 1, 2} { // (L,C) → (kL,kC): f0 = 200, 100, 50 MHz
 		supply := circuit.Table1()
 		supply.L *= k
 		supply.C *= k
-		row, err := runScalingPoint(eng, opts, supply)
+		row, err := runScalingPoint(opts, supply)
 		if err != nil {
 			return Report{}, fmt.Errorf("scaling: f0=%.0f MHz: %w", supply.ResonantFrequency()/1e6, err)
 		}
@@ -95,7 +93,7 @@ func Scaling(opts Options) (Report, error) {
 // runScalingPoint calibrates one supply, builds an in-band oscillating
 // workload and the matching tuning configuration, and measures base vs
 // tuned behaviour through the cached engine.
-func runScalingPoint(eng *engine.Engine, opts Options, supply circuit.Params) (ScalingRow, error) {
+func runScalingPoint(opts Options, supply circuit.Params) (ScalingRow, error) {
 	chars, err := supply.Characterize()
 	if err != nil {
 		return ScalingRow{}, err
@@ -167,28 +165,23 @@ func runScalingPoint(eng *engine.Engine, opts Options, supply circuit.Params) (S
 	cfg := sim.DefaultConfig()
 	cfg.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &supply}
 
-	template := engine.Spec{Workload: &app, System: &cfg, Instructions: opts.instructions()}
-	tunedSpec := template
-	tunedSpec.Technique = engine.TechniqueTuning
-	tunedSpec.Tuning = &tcfg
-	results, err := eng.RunAll(context.Background(), []engine.Spec{template, tunedSpec}, nil)
+	base := engine.Spec{Workload: &app, System: &cfg}
+	tuned := base
+	tuned.Technique = engine.TechniqueTuning
+	tuned.Tuning = &tcfg
+	c, err := compare(opts, []string{app.Name}, base, tuned)
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	base, tuned := results[0], results[1]
-	rels, err := metrics.Compare([]sim.Result{base}, []sim.Result{tuned})
-	if err != nil {
-		return ScalingRow{}, err
-	}
-	sum := metrics.Summarize(rels)
+	sum := c.sums[0]
 	return ScalingRow{
 		ResonantFreqMHz:     chars.ResonantFrequencyHz / 1e6,
 		PeriodCycles:        period,
 		QuarterPeriodCycles: int(period / 4),
 		ThresholdAmps:       threshold,
 		Tolerance:           tolerance,
-		BaseViolations:      base.Violations,
-		ViolationsRemaining: tuned.Violations,
+		BaseViolations:      sum.BaseViolations,
+		ViolationsRemaining: sum.TechViolations,
 		Slowdown:            sum.AvgSlowdown,
 		EnergyDelay:         sum.AvgEnergyDelay,
 	}, nil

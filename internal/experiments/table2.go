@@ -33,13 +33,13 @@ type Table2Data struct {
 // of cycles in noise-margin violation on the base (uncontrolled) Table 1
 // processor, classified into violating and non-violating sets.
 func Table2(opts Options) (Report, error) {
-	results, err := runSuite(opts.engine(), opts, engine.Spec{})
+	c, err := compare(opts, workload.Names(), engine.Spec{})
 	if err != nil {
 		return Report{}, err
 	}
 	apps := workload.Apps()
-	data := &Table2Data{Results: results}
-	for i, r := range results {
+	data := &Table2Data{Results: c.base}
+	for i, r := range c.base {
 		app := apps[i]
 		data.Rows = append(data.Rows, Table2Row{
 			App:                r.App,

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -56,45 +54,21 @@ var paperTable3 = []struct {
 // and relative energy-delay against the base machine, plus the paper's
 // 5-cycle-delay sensitivity check (Section 5.2).
 func Table3(opts Options) (Report, error) {
-	eng := opts.engine()
 	type sweep struct{ initial, delay int }
 	sweeps := []sweep{{75, 0}, {100, 0}, {125, 0}, {150, 0}, {200, 0}, {100, 5}}
-
-	// The base suite and all six tuning sweeps go through one RunAll:
-	// each application's seven specs (base + six tuning variants) share a
-	// MachineKey, so the engine's batch path packs them into one lockstep
-	// group per application instead of simulating the stream seven times.
-	apps := workload.Apps()
-	variants := []engine.Spec{{}}
-	cfgs := make([]tuning.Config, len(sweeps))
+	variants := make([]engine.Spec, len(sweeps))
 	for i, sw := range sweeps {
-		cfgs[i] = engine.DefaultTuningConfig(sw.initial)
-		cfgs[i].ResponseDelayCycles = sw.delay
-		variants = append(variants, engine.Spec{Technique: engine.TechniqueTuning, Tuning: &cfgs[i]})
+		cfg := engine.DefaultTuningConfig(sw.initial)
+		cfg.ResponseDelayCycles = sw.delay
+		variants[i] = engine.Spec{Technique: engine.TechniqueTuning, Tuning: &cfg}
 	}
-	specs := make([]engine.Spec, 0, len(variants)*len(apps))
-	for _, v := range variants {
-		for _, app := range apps {
-			s := v
-			s.App = app.Params.Name
-			s.Instructions = opts.instructions()
-			specs = append(specs, s)
-		}
-	}
-	all, err := eng.RunAll(context.Background(), specs, nil)
+	c, err := compare(opts, workload.Names(), engine.Spec{}, variants...)
 	if err != nil {
 		return Report{}, err
 	}
-	base := all[:len(apps)]
-	data := &Table3Data{Base: base}
-
-	for si, sw := range sweeps {
-		results := all[(si+1)*len(apps) : (si+2)*len(apps)]
-		row, err := summarizeTuningRow(base, results, sw.initial, sw.delay)
-		if err != nil {
-			return Report{}, err
-		}
-		data.Rows = append(data.Rows, row)
+	data := &Table3Data{Base: c.base}
+	for i, sw := range sweeps {
+		data.Rows = append(data.Rows, summarizeTuningRow(c.variants[i], c.sums[i], sw.initial, sw.delay))
 	}
 
 	var b strings.Builder
@@ -127,20 +101,15 @@ func Table3(opts Options) (Report, error) {
 	return Report{ID: "table3", Text: b.String(), Data: data}, nil
 }
 
-// summarizeTuningRow condenses one resonance-tuning configuration's
-// suite results into a table row.
-func summarizeTuningRow(base, results []sim.Result, initial, delay int) (Table3Row, error) {
+// summarizeTuningRow condenses one resonance-tuning configuration's suite
+// results and summary into a table row.
+func summarizeTuningRow(results []sim.Result, sum metrics.Summary, initial, delay int) Table3Row {
 	var firstCycles, secondCycles, totalCycles uint64
 	for _, r := range results {
 		firstCycles += r.Tech.FirstLevelCycles
 		secondCycles += r.Tech.SecondLevelCycles
 		totalCycles += r.Tech.ControllerCycles
 	}
-	rels, err := metrics.Compare(base, results)
-	if err != nil {
-		return Table3Row{}, err
-	}
-	sum := metrics.Summarize(rels)
 	row := Table3Row{
 		InitialResponseCycles: initial,
 		DelayCycles:           delay,
@@ -156,5 +125,5 @@ func summarizeTuningRow(base, results []sim.Result, initial, delay int) (Table3R
 		row.FirstLevelFraction = float64(firstCycles) / float64(totalCycles)
 		row.SecondLevelFraction = float64(secondCycles) / float64(totalCycles)
 	}
-	return row, nil
+	return row
 }

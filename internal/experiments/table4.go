@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Table4Row is one configuration of the technique of [10].
@@ -51,13 +52,6 @@ var paperTable4 = []struct {
 // sensors are cheap; realistic noise and delay multiply the number of
 // (mostly unnecessary) responses and the cost.
 func Table4(opts Options) (Report, error) {
-	eng := opts.engine()
-	base, err := runSuite(eng, opts, engine.Spec{})
-	if err != nil {
-		return Report{}, err
-	}
-	data := &Table4Data{Base: base}
-
 	type cfg struct {
 		targetMV, noiseMV float64
 		delay             int
@@ -69,31 +63,32 @@ func Table4(opts Options) (Report, error) {
 		{20, 10, 5},
 		{20, 15, 3},
 	}
-	for _, sw := range sweeps {
+	variants := make([]engine.Spec, len(sweeps))
+	for i, sw := range sweeps {
 		vcfg := voltctl.Config{
 			TargetThresholdVolts: sw.targetMV / 1000,
 			SensorNoiseVolts:     sw.noiseMV / 1000,
 			SensorDelayCycles:    sw.delay,
 			Seed:                 777,
 		}
-		results, err := runSuite(eng, opts, engine.Spec{Technique: engine.TechniqueVoltageControl, VoltageControl: &vcfg})
-		if err != nil {
-			return Report{}, err
-		}
+		variants[i] = engine.Spec{Technique: engine.TechniqueVoltageControl, VoltageControl: &vcfg}
+	}
+	c, err := compare(opts, workload.Names(), engine.Spec{}, variants...)
+	if err != nil {
+		return Report{}, err
+	}
+	data := &Table4Data{Base: c.base}
+	for i, sw := range sweeps {
 		var respCycles, totalCycles uint64
-		for _, r := range results {
+		for _, r := range c.variants[i] {
 			respCycles += r.Tech.ResponseCycles
 			totalCycles += r.Tech.ControllerCycles
 		}
-		rels, err := metrics.Compare(base, results)
-		if err != nil {
-			return Report{}, err
-		}
-		sum := metrics.Summarize(rels)
+		sum := c.sums[i]
 		row := Table4Row{
 			TargetThresholdMV:   sw.targetMV,
 			NoiseMVPeakToPeak:   sw.noiseMV,
-			ActualThresholdMV:   vcfg.ActualThresholdVolts() * 1000,
+			ActualThresholdMV:   variants[i].VoltageControl.ActualThresholdVolts() * 1000,
 			DelayCycles:         sw.delay,
 			WorstSlowdown:       sum.WorstSlowdown,
 			WorstApp:            sum.WorstApp,

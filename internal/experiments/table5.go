@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Table5Row is one pipeline-damping configuration.
@@ -45,35 +46,30 @@ var paperTable5 = []struct {
 // cover the whole resonance band rather than just the resonant frequency
 // costs increasing performance and energy.
 func Table5(opts Options) (Report, error) {
-	eng := opts.engine()
-	base, err := runSuite(eng, opts, engine.Spec{})
-	if err != nil {
-		return Report{}, err
-	}
-	data := &Table5Data{Base: base}
-
 	supply := circuit.Table1()
 	window := int(math.Round(supply.ResonantPeriodCycles() / 2))
 	const thresholdAmps = 32.0
 
-	for _, rel := range []float64{1, 0.5, 0.25} {
+	deltas := []float64{1, 0.5, 0.25}
+	variants := make([]engine.Spec, len(deltas))
+	for i, rel := range deltas {
 		dcfg := damping.Config{
 			WindowCycles: window,
 			DeltaAmps:    thresholdAmps * rel,
 			Scale:        dampingScale,
 		}
-		results, err := runSuite(eng, opts, engine.Spec{Technique: engine.TechniqueDamping, Damping: &dcfg})
-		if err != nil {
-			return Report{}, err
-		}
-		rels, err := metrics.Compare(base, results)
-		if err != nil {
-			return Report{}, err
-		}
-		sum := metrics.Summarize(rels)
+		variants[i] = engine.Spec{Technique: engine.TechniqueDamping, Damping: &dcfg}
+	}
+	c, err := compare(opts, workload.Names(), engine.Spec{}, variants...)
+	if err != nil {
+		return Report{}, err
+	}
+	data := &Table5Data{Base: c.base}
+	for i, rel := range deltas {
+		sum := c.sums[i]
 		data.Rows = append(data.Rows, Table5Row{
 			DeltaRelative:  rel,
-			DeltaAmps:      dcfg.DeltaAmps,
+			DeltaAmps:      variants[i].Damping.DeltaAmps,
 			WorstSlowdown:  sum.WorstSlowdown,
 			WorstApp:       sum.WorstApp,
 			AvgSlowdown:    sum.AvgSlowdown,

@@ -25,7 +25,8 @@ import (
 // DefaultMaxSpecs bounds the grid size of one request.
 const DefaultMaxSpecs = 4096
 
-// DefaultMaxBodyBytes bounds the request body size.
+// DefaultMaxBodyBytes bounds the request body size; a larger body is
+// answered 413.
 const DefaultMaxBodyBytes = 32 << 20
 
 // Options configures a Server.
@@ -35,8 +36,6 @@ type Options struct {
 	// MaxSpecs bounds the number of specs in one grid request;
 	// 0 means DefaultMaxSpecs.
 	MaxSpecs int
-	// MaxBodyBytes bounds the request body; 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 }
 
 // Server serves the engine over HTTP. Create with New, mount with
@@ -45,7 +44,6 @@ type Options struct {
 type Server struct {
 	eng      *engine.Engine
 	maxSpecs int
-	maxBody  int64
 	metrics  *metricsSet
 }
 
@@ -58,14 +56,9 @@ func New(o Options) *Server {
 	if maxSpecs <= 0 {
 		maxSpecs = DefaultMaxSpecs
 	}
-	maxBody := o.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
 	return &Server{
 		eng:      o.Engine,
 		maxSpecs: maxSpecs,
-		maxBody:  maxBody,
 		metrics:  newMetricsSet("/v1/run", "/metrics", "/healthz"),
 	}
 }
@@ -185,10 +178,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "run is POST only")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req RunRequest
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -265,6 +265,8 @@ func TestRequestValidation(t *testing.T) {
 		{"sensor domain out of range", `{"spec":{"app":"swim","pdn":{"Kind":"multidomain"},"system":{"SensorDomain":7}}}`, http.StatusBadRequest, "sensor domain"},
 		{"unknown app in grid", `{"specs":[{"app":"swim"},{"app":"no-such-app"}]}`, http.StatusBadRequest, "spec 1"},
 		{"grid over limit", `{"specs":[{"app":"swim"},{"app":"lucas"},{"app":"art"}]}`, http.StatusRequestEntityTooLarge, "2-spec limit"},
+		{"body over limit", `{"spec":{"app":"` + strings.Repeat("x", DefaultMaxBodyBytes+1-len(`{"spec":{"app":""}}`)) + `"}}`,
+			http.StatusRequestEntityTooLarge, fmt.Sprintf("%d-byte limit", DefaultMaxBodyBytes)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
