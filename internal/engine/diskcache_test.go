@@ -5,8 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/circuit"
+	"repro/internal/sim"
 )
 
 func diskSpecs() []Spec {
@@ -105,17 +109,25 @@ func TestDiskCacheIgnoresErrors(t *testing.T) {
 		t.Errorf("failed run persisted to disk: %v", files)
 	}
 
-	// A file where the cache dir should be: stores fail, runs succeed.
+	if st := e.CacheStats(); st.DiskWriteErrors != 0 {
+		t.Errorf("a failed run counted %d disk write errors, want 0", st.DiskWriteErrors)
+	}
+
+	// A file where the cache dir, or its parent, should be: stores fail
+	// and are counted, runs succeed. (Permission bits would not do: the
+	// suite may run as root.)
 	blocked := filepath.Join(t.TempDir(), "blocked")
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e2 := New(Options{DiskCacheDir: blocked})
-	if _, err := e2.Run(context.Background(), Spec{App: "swim", Instructions: 10_000}); err != nil {
-		t.Fatalf("unwritable cache dir broke the run: %v", err)
-	}
-	if st := e2.CacheStats(); st.DiskWrites != 0 || st.Misses != 1 {
-		t.Errorf("stats with unwritable dir = %+v, want 1 miss, 0 writes", st)
+	for _, dir := range []string{blocked, filepath.Join(blocked, "cache")} {
+		e2 := New(Options{DiskCacheDir: dir})
+		if _, err := e2.Run(context.Background(), Spec{App: "swim", Instructions: 10_000}); err != nil {
+			t.Fatalf("unwritable cache dir %s broke the run: %v", dir, err)
+		}
+		if st := e2.CacheStats(); st.DiskWrites != 0 || st.DiskWriteErrors != 1 || st.Misses != 1 {
+			t.Errorf("stats with unwritable dir %s = %+v, want 1 miss, 0 writes, 1 write error", dir, st)
+		}
 	}
 }
 
@@ -203,5 +215,85 @@ func TestErroredEntryEvicted(t *testing.T) {
 		if st.Misses != uint64(i) {
 			t.Fatalf("attempt %d: misses = %d, want %d (each retry must re-execute)", i, st.Misses, st.Misses)
 		}
+	}
+}
+
+// TestWarmBatchAtFullWidth: a warm RunAll keys and probes on every
+// worker and still serves each spec exactly once from the right tier,
+// with one progress call per index and the cold pass's results; a spec
+// that cannot be keyed fails the batch with the same error as before
+// those phases ran in parallel.
+func TestWarmBatchAtFullWidth(t *testing.T) {
+	var distinct []Spec
+	for _, app := range []string{"swim", "gzip", "lucas", "parser", "art"} {
+		for _, kind := range circuit.NetworkKinds() {
+			for _, tech := range Kinds() {
+				s := Spec{App: app, Instructions: 2_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}}
+				if s.Validate() == nil {
+					distinct = append(distinct, s)
+				}
+			}
+		}
+	}
+	if len(distinct) < 100 {
+		t.Fatalf("%d distinct specs, want at least 100", len(distinct))
+	}
+	dir := t.TempDir()
+	cold := New(Options{Parallelism: 4, DiskCacheDir: dir})
+	want, err := cold.RunAll(context.Background(), distinct, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every seventh spec again, as a duplicate later in the batch.
+	specs := append([]Spec(nil), distinct...)
+	wantAt := append([]sim.Result(nil), want...)
+	for i := 0; i < len(distinct); i += 7 {
+		specs = append(specs, distinct[i])
+		wantAt = append(wantAt, want[i])
+	}
+	dups := len(specs) - len(distinct)
+
+	e := New(Options{Parallelism: 4, DiskCacheDir: dir})
+	if _, err := e.Run(context.Background(), distinct[3]); err != nil { // now a memory hit
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := make([]int, len(specs))
+	got, err := e.RunAll(context.Background(), specs, func(i int, res sim.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[i]++
+		if res != wantAt[i] {
+			t.Errorf("progress for spec %d carries another result", i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if calls[i] != 1 {
+			t.Errorf("spec %d: %d progress calls, want 1", i, calls[i])
+		}
+		if got[i] != wantAt[i] {
+			t.Errorf("spec %d: warm result differs from the cold pass", i)
+		}
+	}
+	st := e.CacheStats()
+	if st.Misses != 0 || st.DiskHits != uint64(len(distinct)) || st.Hits != uint64(dups+1) || st.DiskWrites != 0 {
+		t.Errorf("warm stats %+v, want 0 misses, %d disk hits (one before the batch), %d memory hits", st, len(distinct), dups+1)
+	}
+
+	// The same batch with an unknown technique in it, on a fresh engine.
+	bad := append(append([]Spec(nil), specs[:7]...), Spec{App: "swim", Technique: "warp"})
+	bad = append(bad, specs[7:]...)
+	e2 := New(Options{Parallelism: 4, DiskCacheDir: dir})
+	_, err = e2.RunAll(context.Background(), bad, nil)
+	const wantErr = `engine: spec 7 (app=swim, technique=warp): engine: unknown technique "warp" (registered kinds: [base tuning voltctl damping convctl wavelet dual-band domain-tuning])`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("batch with an unknown technique: error %v, want %s", err, wantErr)
+	}
+	if st := e2.CacheStats(); st.Misses != 0 || st.DiskHits != uint64(len(distinct)) || st.Hits != uint64(dups) {
+		t.Errorf("stats after the failed batch %+v, want 0 misses, %d disk hits, %d memory hits", st, len(distinct), dups)
 	}
 }

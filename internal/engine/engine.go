@@ -54,6 +54,7 @@ type Engine struct {
 	diskHits      uint64
 	misses        uint64
 	diskWrites    uint64
+	diskWriteErrs uint64
 	diskGCRemoved uint64
 
 	// Instantaneous load accounting (see Load): simulations occupying a
@@ -105,8 +106,10 @@ type CacheStats struct {
 	// entry; DiskHits counts runs served from the persistent tier;
 	// Misses counts simulations actually executed.
 	Hits, DiskHits, Misses uint64
-	// DiskWrites counts results persisted to the disk tier.
-	DiskWrites uint64
+	// DiskWrites counts results persisted to the disk tier;
+	// DiskWriteErrors counts results the tier failed to persist (an
+	// unwritable or full directory), which stay served from memory.
+	DiskWrites, DiskWriteErrors uint64
 	// DiskGCRemoved counts stale disk-tier files (old schema versions,
 	// corrupt entries, abandoned temp files) deleted by the
 	// construction-time sweep Options.DiskCacheGC enables.
@@ -147,6 +150,7 @@ func (e *Engine) CacheStats() CacheStats {
 		DiskHits:        e.diskHits,
 		Misses:          e.misses,
 		DiskWrites:      e.diskWrites,
+		DiskWriteErrors: e.diskWriteErrs,
 		DiskGCRemoved:   e.diskGCRemoved,
 		Entries:         len(e.entries),
 		LanesForked:     e.lanesForked,
@@ -250,11 +254,15 @@ func (e *Engine) fromDisk(c claim) (sim.Result, bool) {
 // vacant slot for a traced spec — or, on failure, evicts the owned entry
 // so a later identical spec retries instead of replaying the error.
 func (e *Engine) settle(c claim, res sim.Result, err error) {
-	stored := err == nil && e.disk != nil && e.disk.store(c.key, res)
+	persist := err == nil && e.disk != nil
+	stored := persist && e.disk.store(c.key, res)
 	e.mu.Lock()
 	e.misses++
-	if stored {
+	switch {
+	case stored:
 		e.diskWrites++
+	case persist:
+		e.diskWriteErrs++
 	}
 	switch {
 	case c.en == nil && err == nil:
@@ -344,11 +352,9 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 // cancels the remaining queue and is returned annotated with the failing
 // spec.
 func (e *Engine) RunAll(ctx context.Context, specs []Spec, progress func(i int, res sim.Result)) ([]sim.Result, error) {
-	labels := make([]string, len(specs))
-	for i, s := range specs {
-		labels[i] = fmt.Sprintf("spec %d (app=%s, technique=%s)", i, s.App, s.Technique)
-	}
-	return e.runBatch(ctx, specs, labels, progress)
+	return e.runBatch(ctx, specs, func(i int) string {
+		return fmt.Sprintf("spec %d (app=%s, technique=%s)", i, specs[i].App, specs[i].Technique)
+	}, progress)
 }
 
 // Point is one grid coordinate: a spec plus the label used to identify
@@ -363,15 +369,42 @@ type Point struct {
 // coordinates of the point that failed).
 func (e *Engine) Grid(ctx context.Context, points []Point, progress func(i int, res sim.Result)) ([]sim.Result, error) {
 	specs := make([]Spec, len(points))
-	labels := make([]string, len(points))
 	for i, p := range points {
 		specs[i] = p.Spec
-		labels[i] = p.Label
 	}
-	return e.runBatch(ctx, specs, labels, progress)
+	return e.runBatch(ctx, specs, func(i int) string { return points[i].Label }, progress)
 }
 
-func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string, progress func(int, sim.Result)) ([]sim.Result, error) {
+// forEach calls f(0), …, f(n-1) on min(n, parallelism) goroutines, the
+// caller's among them, and returns once every call has. It serves the
+// batch's cache-service phases, which take no worker slot: keying and
+// disk probes are cheap next to a simulation, and holding slots for
+// them would stall other batches' simulations instead.
+func (e *Engine) forEach(n int, f func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(n, e.parallelism); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// runBatch serves a batch; label(i) names spec i in the returned error.
+func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int) string, progress func(int, sim.Result)) ([]sim.Result, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
@@ -394,11 +427,11 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 		}
 	}
 
-	// Claim: key every spec, then claim every untraced spec's
-	// memory-tier entry in one critical section, so the packer below sees
-	// the whole set of specs this batch must simulate. Specs already in
-	// flight (or cached) elsewhere become waiters; traced specs claim
-	// nothing (see claim).
+	// Claim: key every spec on every worker, then claim every untraced
+	// spec's memory-tier entry in one critical section, so the packer
+	// below sees the whole set of specs this batch must simulate. Specs
+	// already in flight (or cached) elsewhere become waiters; traced
+	// specs claim nothing (see claim).
 	type waiter struct {
 		i  int
 		en *entry
@@ -406,13 +439,13 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 	var waits []waiter
 	var toRun []int
 	claims := make([]claim, len(specs))
-	for i := range specs {
+	e.forEach(len(specs), func(i int) {
 		k, err := specs[i].Key()
 		if err != nil {
 			fail(i, err)
 		}
 		claims[i].key = k
-	}
+	})
 	e.mu.Lock()
 	for i := range specs {
 		if errs[i] != nil {
@@ -430,18 +463,27 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 	}
 	e.mu.Unlock()
 
-	// Disk probe: owned specs may be served from the persistent tier
-	// without simulating.
-	n := 0
-	for _, i := range toRun {
-		if res, ok := e.fromDisk(claims[i]); ok {
-			succeed(i, res)
-			continue
+	// Disk probe, on every worker: owned specs may be served from the
+	// persistent tier without simulating. The misses stay in caller
+	// order for the packer.
+	if e.disk != nil {
+		served := make([]bool, len(toRun))
+		e.forEach(len(toRun), func(k int) {
+			i := toRun[k]
+			if res, ok := e.fromDisk(claims[i]); ok {
+				served[k] = true
+				succeed(i, res)
+			}
+		})
+		n := 0
+		for k, i := range toRun {
+			if !served[k] {
+				toRun[n] = i
+				n++
+			}
 		}
-		toRun[n] = i
-		n++
+		toRun = toRun[:n]
 	}
-	toRun = toRun[:n]
 
 	// Pack: group the remaining work by machine key so compatible specs
 	// share one lockstep kernel run.
@@ -567,7 +609,7 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 			canceled = err
 			continue
 		}
-		return nil, fmt.Errorf("engine: %s: %w", labels[i], err)
+		return nil, fmt.Errorf("engine: %s: %w", label(i), err)
 	}
 	if err := parent.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/baselines/convctl"
@@ -178,6 +179,17 @@ func FuzzSpecKey(f *testing.F) {
 		if (ka == kb) != bytes.Equal(ca, cb) {
 			t.Errorf("hash/encoding disagreement:\nspec A %+v\nspec B %+v\nkeys equal %v, encodings equal %v",
 				a, b, ka == kb, bytes.Equal(ca, cb))
+		}
+
+		// ValidKey is Validate then Key, from one normalization.
+		for _, s := range []struct {
+			spec Spec
+			key  Key
+		}{{a, ka}, {b, kb}} {
+			vk, verr := s.spec.ValidKey()
+			if werr := s.spec.Validate(); fmt.Sprint(verr) != fmt.Sprint(werr) || (verr == nil && vk != s.key) {
+				t.Errorf("ValidKey = %v, %v; Validate = %v, Key = %v\nspec %+v", vk, verr, werr, s.key, s.spec)
+			}
 		}
 
 		// Re-hashing is stable, and copying the spec by value (fresh

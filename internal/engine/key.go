@@ -42,7 +42,16 @@ func ParseKey(s string) (Key, error) {
 // of the identity: a traced run computes the same Result as an untraced
 // one.
 func (s Spec) Key() (Key, error) {
-	enc, err := s.Canonical()
+	n, _, err := s.normalized()
+	if err != nil {
+		return Key{}, err
+	}
+	return n.key()
+}
+
+// key is Key on a normalized spec.
+func (n *Spec) key() (Key, error) {
+	enc, err := n.canonical()
 	if err != nil {
 		return Key{}, err
 	}
@@ -60,8 +69,13 @@ func (s Spec) Canonical() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.canonical()
+}
+
+// canonical is Canonical on a normalized spec.
+func (n *Spec) canonical() ([]byte, error) {
 	var buf bytes.Buffer
-	v := reflect.ValueOf(n)
+	v := reflect.ValueOf(*n)
 	for i := 0; i < v.NumField(); i++ {
 		if name := v.Type().Field(i).Name; name == "PDN" || name == "Trace" {
 			continue

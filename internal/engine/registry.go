@@ -8,8 +8,11 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 
 	"repro/internal/baselines/convctl"
 	"repro/internal/baselines/wavelet"
@@ -197,12 +200,7 @@ func init() {
 			if cc.Supply == (circuit.Params{}) {
 				cc.Supply = convolutionSupply(n.System)
 			}
-			// Resolve threshold/horizon/taps so explicit defaults and
-			// implied ones share one cache key; an unusable config is
-			// kept raw and surfaces from Validate at Execute time.
-			if resolved, err := cc.WithDefaults(); err == nil {
-				cc = resolved
-			}
+			cc = convolutionDefaults.get(cc)
 			n.Convolution = &cc
 		},
 		Validate: func(n *Spec) error { return n.Convolution.Validate() },
@@ -241,7 +239,7 @@ func init() {
 			if orig.DualBand != nil {
 				db = *orig.DualBand
 			} else {
-				db = DefaultDualBandConfig(dualBandSupply(n.System))
+				db = dualBandDefaults.get(dualBandSupply(n.System))
 			}
 			if db.DecimationFactor == 0 {
 				db.DecimationFactor = DefaultDualBandDecimation
@@ -250,7 +248,7 @@ func init() {
 				db.Medium = DefaultTuningConfig(100)
 			}
 			if db.Low == (tuning.Config{}) {
-				db.Low = DefaultDualBandConfig(dualBandSupply(n.System)).Low
+				db.Low = dualBandDefaults.get(dualBandSupply(n.System)).Low
 			}
 			if db.Medium.PhantomTargetAmps == 0 {
 				db.Medium.PhantomTargetAmps = env.MidAmps
@@ -319,6 +317,69 @@ func init() {
 		},
 	})
 }
+
+// derivedCap bounds each derivedTable. A process sees few distinct
+// inputs (specs on one network that leave the section to its defaults
+// share one), so a full table means a stream of ever-new supplies or
+// sections, each paying its own derivation as it would without a table.
+const derivedCap = 64
+
+// derivedTable memoizes a pure, expensive default derivation — the
+// convolution predictor's tap count simulates an impulse response,
+// DefaultDualBandConfig runs two impedance sweeps — that every Key and
+// Validate of a spec relying on it would otherwise repeat. Entries are
+// keyed by the canonical encoding of the derivation's input, its exact
+// float bits, so −0 and +0 or two NaN payloads never share an entry and
+// a lookup returns exactly what a direct call would: like a sync.Pool,
+// the package-level tables are invisible to callers. A full table drops
+// an arbitrary entry to make room. The derived values hold no pointers,
+// so a returned copy is the caller's own.
+type derivedTable[In, Out any] struct {
+	derive func(In) Out
+	mu     sync.Mutex
+	m      map[string]Out
+}
+
+func (t *derivedTable[In, Out]) get(in In) Out {
+	var buf bytes.Buffer
+	if err := encodeValue(&buf, reflect.ValueOf(in)); err != nil {
+		panic(err) // the inputs are structs of scalars, which always encode
+	}
+	k := buf.String()
+	t.mu.Lock()
+	out, ok := t.m[k]
+	t.mu.Unlock()
+	if ok {
+		return out
+	}
+	out = t.derive(in)
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[string]Out, derivedCap)
+	}
+	if len(t.m) >= derivedCap {
+		for old := range t.m {
+			delete(t.m, old)
+			break
+		}
+	}
+	t.m[k] = out
+	t.mu.Unlock()
+	return out
+}
+
+var (
+	// convolutionDefaults resolves threshold, horizon and taps so explicit
+	// defaults and implied ones share one cache key; an unusable config
+	// is kept raw and surfaces from Validate at Execute time.
+	convolutionDefaults = derivedTable[convctl.Config, convctl.Config]{derive: func(cc convctl.Config) convctl.Config {
+		if resolved, err := cc.WithDefaults(); err == nil {
+			return resolved
+		}
+		return cc
+	}}
+	dualBandDefaults = derivedTable[circuit.TwoStageParams, DualBandConfig]{derive: DefaultDualBandConfig}
+)
 
 // convolutionSupply picks the lumped supply the convolution predictor's
 // impulse response defaults to: the spec's own network when it is the

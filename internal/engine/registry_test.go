@@ -1,12 +1,20 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/baselines/convctl"
+	"repro/internal/circuit"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -140,4 +148,179 @@ func TestRegistryCompleteness(t *testing.T) {
 		t.Errorf("internal/sim/techniques.go defines %d adapters (%s) but the registry has %d constructors — register a descriptor for the new technique",
 			len(adapters), strings.Join(adapters, ", "), constructors)
 	}
+}
+
+// TestDerivedDefaultsExact: a convctl or dual-band spec normalizes to
+// exactly the section, and the Key, that a direct call of the default
+// derivation gives — whether its lookup fills the derived-defaults table
+// or hits it, and from concurrent goroutines. The supplies cover every
+// network kind plus seeded random ones, more than a table holds, with
+// −0, zero and NaN-payload fields; −0 must not alias +0, nor one NaN
+// payload another.
+func TestDerivedDefaultsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	jitter := func(v float64, nan bool) float64 {
+		switch r.Intn(30) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			if nan {
+				return math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(r.Int63n(1<<51)))
+			}
+		}
+		return v * (0.5 + r.Float64())
+	}
+	var specs []Spec
+	for _, kind := range circuit.NetworkKinds() {
+		for _, tech := range []TechniqueKind{TechniqueConvolution, TechniqueDualBand} {
+			specs = append(specs, Spec{App: "swim", Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}})
+		}
+	}
+	for i := 0; i < 4*derivedCap; i++ {
+		l, ts := circuit.Table1(), circuit.Table1TwoStage()
+		// A NaN L, C or ClockHz passes Params.Validate but makes the tap
+		// derivation size its impulse response from a NaN period, which
+		// panics; such supplies are left out.
+		for _, f := range []*float64{&l.R, &l.Vdd, &l.NoiseMargin, &l.IMax, &l.IMin} {
+			*f = jitter(*f, true)
+		}
+		for _, f := range []*float64{&l.L, &l.C, &l.ClockHz} {
+			*f = jitter(*f, false)
+		}
+		for _, f := range []*float64{&ts.R1, &ts.L1, &ts.C1, &ts.R2, &ts.L2, &ts.C2, &ts.Vdd, &ts.NoiseMargin, &ts.ClockHz, &ts.IMax, &ts.IMin} {
+			*f = jitter(*f, true)
+		}
+		specs = append(specs,
+			Spec{App: "swim", Technique: TechniqueConvolution, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &l}},
+			Spec{App: "swim", Technique: TechniqueDualBand, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &ts}})
+	}
+	// Usable supplies differing from Table 1 only in the sign of a zero
+	// field, and in one NaN payload.
+	for _, bits := range []uint64{0, 1 << 63} {
+		l, ts := circuit.Table1(), circuit.Table1TwoStage()
+		l.IMin, ts.IMin = math.Float64frombits(bits), math.Float64frombits(bits)
+		specs = append(specs,
+			Spec{App: "swim", Technique: TechniqueConvolution, PDN: &circuit.NetworkConfig{Lumped: &l}},
+			Spec{App: "swim", Technique: TechniqueDualBand, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &ts}})
+	}
+	for _, payload := range []uint64{1, 2} {
+		l, ts := circuit.Table1(), circuit.Table1TwoStage()
+		l.Vdd, ts.Vdd = math.Float64frombits(0x7ff8_0000_0000_0000|payload), math.Float64frombits(0x7ff8_0000_0000_0000|payload)
+		specs = append(specs,
+			Spec{App: "swim", Technique: TechniqueConvolution, PDN: &circuit.NetworkConfig{Lumped: &l}},
+			Spec{App: "swim", Technique: TechniqueDualBand, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &ts}})
+	}
+
+	encode := func(v any) string {
+		var buf bytes.Buffer
+		if err := encodeValue(&buf, reflect.ValueOf(v)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	// want is the direct derivation: the normalized spec with its section
+	// built without the tables, and that spec's key.
+	type want struct {
+		section string
+		key     Key
+	}
+	wants := make([]want, len(specs))
+	for i, s := range specs {
+		n := mustNormalize(s)
+		switch s.Technique {
+		case TechniqueConvolution:
+			cc := convctl.Config{Supply: convolutionSupply(n.System)}
+			if resolved, err := cc.WithDefaults(); err == nil {
+				cc = resolved
+			}
+			n.Convolution = &cc
+			wants[i].section = encode(cc)
+		case TechniqueDualBand:
+			db := DefaultDualBandConfig(dualBandSupply(n.System))
+			n.DualBand = &db
+			wants[i].section = encode(db)
+		}
+		k, err := n.key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i].key = k
+	}
+	check := func(i int) error {
+		n := mustNormalize(specs[i])
+		var section string
+		if n.Convolution != nil {
+			section = encode(*n.Convolution)
+		} else {
+			section = encode(*n.DualBand)
+		}
+		k, err := specs[i].Key()
+		if err != nil {
+			return err
+		}
+		if section != wants[i].section || k != wants[i].key {
+			return fmt.Errorf("spec %d (%s on %+v): section or key differs from the direct derivation", i, specs[i].Technique, *specs[i].PDN)
+		}
+		return nil
+	}
+
+	distinct := map[string]bool{}
+	for _, s := range specs {
+		n := mustNormalize(s)
+		if s.Technique == TechniqueDualBand {
+			distinct[encode(dualBandSupply(n.System))] = true
+		}
+	}
+	if len(distinct) <= derivedCap {
+		t.Fatalf("%d distinct dual-band supplies, want more than the %d a table holds", len(distinct), derivedCap)
+	}
+	// The twins' convctl sections differ only in those bits, so a table
+	// aliasing them fails check.
+	if wants[len(wants)-8].section == wants[len(wants)-6].section || wants[len(wants)-4].section == wants[len(wants)-2].section {
+		t.Fatal("a −0 or NaN-payload supply derives the section of its twin")
+	}
+
+	for _, tbl := range []interface{ reset() }{&convolutionDefaults, &dualBandDefaults} {
+		tbl.reset()
+	}
+	for i := range specs {
+		// The first lookup may fill the table, the second hits it.
+		for pass := 0; pass < 2; pass++ {
+			if err := check(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(specs)) {
+				if err := check(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, m := convolutionDefaults.len(), dualBandDefaults.len(); n > derivedCap || m > derivedCap {
+		t.Errorf("tables hold %d and %d entries, bound %d", n, m, derivedCap)
+	}
+}
+
+// reset empties the table, so the next lookups fill it.
+func (t *derivedTable[In, Out]) reset() {
+	t.mu.Lock()
+	t.m = nil
+	t.mu.Unlock()
+}
+
+func (t *derivedTable[In, Out]) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
 }

@@ -294,6 +294,26 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
+	return n.validate(desc)
+}
+
+// ValidKey is Validate followed by Key from one normalization: the
+// spec's content address, or the error Validate would report. A serving
+// front-end that checks each incoming spec and reports its key calls
+// this once instead of resolving the spec's defaults twice.
+func (s Spec) ValidKey() (Key, error) {
+	n, desc, err := s.normalized()
+	if err != nil {
+		return Key{}, err
+	}
+	if err := n.validate(desc); err != nil {
+		return Key{}, err
+	}
+	return n.key()
+}
+
+// validate is Validate on a normalized spec and its descriptor.
+func (n *Spec) validate(desc *Descriptor) error {
 	if _, err := n.workloadParams(); err != nil {
 		return err
 	}
@@ -304,7 +324,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
 	}
 	if desc.Validate != nil {
-		if err := desc.Validate(&n); err != nil {
+		if err := desc.Validate(n); err != nil {
 			return err
 		}
 	}

@@ -95,6 +95,9 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "resonanced_sim_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_writes_total counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_writes_total %d\n", cs.DiskWrites)
+	fmt.Fprintf(w, "# HELP resonanced_cache_disk_write_errors_total Results the disk tier failed to persist.\n")
+	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_write_errors_total counter\n")
+	fmt.Fprintf(w, "resonanced_cache_disk_write_errors_total %d\n", cs.DiskWriteErrors)
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_gc_removed counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_gc_removed %d\n", cs.DiskGCRemoved)
 	fmt.Fprintf(w, "# HELP resonanced_cache_entries Distinct specs resident in the memory tier.\n")

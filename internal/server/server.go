@@ -208,16 +208,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Validate and key everything up front: the registry's
-	// Normalize/Validate path plus application resolution, so
-	// configuration mistakes are client errors, not failed batches.
+	// Validate and key everything up front, one normalization per spec:
+	// the registry's Normalize/Validate path plus application
+	// resolution, so configuration mistakes are client errors, not
+	// failed batches.
 	keys := make([]engine.Key, len(specs))
 	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "spec %d: %v", i, err)
-			return
-		}
-		k, err := specs[i].Key()
+		k, err := specs[i].ValidKey()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return

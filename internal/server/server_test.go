@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -370,7 +372,12 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 // TestMetricsEndpoint: the scrape reflects the engine's cache counters
 // and the server's own traffic in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
-	eng := engine.New(engine.Options{Parallelism: 2})
+	// A cache directory under a regular file: every disk-tier write fails.
+	blocked := filepath.Join(t.TempDir(), "blocked")
+	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Parallelism: 2, DiskCacheDir: filepath.Join(blocked, "cache")})
 	_, ts := newTestServer(t, Options{Engine: eng})
 
 	postRun(t, ts.URL, `{"spec":{"app":"swim","instructions":30000}}`)
@@ -395,6 +402,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"resonanced_sim_misses_total 1\n",
 		"resonanced_cache_hits_total{tier=\"mem\"} 1\n",
 		"resonanced_cache_entries 1\n",
+		"resonanced_cache_disk_writes_total 0\n",
+		"resonanced_cache_disk_write_errors_total 1\n",
 		"resonanced_engine_inflight 0\n",
 		"resonanced_engine_queue_depth 0\n",
 		"resonanced_batch_lanes_forked_total 0\n",
