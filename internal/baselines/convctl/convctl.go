@@ -81,7 +81,11 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("convctl: horizon must be ≥ 1 (got %d)", c.Horizon)
 	}
 	if c.Taps == 0 {
-		c.Taps = deriveTaps(c.Supply)
+		taps, err := deriveTaps(c.Supply)
+		if err != nil {
+			return c, err
+		}
+		c.Taps = taps
 	}
 	if c.Taps < 8 {
 		return c, fmt.Errorf("convctl: too few taps (%d)", c.Taps)
@@ -92,10 +96,20 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// maxImpulseCycles bounds the impulse response deriveTaps simulates,
+// eight resonant periods of the supply (about 800 cycles for Table 1).
+// A clock many orders of magnitude above the resonance would otherwise
+// ask for gigabytes, or for a length past the int range.
+const maxImpulseCycles = 1 << 20
+
 // deriveTaps finds how many cycles the deviation impulse response needs
 // before it decays below 1% of its peak.
-func deriveTaps(p circuit.Params) int {
-	h := ImpulseResponse(p, int(8*p.ResonantPeriodCycles()))
+func deriveTaps(p circuit.Params) (int, error) {
+	n := 8 * p.ResonantPeriodCycles()
+	if !(n >= 1 && n <= maxImpulseCycles) {
+		return 0, fmt.Errorf("convctl: deriving taps needs an impulse response of %g cycles, outside [1, %d]", n, maxImpulseCycles)
+	}
+	h := ImpulseResponse(p, int(n))
 	peak := 0.0
 	for _, v := range h {
 		if a := math.Abs(v); a > peak {
@@ -109,7 +123,7 @@ func deriveTaps(p circuit.Params) int {
 		}
 		last--
 	}
-	return last
+	return last, nil
 }
 
 // ImpulseResponse simulates the supply's reported-deviation response to a

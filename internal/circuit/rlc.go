@@ -82,8 +82,16 @@ func Section2Example() Params {
 }
 
 // Validate reports whether the parameters describe a physically meaningful
-// configuration.
+// configuration. Every field must be finite: a NaN passes no ordered
+// comparison below, and an infinite one breaks the derived quantities
+// (resonant period, impedance) the rest of the simulator sizes buffers by.
 func (p Params) Validate() error {
+	for _, v := range [...]float64{p.R, p.L, p.C, p.Vdd, p.NoiseMargin, p.ClockHz, p.IMax, p.IMin} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("circuit: parameters must be finite (R=%g L=%g C=%g Vdd=%g NoiseMargin=%g ClockHz=%g IMax=%g IMin=%g)",
+				p.R, p.L, p.C, p.Vdd, p.NoiseMargin, p.ClockHz, p.IMax, p.IMin)
+		}
+	}
 	switch {
 	case p.R <= 0 || p.L <= 0 || p.C <= 0:
 		return fmt.Errorf("circuit: R, L, C must be positive (R=%g L=%g C=%g)", p.R, p.L, p.C)

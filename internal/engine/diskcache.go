@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/sim"
@@ -28,31 +34,35 @@ type diskEntry struct {
 	Result  sim.Result `json:"result"`
 }
 
-// diskCache is the engine's persistent second cache tier: one JSON file
-// per Spec.Key under a directory, so a later process (a warm CI golden
-// run, a repeated sweep) serves finished Results without simulating.
-// All operations are best-effort — a missing, corrupt, or stale entry is
-// a miss, and write failures are invisible to correctness (the result
-// was computed anyway).
+// diskCache is the engine's persistent second cache tier, so a later
+// process (a warm CI golden run, a repeated sweep) serves finished
+// Results without simulating. Every result is found under its own name,
+// <dir>/<64-hex key>.json, but one simulated lockstep group is one file:
+// a line per member (the member's 64-hex key, a space, its diskEntry
+// JSON), hard-linked under every member's name. A file therefore serves
+// exactly the keys whose lines it holds, whichever name it is opened
+// by. All operations are best-effort — a missing, corrupt, or stale
+// entry is a miss, and write failures are invisible to correctness (the
+// result was computed anyway).
 type diskCache struct {
 	dir string
 }
 
 // path places an entry by full content hash; two distinct specs can
-// never collide on a file.
+// never collide on a name.
 func (d *diskCache) path(key Key) string {
 	return filepath.Join(d.dir, key.Hex()+".json")
 }
 
 // DiskCacheHas reports whether dir holds a live (current-version,
 // decodable) entry for key — the per-point completion probe sharded
-// sweeps use: because results are published by atomic rename, a live
-// entry means the point's simulation finished somewhere and any engine
-// sharing dir will serve it without simulating.
+// sweeps use: because results are published by atomic link and rename,
+// a live entry means the point's simulation finished somewhere and any
+// engine sharing dir will serve it without simulating.
 func DiskCacheHas(dir string, key Key) bool {
 	d := diskCache{dir: dir}
-	_, ok := d.load(key)
-	return ok
+	_, err := d.load(key)
+	return err == nil
 }
 
 // DiskCacheKeys enumerates the keys of finished entries under dir with
@@ -84,18 +94,47 @@ func DiskCacheKeys(dir string) ([]Key, error) {
 	return keys, nil
 }
 
-// load returns the cached result for key, or ok=false when the entry is
-// absent, corrupt, or from a different schema version.
-func (d *diskCache) load(key Key) (sim.Result, bool) {
+// errNoEntry is load's error for a file that holds no current-version
+// line for the key it is named by.
+var errNoEntry = errors.New("engine: disk-cache file holds no current entry for its key")
+
+// absent reports whether a load error means there is no file to read
+// under the key's name — no file, or no cache directory at all — as
+// opposed to a file that is there but unusable.
+func absent(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)
+}
+
+// load returns the cached result for key: it reads the file the key
+// names and decodes only the line that starts with the key. The error
+// is absent (see absent) when there is no such file; otherwise the file
+// is unreadable, its line for key does not decode, or it has no
+// current-version line for key (errNoEntry: a corrupt or truncated
+// file, or one written before results were stored by line).
+func (d *diskCache) load(key Key) (sim.Result, error) {
 	blob, err := os.ReadFile(d.path(key))
 	if err != nil {
-		return sim.Result{}, false
+		return sim.Result{}, err
 	}
-	var en diskEntry
-	if err := json.Unmarshal(blob, &en); err != nil || en.Version != diskCacheVersion {
-		return sim.Result{}, false
+	var prefix [2*sha256.Size + 1]byte
+	hex.Encode(prefix[:], key[:])
+	prefix[len(prefix)-1] = ' '
+	for len(blob) > 0 {
+		var line []byte
+		line, blob, _ = bytes.Cut(blob, []byte{'\n'})
+		if !bytes.HasPrefix(line, prefix[:]) {
+			continue
+		}
+		var en diskEntry
+		if err := json.Unmarshal(line[len(prefix):], &en); err != nil {
+			return sim.Result{}, err
+		}
+		if en.Version != diskCacheVersion {
+			return sim.Result{}, errNoEntry
+		}
+		return en.Result, nil
 	}
-	return en.Result, true
+	return sim.Result{}, errNoEntry
 }
 
 // gcTmpAge is how old a tmp-* file must be before gc treats it as
@@ -109,18 +148,22 @@ const gcTmpAge = time.Hour
 //     bump changes the Result schema, and because the spec key does not
 //     encode the schema version the old file name is never rewritten by
 //     the new version either: without a sweep v1 entries orphan forever;
-//   - corrupt entries (load already treats them as misses, but only a
-//     re-simulation of the exact same key would overwrite them);
-//   - tmp-* temp files older than gcTmpAge, abandoned by writers that
-//     died between CreateTemp and Rename.
+//   - corrupt entries, and files from before results were stored by
+//     line (load already treats them as misses, but only a
+//     re-simulation of the exact same key would replace them);
+//   - tmp-* names older than gcTmpAge, abandoned by writers that died
+//     before publishing (or while publishing: a name already linked to
+//     a temp file keeps serving its line).
 //
 // Everything else is left alone: fresh temp files of concurrent
 // writers (the mtime age guard is what makes gc at one sharded
 // worker's startup safe against another worker's in-flight write),
 // files the cache never wrote, and subdirectories (the sharded-sweep
 // coordination state — manifest and lease files — lives under shard/).
-// The sweep is best-effort: any read or remove error just skips that
-// file. It returns the number of files removed.
+// A name is judged by the line for its own key, so a group's file is
+// kept under each name that still finds its line. The sweep is
+// best-effort: any read or remove error just skips that file. It
+// returns the number of files removed.
 func (d *diskCache) gc() (removed int) {
 	des, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -131,7 +174,6 @@ func (d *diskCache) gc() (removed int) {
 			continue
 		}
 		name := de.Name()
-		full := filepath.Join(d.dir, name)
 		switch {
 		case strings.HasPrefix(name, "tmp-"):
 			info, err := de.Info()
@@ -139,48 +181,93 @@ func (d *diskCache) gc() (removed int) {
 				continue
 			}
 		case strings.HasSuffix(name, ".json"):
-			blob, err := os.ReadFile(full)
+			key, err := ParseKey(strings.TrimSuffix(name, ".json"))
 			if err != nil {
-				continue
+				continue // not a cache file
 			}
-			var en diskEntry
-			if json.Unmarshal(blob, &en) == nil && en.Version == diskCacheVersion {
-				continue // live entry
+			if _, err := d.load(key); err == nil || absent(err) {
+				continue // live entry, or already gone
 			}
 		default:
 			continue // not a cache file
 		}
-		if os.Remove(full) == nil {
+		if os.Remove(filepath.Join(d.dir, name)) == nil {
 			removed++
 		}
 	}
 	return removed
 }
 
-// store writes the entry atomically: a unique temp file in the same
-// directory, then rename, so a concurrent reader (or a killed process)
-// sees either the complete entry or none, never a torn one. It reports
-// whether the entry landed.
-func (d *diskCache) store(key Key, res sim.Result) bool {
-	blob, err := json.Marshal(diskEntry{Version: diskCacheVersion, Result: res})
-	if err != nil {
-		return false
+// store persists one simulated group's results — keys[k]'s result is
+// res[k] — and reports how many of them landed. All lines go into one
+// unique temp file in the directory, which is then published under each
+// key's name: hard-linked under every name but the last and renamed
+// onto the last, so a one-result group costs one create and one rename.
+// A name that already exists (a stale entry, or a concurrent writer's)
+// is replaced by linking under a temp name and renaming over it. A
+// published file is never written again, so a reader (or a killed
+// process) sees a name's complete file or none, never a torn one, and a
+// crash mid-publish leaves some names served and the rest missing.
+func (d *diskCache) store(keys []Key, res []sim.Result) (landed int) {
+	var buf bytes.Buffer
+	names := make([]string, 0, len(keys))
+	for k, key := range keys {
+		blob, err := json.Marshal(diskEntry{Version: diskCacheVersion, Result: res[k]})
+		if err != nil {
+			continue
+		}
+		buf.WriteString(key.Hex())
+		buf.WriteByte(' ')
+		buf.Write(blob)
+		buf.WriteByte('\n')
+		names = append(names, d.path(key))
+	}
+	if len(names) == 0 {
+		return 0
 	}
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return false
+		return 0
 	}
 	tmp, err := os.CreateTemp(d.dir, "tmp-*")
 	if err != nil {
-		return false
+		return 0
 	}
-	_, werr := tmp.Write(blob)
+	_, werr := tmp.Write(buf.Bytes())
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
+		return 0
+	}
+	last := len(names) - 1
+	for _, name := range names[:last] {
+		if link(tmp.Name(), name) {
+			landed++
+		}
+	}
+	if err := os.Rename(tmp.Name(), names[last]); err != nil {
+		os.Remove(tmp.Name())
+		return landed
+	}
+	return landed + 1
+}
+
+// link publishes the file at tmp under name as well. An existing name is
+// replaced atomically: the file is linked under a second temp name,
+// which is renamed over it.
+func link(tmp, name string) bool {
+	err := os.Link(tmp, name)
+	if err == nil {
+		return true
+	}
+	if !errors.Is(err, fs.ErrExist) {
 		return false
 	}
-	if err := os.Rename(tmp.Name(), d.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	alias := tmp + ".link"
+	if os.Link(tmp, alias) != nil {
+		return false
+	}
+	if os.Rename(alias, name) != nil {
+		os.Remove(alias)
 		return false
 	}
 	return true

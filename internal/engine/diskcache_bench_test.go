@@ -1,0 +1,90 @@
+//go:build unix
+
+package engine
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"strconv"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/circuit"
+	"repro/internal/workload"
+)
+
+// serviceGrid is every registered technique on every network kind that
+// validates it, for each of the 26 applications at 2,000 instructions:
+// 624 specs in 78 lockstep groups (one per application and network),
+// the population of the service benchmark's open loop.
+func serviceGrid() []Spec {
+	var specs []Spec
+	for _, app := range workload.Names() {
+		for _, kind := range circuit.NetworkKinds() {
+			for _, tech := range Kinds() {
+				s := Spec{App: app, Instructions: 2_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}}
+				if s.Validate() == nil {
+					specs = append(specs, s)
+				}
+			}
+		}
+	}
+	return specs
+}
+
+// systemCPU is the system CPU time the process has used so far.
+func systemCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Stime.Nano())
+}
+
+// BenchmarkColdGridDiskTier times one cold RunAll over serviceGrid per
+// iteration (Parallelism 2, a fresh engine over an empty cache
+// directory) with the instruction streams already built, so a pass pays
+// for simulation and the disk tier's writes. It reports the process's
+// system CPU per pass (sys-ms/op, from getrusage) and the data files a
+// pass leaves in the directory (files/op: distinct inodes under the
+// entry names).
+func BenchmarkColdGridDiskTier(b *testing.B) {
+	specs := serviceGrid()
+	if _, err := New(Options{Parallelism: 2}).RunAll(context.Background(), specs, nil); err != nil {
+		b.Fatal(err)
+	}
+	root := b.TempDir()
+	var sys time.Duration
+	files := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		before := systemCPU(b)
+		if _, err := New(Options{Parallelism: 2, DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
+			b.Fatal(err)
+		}
+		sys += systemCPU(b) - before
+		b.StopTimer()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inodes := make(map[uint64]bool)
+		for _, de := range des {
+			info, err := de.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			inodes[uint64(info.Sys().(*syscall.Stat_t).Ino)] = true
+		}
+		files += len(inodes)
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(sys.Microseconds())/1e3/float64(b.N), "sys-ms/op")
+	b.ReportMetric(float64(files)/float64(b.N), "files/op")
+}

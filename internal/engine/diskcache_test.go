@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,9 +57,10 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskCacheCorruptEntryTolerated: a truncated or garbage entry is a
-// miss — the spec re-simulates, returns the correct result, and the
-// entry is rewritten valid.
+// TestDiskCacheCorruptEntryTolerated: a truncated or garbage entry, or
+// one written before results were stored by line, is a miss counted as a
+// read fault — the spec re-simulates, returns the correct result, and
+// the entry is rewritten valid.
 func TestDiskCacheCorruptEntryTolerated(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{App: "swim", Instructions: 20_000}
@@ -70,7 +73,7 @@ func TestDiskCacheCorruptEntryTolerated(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache dir holds %d entries (%v), want 1", len(files), err)
 	}
-	for _, garbage := range []string{"", "{\"v\":999,\"result\":{}}", "not json at all"} {
+	for _, garbage := range []string{"", "{\"v\":999,\"result\":{}}", "not json at all", "{\"v\":4,\"result\":{\"App\":\"swim\"}}"} {
 		if err := os.WriteFile(files[0], []byte(garbage), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -82,16 +85,16 @@ func TestDiskCacheCorruptEntryTolerated(t *testing.T) {
 		if got != want {
 			t.Fatalf("result after corrupt entry %q diverged:\n%+v\n%+v", garbage, want, got)
 		}
-		if st := e.CacheStats(); st.Misses != 1 || st.DiskHits != 0 || st.DiskWrites != 1 {
-			t.Errorf("corrupt entry %q: stats = %+v, want a re-simulation and a rewrite", garbage, st)
+		if st := e.CacheStats(); st.Misses != 1 || st.DiskHits != 0 || st.DiskWrites != 1 || st.DiskReadErrors != 1 {
+			t.Errorf("corrupt entry %q: stats %s, want a read fault, a re-simulation and a rewrite", garbage, counters(st))
 		}
 		// The rewritten entry must now serve a fresh engine from disk.
 		e2 := New(Options{DiskCacheDir: dir})
 		if _, err := e2.Run(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
-		if st := e2.CacheStats(); st.DiskHits != 1 {
-			t.Errorf("rewritten entry not served from disk: %+v", st)
+		if st := e2.CacheStats(); st.DiskHits != 1 || st.DiskReadErrors != 0 {
+			t.Errorf("rewritten entry not served from disk: %s", counters(st))
 		}
 	}
 }
@@ -114,8 +117,9 @@ func TestDiskCacheIgnoresErrors(t *testing.T) {
 	}
 
 	// A file where the cache dir, or its parent, should be: stores fail
-	// and are counted, runs succeed. (Permission bits would not do: the
-	// suite may run as root.)
+	// and are counted, runs succeed, and the probe finds no entry file,
+	// which is a plain miss rather than a read fault. (Permission bits
+	// would not do: the suite may run as root.)
 	blocked := filepath.Join(t.TempDir(), "blocked")
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -125,8 +129,8 @@ func TestDiskCacheIgnoresErrors(t *testing.T) {
 		if _, err := e2.Run(context.Background(), Spec{App: "swim", Instructions: 10_000}); err != nil {
 			t.Fatalf("unwritable cache dir %s broke the run: %v", dir, err)
 		}
-		if st := e2.CacheStats(); st.DiskWrites != 0 || st.DiskWriteErrors != 1 || st.Misses != 1 {
-			t.Errorf("stats with unwritable dir %s = %+v, want 1 miss, 0 writes, 1 write error", dir, st)
+		if st := e2.CacheStats(); st.DiskWrites != 0 || st.DiskWriteErrors != 1 || st.Misses != 1 || st.DiskReadErrors != 0 {
+			t.Errorf("stats with unwritable dir %s: %s, want 1 miss, 0 writes, 1 write error, 0 read errors", dir, counters(st))
 		}
 	}
 }
@@ -134,8 +138,10 @@ func TestDiskCacheIgnoresErrors(t *testing.T) {
 // TestDiskCacheGC: the construction-time sweep removes exactly the
 // files that can never be served again — old-schema entries (their keys
 // differ from the current version's, so they orphan forever), corrupt
-// entries, and abandoned temp files — while live entries, fresh temp
-// files, and foreign files survive.
+// entries, entries written before results were stored by line, and
+// abandoned temp files — while live entries, fresh temp files, and
+// foreign files (including a .json file whose name is not a key)
+// survive.
 func TestDiskCacheGC(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{App: "swim", Instructions: 20_000}
@@ -154,6 +160,7 @@ func TestDiskCacheGC(t *testing.T) {
 	}
 	v1 := write(strings.Repeat("ab", 32)+".json", `{"v":1,"result":{"App":"swim"}}`)
 	corrupt := write(strings.Repeat("cd", 32)+".json", "not json at all")
+	unkeyed := write(strings.Repeat("ef", 32)+".json", `{"v":4,"result":{"App":"swim"}}`)
 	staleTmp := write("tmp-stale", "partial write")
 	old := time.Now().Add(-2 * gcTmpAge)
 	if err := os.Chtimes(staleTmp, old, old); err != nil {
@@ -161,17 +168,18 @@ func TestDiskCacheGC(t *testing.T) {
 	}
 	freshTmp := write("tmp-fresh", "in-flight write")
 	foreign := write("NOTES.txt", "not ours")
+	foreignJSON := write("notes.json", "not ours either") // not a key name
 
 	e := New(Options{DiskCacheDir: dir, DiskCacheGC: true})
-	if st := e.CacheStats(); st.DiskGCRemoved != 3 {
-		t.Errorf("DiskGCRemoved = %d, want 3 (v1 + corrupt + stale tmp)", st.DiskGCRemoved)
+	if st := e.CacheStats(); st.DiskGCRemoved != 4 {
+		t.Errorf("DiskGCRemoved = %d, want 4 (v1 + corrupt + unkeyed + stale tmp)", st.DiskGCRemoved)
 	}
-	for _, p := range []string{v1, corrupt, staleTmp} {
+	for _, p := range []string{v1, corrupt, unkeyed, staleTmp} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("gc left stale file %s", filepath.Base(p))
 		}
 	}
-	for _, p := range []string{freshTmp, foreign} {
+	for _, p := range []string{freshTmp, foreign, foreignJSON} {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("gc removed live/foreign file %s: %v", filepath.Base(p), err)
 		}
@@ -295,5 +303,264 @@ func TestWarmBatchAtFullWidth(t *testing.T) {
 	}
 	if st := e2.CacheStats(); st.Misses != 0 || st.DiskHits != uint64(len(distinct)) || st.Hits != uint64(dups) {
 		t.Errorf("stats after the failed batch %+v, want 0 misses, %d disk hits, %d memory hits", st, len(distinct), dups)
+	}
+}
+
+// counters renders the tier counters the disk-tier tests check.
+func counters(st CacheStats) string {
+	return fmt.Sprintf("mem_hits=%d disk_hits=%d misses=%d disk_writes=%d write_errors=%d read_errors=%d",
+		st.Hits, st.DiskHits, st.Misses, st.DiskWrites, st.DiskWriteErrors, st.DiskReadErrors)
+}
+
+// groupSpecs is one lockstep group: app under every technique that
+// validates on the default lumped network.
+func groupSpecs(t *testing.T, app string) []Spec {
+	t.Helper()
+	var specs []Spec
+	for _, tech := range Kinds() {
+		s := Spec{App: app, Instructions: 2_000, Technique: tech}
+		if s.Validate() == nil {
+			specs = append(specs, s)
+		}
+	}
+	if len(specs) < 3 {
+		t.Fatalf("%d techniques validate on the lumped network, want at least 3", len(specs))
+	}
+	return specs
+}
+
+// entryPaths returns the disk-tier name of every spec's entry in dir.
+func entryPaths(t *testing.T, dir string, specs []Spec) []string {
+	t.Helper()
+	d := diskCache{dir: dir}
+	paths := make([]string, len(specs))
+	for i, s := range specs {
+		k, err := s.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = d.path(k)
+	}
+	return paths
+}
+
+// sameFiles reports whether every path names the same file as the first.
+func sameFiles(t *testing.T, paths ...string) bool {
+	t.Helper()
+	first, err := os.Stat(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths[1:] {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(first, info) {
+			return false
+		}
+	}
+	return true
+}
+
+// noTempFiles fails the test if a tmp-* name is left in dir.
+func noTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "tmp-*")); len(tmps) != 0 {
+		t.Errorf("temp names left behind: %v", tmps)
+	}
+}
+
+// TestDiskCacheGroupLayout: a cold RunAll stores each simulated lockstep
+// group as one file, hard-linked under every member's name, with one
+// disk write per result and no temp name left; each name serves its own
+// result bit-identically to a fresh engine. Because the members share
+// the file, garbage written through one member's name reaches its
+// co-members too: each then reads as a fault and re-simulates.
+func TestDiskCacheGroupLayout(t *testing.T) {
+	dir := t.TempDir()
+	a, b := groupSpecs(t, "swim"), groupSpecs(t, "gzip")
+	specs := append(append([]Spec(nil), a...), b...)
+	cold := New(Options{Parallelism: 2, DiskCacheDir: dir})
+	want, err := cold.RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.CacheStats(); st.Misses != uint64(len(specs)) || st.DiskWrites != uint64(len(specs)) || st.DiskWriteErrors != 0 {
+		t.Errorf("cold stats %s, want %d misses and disk writes, no write errors", counters(st), len(specs))
+	}
+	paths := entryPaths(t, dir, specs)
+	pa, pb := paths[:len(a)], paths[len(a):]
+	if !sameFiles(t, pa...) || !sameFiles(t, pb...) {
+		t.Error("a group's names are not one file")
+	}
+	if sameFiles(t, pa[0], pb[0]) {
+		t.Error("two groups share one file")
+	}
+	noTempFiles(t, dir)
+
+	warm := New(Options{DiskCacheDir: dir})
+	for i, s := range specs {
+		got, err := warm.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Errorf("spec %d (%s): disk result differs from the simulated one", i, s.Technique)
+		}
+	}
+	if st := warm.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 {
+		t.Errorf("warm stats %s, want %d disk hits and nothing else", counters(st), len(specs))
+	}
+
+	if err := os.WriteFile(pa[1], []byte("not json at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{DiskCacheDir: dir})
+	got, err := e.RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if got[i] != want[i] {
+			t.Errorf("spec %d: result after the corrupt write differs", i)
+		}
+	}
+	if st := e.CacheStats(); st.DiskReadErrors != uint64(len(a)) || st.Misses != uint64(len(a)) || st.DiskHits != uint64(len(b)) {
+		t.Errorf("stats after corrupting one name %s, want %d read faults and misses, %d disk hits", counters(st), len(a), len(b))
+	}
+}
+
+// TestDiskCacheMisplacedEntries: a name serves only the line for its own
+// key. A file holding its co-members' lines but not its own reads as a
+// fault and re-simulates; a stale name inside a group — here a link to
+// another group's live file — is replaced by the group's own file, and
+// the other group's file is not written in place.
+func TestDiskCacheMisplacedEntries(t *testing.T) {
+	dir := t.TempDir()
+	a, b := groupSpecs(t, "swim"), groupSpecs(t, "gzip")
+	pa, pb := entryPaths(t, dir, a), entryPaths(t, dir, b)
+	wantA, err := New(Options{DiskCacheDir: dir}).RunAll(context.Background(), a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blob, err := os.ReadFile(pa[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := []byte(strings.TrimSuffix(filepath.Base(pa[0]), ".json") + " ")
+	var others []byte
+	for _, line := range bytes.SplitAfter(blob, []byte("\n")) {
+		if !bytes.HasPrefix(line, own) {
+			others = append(others, line...)
+		}
+	}
+	if len(others) == 0 || len(others) == len(blob) {
+		t.Fatalf("group file of %d bytes has %d bytes of co-member lines", len(blob), len(others))
+	}
+	if err := os.Remove(pa[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pa[0], others, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{DiskCacheDir: dir})
+	got, err := e.RunAll(context.Background(), a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if got[i] != wantA[i] {
+			t.Errorf("spec %d: result differs after its line went missing", i)
+		}
+	}
+	if st := e.CacheStats(); st.DiskReadErrors != 1 || st.Misses != 1 || st.DiskHits != uint64(len(a)-1) || st.DiskWrites != 1 {
+		t.Errorf("stats %s, want 1 read fault, 1 miss and rewrite, %d disk hits", counters(st), len(a)-1)
+	}
+
+	if err := os.Link(pa[1], pb[0]); err != nil {
+		t.Fatal(err)
+	}
+	e = New(Options{DiskCacheDir: dir})
+	wantB, err := e.RunAll(context.Background(), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.DiskReadErrors != 1 || st.Misses != uint64(len(b)) || st.DiskWrites != uint64(len(b)) {
+		t.Errorf("stats %s, want 1 read fault, %d misses and disk writes", counters(st), len(b))
+	}
+	if !sameFiles(t, pb...) {
+		t.Error("the stale name was not replaced by its group's file")
+	}
+	noTempFiles(t, dir)
+
+	e = New(Options{DiskCacheDir: dir})
+	got, err = e.RunAll(context.Background(), append(append([]Spec(nil), a...), b...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]sim.Result(nil), wantA...), wantB...)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("spec %d: disk result differs after the replacement", i)
+		}
+	}
+	if st := e.CacheStats(); st.DiskHits != uint64(len(want)) || st.Misses != 0 || st.DiskReadErrors != 0 {
+		t.Errorf("replay stats %s, want %d disk hits and nothing else", counters(st), len(want))
+	}
+}
+
+// TestDiskCacheCrashMidPublish: a writer that dies while publishing
+// leaves its temp file linked under only some members' names. Those
+// names serve their results and the rest miss, and the gc sweep removes
+// only the aged temp name, never a published one.
+func TestDiskCacheCrashMidPublish(t *testing.T) {
+	specs := groupSpecs(t, "swim")
+	src := t.TempDir()
+	want, err := New(Options{DiskCacheDir: src}).RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(entryPaths(t, src, specs)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "tmp-crashed")
+	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const linked = 2
+	paths := entryPaths(t, dir, specs)
+	for _, p := range paths[:linked] {
+		if err := os.Link(tmp, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * gcTmpAge)
+	if err := os.Chtimes(tmp, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{DiskCacheDir: dir, DiskCacheGC: true})
+	if st := e.CacheStats(); st.DiskGCRemoved != 1 {
+		t.Errorf("DiskGCRemoved = %d, want 1 (the temp name)", st.DiskGCRemoved)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("gc left the aged temp name: %v", err)
+	}
+	got, err := e.RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if got[i] != want[i] {
+			t.Errorf("spec %d: result differs", i)
+		}
+	}
+	if st := e.CacheStats(); st.DiskHits != linked || st.Misses != uint64(len(specs)-linked) || st.DiskReadErrors != 0 {
+		t.Errorf("stats %s, want %d disk hits, %d misses, no read faults", counters(st), linked, len(specs)-linked)
 	}
 }

@@ -18,10 +18,14 @@ type Options struct {
 	// of the engine's batch calls; <= 0 means GOMAXPROCS.
 	Parallelism int
 	// DiskCacheDir, when non-empty, adds a persistent second cache tier:
-	// finished Results are written there as one JSON file per Spec.Key
-	// (atomic renames), and later engines — including later processes —
+	// finished Results are written there, each found under its own
+	// Spec.Key name (<64-hex>.json); the results of one simulated
+	// lockstep group share a single file, one line per result,
+	// hard-linked under every member's name and published by atomic
+	// links and renames. Later engines — including later processes —
 	// serve matching specs from disk without simulating. Corrupt or
-	// stale entries are ignored and rewritten. Because keys are content
+	// stale entries (and files from before results were stored by
+	// line) are ignored and rewritten. Because keys are content
 	// addresses of the full normalized Spec, sharing a directory across
 	// configurations is safe.
 	DiskCacheDir string
@@ -55,6 +59,7 @@ type Engine struct {
 	misses        uint64
 	diskWrites    uint64
 	diskWriteErrs uint64
+	diskReadErrs  uint64
 	diskGCRemoved uint64
 
 	// Instantaneous load accounting (see Load): simulations occupying a
@@ -110,6 +115,12 @@ type CacheStats struct {
 	// DiskWriteErrors counts results the tier failed to persist (an
 	// unwritable or full directory), which stay served from memory.
 	DiskWrites, DiskWriteErrors uint64
+	// DiskReadErrors counts disk probes that found the key's file but
+	// could not read it or found no current-version entry for the key
+	// in it (a corrupt or truncated file, or one written before results
+	// were stored by line); each is a miss. An absent file is a plain
+	// miss and is not counted.
+	DiskReadErrors uint64
 	// DiskGCRemoved counts stale disk-tier files (old schema versions,
 	// corrupt entries, abandoned temp files) deleted by the
 	// construction-time sweep Options.DiskCacheGC enables.
@@ -151,6 +162,7 @@ func (e *Engine) CacheStats() CacheStats {
 		Misses:          e.misses,
 		DiskWrites:      e.diskWrites,
 		DiskWriteErrors: e.diskWriteErrs,
+		DiskReadErrors:  e.diskReadErrs,
 		DiskGCRemoved:   e.diskGCRemoved,
 		Entries:         len(e.entries),
 		LanesForked:     e.lanesForked,
@@ -236,8 +248,13 @@ func (e *Engine) fromDisk(c claim) (sim.Result, bool) {
 	if e.disk == nil || c.en == nil {
 		return sim.Result{}, false
 	}
-	res, ok := e.disk.load(c.key)
-	if !ok {
+	res, err := e.disk.load(c.key)
+	if err != nil {
+		if !absent(err) {
+			e.mu.Lock()
+			e.diskReadErrs++
+			e.mu.Unlock()
+		}
 		return sim.Result{}, false
 	}
 	e.mu.Lock()
@@ -248,22 +265,40 @@ func (e *Engine) fromDisk(c claim) (sim.Result, bool) {
 	return res, true
 }
 
+// store persists one simulated group's successes — keys[k]'s outcome is
+// res[k], errs[k] — to the disk tier as a single file, and counts what
+// landed and what did not. The group's claims are settled after it, so
+// a result is on disk by the time its waiters see it.
+func (e *Engine) store(keys []Key, res []sim.Result, errs []error) {
+	if e.disk == nil {
+		return
+	}
+	var ks []Key
+	var rs []sim.Result
+	for k, err := range errs {
+		if err == nil {
+			ks = append(ks, keys[k])
+			rs = append(rs, res[k])
+		}
+	}
+	if len(ks) == 0 {
+		return
+	}
+	landed := e.disk.store(ks, rs)
+	e.mu.Lock()
+	e.diskWrites += uint64(landed)
+	e.diskWriteErrs += uint64(len(ks) - landed)
+	e.mu.Unlock()
+}
+
 // settle records the outcome of a claim that reached simulation (or, for
-// an owned claim, was abandoned before it): it counts the miss, persists
-// a success to disk, and publishes it — into the owned entry, or into a
-// vacant slot for a traced spec — or, on failure, evicts the owned entry
-// so a later identical spec retries instead of replaying the error.
+// an owned claim, was abandoned before it): it counts the miss and
+// publishes a success — into the owned entry, or into a vacant slot for
+// a traced spec — or, on failure, evicts the owned entry so a later
+// identical spec retries instead of replaying the error.
 func (e *Engine) settle(c claim, res sim.Result, err error) {
-	persist := err == nil && e.disk != nil
-	stored := persist && e.disk.store(c.key, res)
 	e.mu.Lock()
 	e.misses++
-	switch {
-	case stored:
-		e.diskWrites++
-	case persist:
-		e.diskWriteErrs++
-	}
 	switch {
 	case c.en == nil && err == nil:
 		if _, exists := e.entries[c.key]; !exists {
@@ -341,6 +376,7 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 	res, errs, st := simulate([]Spec{spec})
 	e.releaseSlot()
 	e.addKernelStats(st)
+	e.store([]Key{key}, res, errs)
 	e.settle(c, res[0], errs[0])
 	return res[0], errs[0]
 }
@@ -540,12 +576,14 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int
 					continue
 				}
 				gs := make([]Spec, len(g))
+				keys := make([]Key, len(g))
 				for k, i := range g {
-					gs[k] = specs[i]
+					gs[k], keys[k] = specs[i], claims[i].key
 				}
 				res, errs, st := simulate(gs)
 				e.releaseSlot()
 				e.addKernelStats(st)
+				e.store(keys, res, errs)
 				for k, i := range g {
 					finish(i, res[k], errs[k])
 				}

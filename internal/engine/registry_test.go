@@ -324,3 +324,40 @@ func (t *derivedTable[In, Out]) len() int {
 	defer t.mu.Unlock()
 	return len(t.m)
 }
+
+// TestUnusableSupplyIsAnError: a lumped supply with a NaN field is a
+// validation error under every technique, and one whose clock is so far
+// above its resonance that the convolution predictor's impulse response
+// cannot be sized is one under convctl. Key, Validate and ValidKey all
+// return; none of them panics or sizes a buffer by the bad supply.
+func TestUnusableSupplyIsAnError(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*circuit.Params)
+		techs  []TechniqueKind
+	}{
+		{"NaN L", func(p *circuit.Params) { p.L = math.NaN() }, Kinds()},
+		{"NaN C", func(p *circuit.Params) { p.C = math.NaN() }, Kinds()},
+		{"NaN ClockHz", func(p *circuit.Params) { p.ClockHz = math.NaN() }, Kinds()},
+		// Eight resonant periods are about 1.6 million cycles, just past
+		// the bound; a clock near 1e16 would ask for gigabytes.
+		{"ClockHz 2e13", func(p *circuit.Params) { p.ClockHz = 2e13 }, []TechniqueKind{TechniqueConvolution}},
+		{"ClockHz 1e300", func(p *circuit.Params) { p.ClockHz = 1e300 }, []TechniqueKind{TechniqueConvolution}},
+	}
+	for _, tc := range cases {
+		p := circuit.Table1()
+		tc.mutate(&p)
+		for _, tech := range tc.techs {
+			s := Spec{App: "swim", Technique: tech, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &p}}
+			if _, err := s.Key(); err != nil {
+				t.Errorf("%s, %s: Key failed: %v", tc.name, tech, err)
+			}
+			if err := s.Validate(); err == nil {
+				t.Errorf("%s, %s: Validate accepted the supply", tc.name, tech)
+			}
+			if _, err := s.ValidKey(); err == nil {
+				t.Errorf("%s, %s: ValidKey accepted the supply", tc.name, tech)
+			}
+		}
+	}
+}

@@ -264,6 +264,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown network kind", `{"spec":{"app":"swim","pdn":{"Kind":"mesh"}}}`, http.StatusBadRequest, "registered kinds"},
 		{"retired supply selector", `{"spec":{"app":"swim","system":{"Supply":{"R":0.001}}}}`, http.StatusBadRequest, "Supply"},
 		{"unusable network parameters", `{"spec":{"app":"swim","pdn":{"Kind":"lumped","Lumped":{"R":-1}}}}`, http.StatusBadRequest, "circuit"},
+		{"convctl supply clock past its bound", `{"spec":{"app":"swim","technique":"convctl","pdn":{"Kind":"lumped","Lumped":{"R":0.000375,"L":1.69e-12,"C":1.5e-6,"Vdd":1,"NoiseMargin":0.05,"ClockHz":1e300,"IMax":105,"IMin":35}}}}`,
+			http.StatusBadRequest, "impulse response"},
 		{"sensor domain out of range", `{"spec":{"app":"swim","pdn":{"Kind":"multidomain"},"system":{"SensorDomain":7}}}`, http.StatusBadRequest, "sensor domain"},
 		{"unknown app in grid", `{"specs":[{"app":"swim"},{"app":"no-such-app"}]}`, http.StatusBadRequest, "spec 1"},
 		{"grid over limit", `{"specs":[{"app":"swim"},{"app":"lucas"},{"app":"art"}]}`, http.StatusRequestEntityTooLarge, "2-spec limit"},
@@ -372,12 +374,18 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 // TestMetricsEndpoint: the scrape reflects the engine's cache counters
 // and the server's own traffic in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
-	// A cache directory under a regular file: every disk-tier write fails.
-	blocked := filepath.Join(t.TempDir(), "blocked")
-	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
+	// A directory squats on the spec's entry name: the disk probe finds
+	// it but cannot read it, and the store cannot replace it.
+	spec := engine.Spec{App: "swim", Instructions: 30000}
+	key, err := spec.Key()
+	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Options{Parallelism: 2, DiskCacheDir: filepath.Join(blocked, "cache")})
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, key.Hex()+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Parallelism: 2, DiskCacheDir: dir})
 	_, ts := newTestServer(t, Options{Engine: eng})
 
 	postRun(t, ts.URL, `{"spec":{"app":"swim","instructions":30000}}`)
@@ -404,6 +412,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"resonanced_cache_entries 1\n",
 		"resonanced_cache_disk_writes_total 0\n",
 		"resonanced_cache_disk_write_errors_total 1\n",
+		"resonanced_cache_disk_read_errors_total 1\n",
 		"resonanced_engine_inflight 0\n",
 		"resonanced_engine_queue_depth 0\n",
 		"resonanced_batch_lanes_forked_total 0\n",

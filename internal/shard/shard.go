@@ -6,10 +6,14 @@
 // The design leans entirely on two properties the engine already
 // guarantees: every grid point is content-addressed (engine.Key is a
 // pure function of the normalized Spec), and the disk-cache tier
-// publishes results by atomic CreateTemp+Rename. Together they make
-// every point idempotent — running it twice, on two workers, produces
-// byte-identical entries at the same path — so the coordination
-// protocol only has to make duplicate work *rare*, never impossible:
+// publishes results atomically — each simulated lockstep group's
+// results as one temp file, hard-linked under every member's
+// <key>.json name and renamed onto the last, so a name holds a complete
+// file or none. Together they make every point idempotent — running it
+// twice, on two workers, leaves a file under the point's name holding a
+// byte-identical line for its key (the co-members sharing the file may
+// differ with the batch) — so the coordination protocol only has to
+// make duplicate work *rare*, never impossible:
 //
 //   - The coordinator publishes the grid once as a manifest
 //     (<cache-dir>/shard/current.json, written atomically), naming
@@ -101,16 +105,23 @@ type Board struct {
 // from them.
 func keysAndID(specs []engine.Spec) ([]engine.Key, string, error) {
 	keys := make([]engine.Key, len(specs))
-	h := sha256.New()
 	for i, s := range specs {
 		k, err := s.Key()
 		if err != nil {
 			return nil, "", fmt.Errorf("shard: point %d: %w", i, err)
 		}
 		keys[i] = k
+	}
+	return keys, gridIDOf(keys), nil
+}
+
+// gridIDOf digests a grid's point keys, in order, into its id.
+func gridIDOf(keys []engine.Key) string {
+	h := sha256.New()
+	for _, k := range keys {
 		h.Write(k[:])
 	}
-	return keys, hex.EncodeToString(h.Sum(nil)[:8]), nil
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // board assembles the in-memory Board for a validated point set.
@@ -124,25 +135,26 @@ func board(cacheDir string, specs []engine.Spec, keys []engine.Key, gridID strin
 	}
 }
 
-// Publish validates every point, computes the grid's keys and id, and
-// atomically installs the manifest as the cache directory's active
-// grid. Workers sharing the directory discover it via Open.
+// Publish validates and keys every point (one normalization each, via
+// Spec.ValidKey), derives the grid id, and atomically installs the
+// manifest as the cache directory's active grid. Workers sharing the
+// directory discover it via Open.
 func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("shard: empty grid")
 	}
+	keys := make([]engine.Key, len(specs))
 	for i, s := range specs {
 		if s.Trace != nil {
 			return nil, fmt.Errorf("shard: point %d carries a Trace callback, which cannot cross a process boundary", i)
 		}
-		if err := s.Validate(); err != nil {
+		k, err := s.ValidKey()
+		if err != nil {
 			return nil, fmt.Errorf("shard: point %d: %w", i, err)
 		}
+		keys[i] = k
 	}
-	keys, gridID, err := keysAndID(specs)
-	if err != nil {
-		return nil, err
-	}
+	gridID := gridIDOf(keys)
 	b := board(cacheDir, specs, keys, gridID)
 	if err := os.MkdirAll(b.leaseDir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
@@ -157,9 +169,9 @@ func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 	return b, nil
 }
 
-// atomicWrite lands blob at path via the cache tier's proven
-// CreateTemp+Rename pattern: readers see the old manifest or the new
-// one, never a torn write.
+// atomicWrite lands blob at path via CreateTemp+Rename, as the cache
+// tier publishes a file: readers see the old manifest or the new one,
+// never a torn write.
 func atomicWrite(path string, blob []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "tmp-*")
@@ -184,11 +196,11 @@ func atomicWrite(path string, blob []byte) error {
 
 // Open reads the cache directory's active grid, polling every poll
 // interval until a manifest appears or ctx ends — a worker may be
-// started before its coordinator. The manifest's points are
-// re-validated and re-keyed locally; a grid id that does not match the
-// recomputed one means the manifest was written by a binary with
-// different normalization rules, and coordinating with it would wait
-// on keys that never appear, so Open rejects it.
+// started before its coordinator. The manifest's points are re-keyed
+// locally; a grid id that does not match the recomputed one means the
+// manifest was written by a binary with different normalization rules,
+// and coordinating with it would wait on keys that never appear, so
+// Open rejects it.
 func Open(ctx context.Context, cacheDir string, poll time.Duration) (*Board, error) {
 	if poll <= 0 {
 		poll = DefaultPoll

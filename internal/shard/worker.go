@@ -209,7 +209,8 @@ func RunWorker(ctx context.Context, eng *engine.Engine, b *Board, o WorkerOption
 // runBatch simulates one claim pass's points as a single engine batch,
 // heartbeating every held lease until the batch resolves, then
 // releases the leases. Results reach the other workers through the
-// engine's disk tier as each entry is renamed into place.
+// engine's disk tier as each group's file is linked and renamed into
+// place.
 func (b *Board) runBatch(ctx context.Context, eng *engine.Engine, o WorkerOptions, batch []int) error {
 	stop := make(chan struct{})
 	hbDone := make(chan struct{})

@@ -174,9 +174,11 @@ func NewEngine(parallelism int) *Engine {
 }
 
 // EngineOptions configures an Engine beyond its parallelism: a
-// DiskCacheDir adds the persistent result-cache tier (one JSON file per
-// spec content address, shared across processes), and DiskCacheGC sweeps
-// that directory's stale entries once at construction.
+// DiskCacheDir adds the persistent result-cache tier, shared across
+// processes (each result is found under its spec content address's file
+// name; the results of one simulated lockstep group share one file,
+// hard-linked under every member's name), and DiskCacheGC sweeps that
+// directory's stale entries once at construction.
 type EngineOptions = engine.Options
 
 // EngineCacheStats is an engine's tier-labelled cache traffic (memory
