@@ -67,10 +67,16 @@ type job struct {
 	lane   batchkernel.Lane
 }
 
-// prepare resolves spec for simulation.
+// prepare resolves spec for simulation. It checks the whole spec, as
+// Validate does, before building anything: the technique constructors
+// assume a usable network, so a run fails with Validate's error rather
+// than a constructor's panic.
 func prepare(spec Spec) (job, error) {
 	n, desc, err := spec.normalized()
 	if err != nil {
+		return job{}, err
+	}
+	if err := n.validate(desc); err != nil {
 		return job{}, err
 	}
 	params, err := n.workloadParams()

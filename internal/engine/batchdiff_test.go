@@ -322,7 +322,7 @@ func TestCacheStatsCountsForks(t *testing.T) {
 	}
 	st := eng.CacheStats()
 	if st.LanesForked == 0 || st.CohortsReformed == 0 || st.ForkCyclesSaved == 0 {
-		t.Fatalf("divergence counters not populated: %+v", st)
+		t.Fatalf("divergence counters not populated: %s", counters(st))
 	}
 	if st.LanesForked < st.CohortsReformed {
 		t.Fatalf("more cohorts (%d) than forked lanes (%d)", st.CohortsReformed, st.LanesForked)

@@ -188,8 +188,11 @@ func (e *Engine) Load() LoadStats {
 }
 
 // acquireSlot blocks until a worker slot frees, counting the wait in
-// Queued; it reports false when ctx is cancelled first.
+// Queued; it reports false, holding no slot, once ctx is cancelled.
 func (e *Engine) acquireSlot(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return false
+	}
 	e.queued.Add(1)
 	defer e.queued.Add(-1)
 	select {
@@ -349,10 +352,14 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 	if err := ctx.Err(); err != nil {
 		return sim.Result{}, err
 	}
-	c := claim{key: key}
+	// A memory hit is served here, without allocating: the common case of
+	// a warm server. Everything else is a one-spec batch.
 	if spec.Trace == nil {
 		e.mu.Lock()
-		en, hit := e.claimLocked(key)
+		en, hit := e.entries[key]
+		if hit {
+			e.hits++
+		}
 		e.mu.Unlock()
 		if hit {
 			select {
@@ -362,22 +369,8 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 				return sim.Result{}, ctx.Err()
 			}
 		}
-		c.en = en
-		if res, ok := e.fromDisk(c); ok {
-			return res, nil
-		}
 	}
-	if !e.acquireSlot(ctx) {
-		if c.en != nil {
-			e.settle(c, sim.Result{}, ctx.Err())
-		}
-		return sim.Result{}, ctx.Err()
-	}
-	res, errs, st := simulate([]Spec{spec})
-	e.releaseSlot()
-	e.addKernelStats(st)
-	e.store([]Key{key}, res, errs)
-	e.settle(c, res[0], errs[0])
+	res, errs := e.serve(ctx, []Spec{spec}, []Key{key}, nil)
 	return res[0], errs[0]
 }
 
@@ -388,9 +381,10 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 // cancels the remaining queue and is returned annotated with the failing
 // spec.
 func (e *Engine) RunAll(ctx context.Context, specs []Spec, progress func(i int, res sim.Result)) ([]sim.Result, error) {
-	return e.runBatch(ctx, specs, func(i int) string {
+	res, errs := e.serve(ctx, specs, nil, progress)
+	return rootCause(ctx, res, errs, func(i int) string {
 		return fmt.Sprintf("spec %d (app=%s, technique=%s)", i, specs[i].App, specs[i].Technique)
-	}, progress)
+	})
 }
 
 // Point is one grid coordinate: a spec plus the label used to identify
@@ -408,14 +402,43 @@ func (e *Engine) Grid(ctx context.Context, points []Point, progress func(i int, 
 	for i, p := range points {
 		specs[i] = p.Spec
 	}
-	return e.runBatch(ctx, specs, func(i int) string { return points[i].Label }, progress)
+	res, errs := e.serve(ctx, specs, nil, progress)
+	return rootCause(ctx, res, errs, func(i int) string { return points[i].Label })
+}
+
+// rootCause turns serve's per-spec outcomes into a batch's: the results
+// when every spec succeeded, else the root-cause error annotated with
+// label(i) rather than the cascade of cancellations it triggered; a
+// parent-context cancellation surfaces as itself.
+func rootCause(parent context.Context, res []sim.Result, errs []error, label func(i int) string) ([]sim.Result, error) {
+	var canceled error
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			canceled = err
+			continue
+		}
+		return nil, fmt.Errorf("engine: %s: %w", label(i), err)
+	}
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
+	if canceled != nil {
+		return nil, canceled
+	}
+	return res, nil
 }
 
 // forEach calls f(0), …, f(n-1) on min(n, parallelism) goroutines, the
-// caller's among them, and returns once every call has. It serves the
-// batch's cache-service phases, which take no worker slot: keying and
-// disk probes are cheap next to a simulation, and holding slots for
-// them would stall other batches' simulations instead.
+// caller's among them, and returns once every call has. Each index is
+// visited exactly once. It runs every phase of a batch: the
+// cache-service phases take no worker slot — keying and disk probes are
+// cheap next to a simulation, and holding slots for them would stall
+// other batches' simulations instead — while each call of the group
+// phase takes one for its simulation, so the engine-wide slots still
+// bound the simulations of all batches together.
 func (e *Engine) forEach(n int, f func(i int)) {
 	var next atomic.Int64
 	work := func() {
@@ -439,8 +462,15 @@ func (e *Engine) forEach(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// runBatch serves a batch; label(i) names spec i in the returned error.
-func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int) string, progress func(int, sim.Result)) ([]sim.Result, error) {
+// serve runs a batch through the cache-entry lifecycle — claim, disk
+// probe, pack, simulate and store, settle, then wait on specs served
+// elsewhere — and returns each spec's result or error in spec order.
+// keys, when non-nil, holds each spec's content key; nil keys the specs
+// here. progress, when non-nil, is invoked once per served spec (calls
+// are serialized but arrive in completion order). The first failure
+// cancels the rest of the batch. Every entry the batch claims is
+// resolved before serve returns.
+func (e *Engine) serve(parent context.Context, specs []Spec, keys []Key, progress func(int, sim.Result)) ([]sim.Result, []error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
@@ -463,11 +493,11 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int
 		}
 	}
 
-	// Claim: key every spec on every worker, then claim every untraced
-	// spec's memory-tier entry in one critical section, so the packer
-	// below sees the whole set of specs this batch must simulate. Specs
-	// already in flight (or cached) elsewhere become waiters; traced
-	// specs claim nothing (see claim).
+	// Claim: key every spec (on every worker, unless the caller brought
+	// the keys), then claim every untraced spec's memory-tier entry in
+	// one critical section, so the packer below sees the whole set of
+	// specs this batch must simulate. Specs already in flight (or cached)
+	// elsewhere become waiters; traced specs claim nothing (see claim).
 	type waiter struct {
 		i  int
 		en *entry
@@ -475,13 +505,19 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int
 	var waits []waiter
 	var toRun []int
 	claims := make([]claim, len(specs))
-	e.forEach(len(specs), func(i int) {
-		k, err := specs[i].Key()
-		if err != nil {
-			fail(i, err)
+	if keys == nil {
+		e.forEach(len(specs), func(i int) {
+			k, err := specs[i].Key()
+			if err != nil {
+				fail(i, err)
+			}
+			claims[i].key = k
+		})
+	} else {
+		for i, k := range keys {
+			claims[i].key = k
 		}
-		claims[i].key = k
-	})
+	}
 	e.mu.Lock()
 	for i := range specs {
 		if errs[i] != nil {
@@ -521,101 +557,42 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int
 		toRun = toRun[:n]
 	}
 
-	// Pack: group the remaining work by machine key so compatible specs
-	// share one lockstep kernel run.
+	// Simulate: group the remaining work by machine key so compatible
+	// specs share one lockstep kernel run, and run each group once, in a
+	// worker slot — a multi-lane group occupies one, like the single
+	// simulation its machine steps. Once the batch is cancelled, a group
+	// still to start is abandoned instead, its claims resolved with the
+	// cancellation so waiters on other batches cannot hang.
 	groups := packGroups(specs, toRun)
-
-	// finish settles one simulated spec's claim and records its outcome;
-	// abandon resolves a claim whose group never simulated.
-	finish := func(i int, res sim.Result, err error) {
-		e.settle(claims[i], res, err)
-		if err != nil {
-			fail(i, err)
-		} else {
-			succeed(i, res)
+	e.forEach(len(groups), func(gi int) {
+		g := groups[gi].indices
+		if !e.acquireSlot(ctx) {
+			for _, i := range g {
+				if claims[i].en != nil {
+					e.settle(claims[i], sim.Result{}, ctx.Err())
+				}
+				fail(i, ctx.Err())
+			}
+			return
 		}
-	}
-	abandon := func(i int, err error) {
-		if claims[i].en != nil {
-			e.settle(claims[i], sim.Result{}, err)
+		gs := make([]Spec, len(g))
+		gk := make([]Key, len(g))
+		for k, i := range g {
+			gs[k], gk[k] = specs[i], claims[i].key
 		}
-		fail(i, err)
-	}
-
-	// A fixed pool of min(groups, parallelism) workers pulls group
-	// indices from a channel, so a 100k-point grid costs a handful of
-	// goroutines rather than one per point. The engine-wide slots
-	// channel still bounds total concurrency when several batches share
-	// the engine; a multi-lane group occupies one slot, like the single
-	// simulation its machine steps.
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for gi := range groups {
-			select {
-			case idx <- gi:
-			case <-ctx.Done():
-				return
+		res, gerrs, st := simulate(gs)
+		e.releaseSlot()
+		e.addKernelStats(st)
+		e.store(gk, res, gerrs)
+		for k, i := range g {
+			e.settle(claims[i], res[k], gerrs[k])
+			if gerrs[k] != nil {
+				fail(i, gerrs[k])
+			} else {
+				succeed(i, res[k])
 			}
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < min(len(groups), e.parallelism); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := range idx {
-				g := groups[gi].indices
-				if !e.acquireSlot(ctx) {
-					// Drain cheaply after cancellation, still
-					// resolving every claimed entry so waiters on
-					// other batches cannot hang.
-					for _, i := range g {
-						abandon(i, ctx.Err())
-					}
-					continue
-				}
-				gs := make([]Spec, len(g))
-				keys := make([]Key, len(g))
-				for k, i := range g {
-					gs[k], keys[k] = specs[i], claims[i].key
-				}
-				res, errs, st := simulate(gs)
-				e.releaseSlot()
-				e.addKernelStats(st)
-				e.store(keys, res, errs)
-				for k, i := range g {
-					finish(i, res[k], errs[k])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// A cancellation can stop the feeder before every group reaches a
-	// worker, leaving those groups' claimed entries unresolved — which
-	// would hang identical specs in other batches forever (they wait on
-	// this batch's done channels). Resolve the stragglers here; after
-	// wg.Wait no worker touches these entries, so the non-blocking probe
-	// is race-free.
-	for _, i := range toRun {
-		en := claims[i].en
-		if en == nil {
-			continue
-		}
-		select {
-		case <-en.done:
-		default:
-			err := ctx.Err()
-			if err == nil {
-				// Unreachable if the feeder and workers covered every
-				// group; guard so a future bug surfaces as an error
-				// rather than a published zero result.
-				err = errors.New("claimed entry left unresolved")
-			}
-			abandon(i, err)
-		}
-	}
+	})
 
 	// Resolve waiters last: every entry this batch claimed has been
 	// closed above, so a cross-batch wait cycle cannot deadlock.
@@ -635,25 +612,5 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, label func(i int
 			mu.Unlock()
 		}
 	}
-
-	// Report the root-cause error, not the cascade of cancellations it
-	// triggered; a parent-context cancellation surfaces as itself.
-	var canceled error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			canceled = err
-			continue
-		}
-		return nil, fmt.Errorf("engine: %s: %w", label(i), err)
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
-	}
-	if canceled != nil {
-		return nil, canceled
-	}
-	return results, nil
+	return results, errs
 }

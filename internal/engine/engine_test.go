@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/sim"
 )
 
@@ -216,5 +217,18 @@ func TestInvalidConfigIsError(t *testing.T) {
 	dc := DampingConfig{WindowCycles: 1, DeltaAmps: -3}
 	if _, err := Execute(Spec{App: "swim", Technique: TechniqueDamping, Damping: &dc}); err == nil {
 		t.Error("invalid damping config accepted")
+	}
+	// An empty per-domain section matches the zero domains of a network
+	// that does not exist; only the network check catches the spec, and
+	// Execute must report it as Validate does, not as the constructor's
+	// panic.
+	bogus := Spec{App: "swim", Technique: TechniqueDomainTuning, DomainTuning: &DomainTuningConfig{},
+		PDN: &circuit.NetworkConfig{Kind: "bogus"}}
+	verr := bogus.Validate()
+	if verr == nil {
+		t.Fatal("Validate accepted an unknown network kind")
+	}
+	if _, err := Execute(bogus); err == nil || err.Error() != verr.Error() {
+		t.Errorf("Execute returned %v, want Validate's %v", err, verr)
 	}
 }

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -76,7 +78,7 @@ func TestTracedFailureNeverDisplacesLiveEntry(t *testing.T) {
 		t.Errorf("hit returned %+v, want the live entry's published result", res)
 	}
 	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit (the wait) and 1 miss (the traced attempt)", st)
+		t.Errorf("stats = %s, want 1 hit (the wait) and 1 miss (the traced attempt)", counters(st))
 	}
 }
 
@@ -103,7 +105,7 @@ func TestTracedSuccessPublishesOnlyIntoVacantSlot(t *testing.T) {
 		t.Errorf("untraced follow-up diverged:\n%+v\n%+v", want, got)
 	}
 	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want the untraced run served from the traced publish", st)
+		t.Errorf("stats = %s, want the untraced run served from the traced publish", counters(st))
 	}
 
 	// Occupied slot: the entry already present survives verbatim.
@@ -168,18 +170,17 @@ func TestConcurrentTracedAndUntracedIdenticalSpecs(t *testing.T) {
 	assertAllEntriesClosed(t, e)
 	st := e.CacheStats()
 	if st.Hits+st.DiskHits+st.Misses != n {
-		t.Errorf("counters do not balance: %+v over %d requests", st, n)
+		t.Errorf("counters do not balance: %s over %d requests", counters(st), n)
 	}
 	if st.Entries != 1 {
 		t.Errorf("entries = %d, want exactly 1 for one distinct spec", st.Entries)
 	}
 }
 
-// TestCancelledBatchResolvesAllClaims is the regression test for the
-// undelivered-group leak: cancelling a batch could stop the group feeder
-// before every claimed entry reached a worker, leaving entries in the
-// map that never resolved — an identical spec in any later batch would
-// then wait on them forever.
+// TestCancelledBatchResolvesAllClaims: a batch cancelled mid-run must
+// still resolve every entry it claimed, abandoning each group it has not
+// started, or an identical spec in any later batch would wait on those
+// entries forever.
 func TestCancelledBatchResolvesAllClaims(t *testing.T) {
 	e := New(Options{Parallelism: 1})
 	specs := make([]Spec, 24)
@@ -310,7 +311,7 @@ func TestGroupPanicFailsEveryClaim(t *testing.T) {
 	}
 	assertAllEntriesClosed(t, e)
 	if st := e.CacheStats(); st.Entries != 0 || st.Misses != 3 {
-		t.Errorf("stats %+v, want all 3 group specs failed and evicted", st)
+		t.Errorf("stats %s, want all 3 group specs failed and evicted", counters(st))
 	}
 	if _, err := e.RunAll(context.Background(), group[:2], nil); err != nil {
 		t.Fatalf("engine unusable after a group panic: %v", err)
@@ -458,4 +459,174 @@ func TestEngineLifecycleStressErrors(t *testing.T) {
 	if got := e.Load(); got.InFlight != 0 || got.Queued != 0 {
 		t.Errorf("load after quiescence = %+v, want zero (leaked slot)", got)
 	}
+}
+
+// TestRunKeyedMemoryHitAllocatesNothing: a warm server's common case,
+// RunKeyed finding its spec in the memory tier, costs one lock, one map
+// lookup and one channel wait, and allocates nothing.
+func TestRunKeyedMemoryHitAllocatesNothing(t *testing.T) {
+	e := New(Options{Parallelism: 1})
+	spec := Spec{App: "swim", Instructions: 5_000}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := e.RunKeyed(ctx, key, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got sim.Result
+	allocs := testing.AllocsPerRun(200, func() {
+		got, err = e.RunKeyed(ctx, key, spec)
+	})
+	if err != nil || got != want {
+		t.Fatalf("memory hit returned %v, want the first run's result", err)
+	}
+	if allocs != 0 {
+		t.Errorf("RunKeyed memory hit allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestRunKeyedMatchesOneSpecRunAll: RunKeyed and a one-spec RunAll serve
+// every outcome alike, down to the tier counters: the same result, or the
+// same error (RunAll's annotated with the spec), from the same tier.
+func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
+	spec := Spec{App: "swim", Instructions: 8_000}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmDir := t.TempDir()
+	want, err := New(Options{DiskCacheDir: warmDir}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := spec
+	traced.Trace = func(sim.TracePoint) {}
+	// Keys fine (normalization doesn't resolve apps) but execution fails.
+	bad := Spec{App: "no-such-app", Instructions: 8_000}
+	_, rawErr := Execute(bad)
+	if rawErr == nil {
+		t.Fatal("unknown app executed")
+	}
+	runFirst := func(t *testing.T, e *Engine) {
+		if _, err := e.Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inFlight := &entry{done: make(chan struct{})}
+
+	cases := []struct {
+		name  string
+		spec  Spec
+		dir   string // disk tier; "" for none, "cold" for an empty one
+		setup func(t *testing.T, e *Engine)
+		// cancelWait cancels the call's context once it counts its hit.
+		cancelWait bool
+		wantErr    error // nil for success (then the result must be want)
+		wantStats  CacheStats
+		check      func(t *testing.T, e *Engine)
+	}{
+		{name: "memory hit", spec: spec, setup: runFirst,
+			wantStats: CacheStats{Hits: 1, Misses: 1, Entries: 1}},
+		{name: "disk hit", spec: spec, dir: warmDir,
+			wantStats: CacheStats{DiskHits: 1, Entries: 1}},
+		{name: "simulated miss", spec: spec, dir: "cold",
+			wantStats: CacheStats{Misses: 1, DiskWrites: 1, Entries: 1}},
+		{name: "traced into a vacant slot", spec: traced,
+			wantStats: CacheStats{Misses: 1, Entries: 1},
+			check: func(t *testing.T, e *Engine) {
+				if got, err := e.RunKeyed(context.Background(), key, spec); err != nil || got != want {
+					t.Errorf("untraced follow-up returned %v, want the traced run's published result", err)
+				}
+			}},
+		{name: "traced beside a live entry", spec: traced, setup: func(t *testing.T, e *Engine) {
+			runFirst(t, e)
+			e.mu.Lock()
+			e.entries[key].res.App = "marker"
+			e.mu.Unlock()
+		}, wantStats: CacheStats{Misses: 2, Entries: 1},
+			check: func(t *testing.T, e *Engine) {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				if e.entries[key].res.App != "marker" {
+					t.Error("traced run replaced the live entry")
+				}
+			}},
+		{name: "failing spec", spec: bad, wantErr: rawErr,
+			wantStats: CacheStats{Misses: 1}},
+		{name: "wait cancelled while another caller simulates", spec: spec, cancelWait: true,
+			setup: func(t *testing.T, e *Engine) {
+				e.mu.Lock()
+				e.entries[key] = inFlight
+				e.mu.Unlock()
+			}, wantErr: context.Canceled,
+			wantStats: CacheStats{Hits: 1, Entries: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			call := func(keyed bool) (sim.Result, error, *Engine) {
+				dir := c.dir
+				if dir == "cold" {
+					dir = t.TempDir()
+				}
+				e := New(Options{Parallelism: 2, DiskCacheDir: dir})
+				if c.setup != nil {
+					c.setup(t, e)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if c.cancelWait {
+					go func() {
+						for e.CacheStats().Hits == 0 && ctx.Err() == nil {
+							time.Sleep(time.Millisecond)
+						}
+						cancel()
+					}()
+				}
+				if keyed {
+					k, err := c.spec.Key()
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := e.RunKeyed(ctx, k, c.spec)
+					return res, err, e
+				}
+				res, err := e.RunAll(ctx, []Spec{c.spec}, nil)
+				if err != nil {
+					return sim.Result{}, err, e
+				}
+				return res[0], nil, e
+			}
+			for _, keyed := range []bool{true, false} {
+				via := "RunKeyed"
+				if !keyed {
+					via = "RunAll"
+				}
+				res, err, e := call(keyed)
+				wantErr := c.wantErr
+				if wantErr == rawErr && !keyed {
+					wantErr = fmt.Errorf("engine: spec 0 (app=%s, technique=%s): %w", c.spec.App, c.spec.Technique, rawErr)
+				}
+				switch {
+				case wantErr == nil && (err != nil || res != want):
+					t.Errorf("%s returned %v, want the spec's result", via, err)
+				case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
+					t.Errorf("%s returned %v, want %v", via, err, wantErr)
+				}
+				if st := e.CacheStats(); st != c.wantStats {
+					t.Errorf("%s stats %s, want %s", via, counters(st), counters(c.wantStats))
+				}
+				if c.check != nil {
+					c.check(t, e)
+				}
+				if c.cancelWait {
+					continue // the other caller's entry is still in flight
+				}
+				assertAllEntriesClosed(t, e)
+			}
+		})
+	}
+	close(inFlight.done)
 }

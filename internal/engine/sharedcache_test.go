@@ -146,8 +146,8 @@ func TestSharedDiskCacheConcurrentEngines(t *testing.T) {
 			requests = uint64(2 * (len(shared) + len(only2)))
 		}
 		if st.Hits+st.DiskHits+st.Misses != requests {
-			t.Errorf("engine %d: hits %d + disk hits %d + misses %d != %d requests (stats %+v)",
-				i+1, st.Hits, st.DiskHits, st.Misses, requests, st)
+			t.Errorf("engine %d: hits %d + disk hits %d + misses %d != %d requests (stats %s)",
+				i+1, st.Hits, st.DiskHits, st.Misses, requests, counters(st))
 		}
 		// The duplicate pass is all memory hits, so at least half the
 		// requests hit the memory tier.
@@ -178,7 +178,7 @@ func TestSharedDiskCacheConcurrentEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := verify.CacheStats(); st.Misses != 0 || st.DiskHits != uint64(len(union)) {
-		t.Errorf("replay stats %+v, want %d disk hits and 0 misses (corrupt or missing entries)", st, len(union))
+		t.Errorf("replay stats %s, want %d disk hits and 0 misses (corrupt or missing entries)", counters(st), len(union))
 	}
 }
 
@@ -218,6 +218,6 @@ func TestDiskCacheGCRacesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := verify.CacheStats(); st.Misses != 0 {
-		t.Errorf("gc racing the store lost %d entries (stats %+v)", st.Misses, st)
+		t.Errorf("gc racing the store lost %d entries (stats %s)", st.Misses, counters(st))
 	}
 }
