@@ -88,3 +88,80 @@ func BenchmarkColdGridDiskTier(b *testing.B) {
 	b.ReportMetric(float64(sys.Microseconds())/1e3/float64(b.N), "sys-ms/op")
 	b.ReportMetric(float64(files)/float64(b.N), "files/op")
 }
+
+// BenchmarkWarmGridDiskTier times one warm RunAll over serviceGrid per
+// iteration (Parallelism 2, a fresh engine over a cold-written
+// directory), so a pass pays for keying, the disk probe and decoding.
+// It reports the files the probe read per pass (reads/op): one per
+// lockstep group's file, 78.
+func BenchmarkWarmGridDiskTier(b *testing.B) {
+	specs := serviceGrid()
+	dir := b.TempDir()
+	if _, err := New(Options{Parallelism: 2, DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
+		b.Fatal(err)
+	}
+	var reads uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := New(Options{Parallelism: 2, DiskCacheDir: dir})
+		if _, err := e.RunAll(context.Background(), specs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) {
+			b.Fatalf("warm pass stats %s, want every spec from disk", counters(st))
+		}
+		reads += e.disk.reads.Load()
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}
+
+// BenchmarkRunKeyedDiskHit times one RunKeyed disk hit — a one-spec
+// batch reading the file its key names — cycling through serviceGrid's
+// cold-written directory, with a fresh engine (outside the timer) for
+// every pass over the grid. Run it with -benchmem for the hit's
+// allocations.
+func BenchmarkRunKeyedDiskHit(b *testing.B) {
+	specs := serviceGrid()
+	dir := b.TempDir()
+	if _, err := New(Options{Parallelism: 1, DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]Key, len(specs))
+	for i, s := range specs {
+		k, err := s.Key()
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys[i] = k
+	}
+	var e *Engine
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(specs)
+		if k == 0 {
+			b.StopTimer()
+			e = New(Options{Parallelism: 1, DiskCacheDir: dir})
+			b.StartTimer()
+		}
+		if _, err := e.RunKeyed(context.Background(), keys[k], specs[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := e.CacheStats(); st.Misses != 0 || st.Hits != 0 {
+		b.Fatalf("stats %s, want disk hits only", counters(st))
+	}
+}
+
+// BenchmarkSpecKey times Spec.Key over serviceGrid, the per-spec cost of
+// a batch's key phase (and of the server's ValidKey, less validation).
+func BenchmarkSpecKey(b *testing.B) {
+	specs := serviceGrid()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := specs[i%len(specs)].Key(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

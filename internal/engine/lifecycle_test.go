@@ -630,3 +630,73 @@ func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
 	}
 	close(inFlight.done)
 }
+
+// TestRunAllKeyedMatchesRunAll: a batch brought with its keys is served
+// exactly like the same batch keyed by RunAll — the same results, the
+// same error for a failing spec, the same tier counters — cold, warm,
+// and with a spec that fails at run time among warm ones.
+func TestRunAllKeyedMatchesRunAll(t *testing.T) {
+	good := append(groupSpecs(t, "swim"), Spec{App: "gzip", Instructions: 2_000})
+	good = append(good, good[0]) // a duplicate: a memory hit
+	// Keys fine (normalization doesn't resolve apps) but execution fails.
+	bad := append(append([]Spec(nil), good...), Spec{App: "no-such-app", Instructions: 2_000})
+	warmDir := t.TempDir()
+	if _, err := New(Options{DiskCacheDir: warmDir}).RunAll(context.Background(), good, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		specs []Spec
+		dir   string // "cold" for an empty disk tier
+	}{
+		{"cold", good, "cold"},
+		{"warm", good, warmDir},
+		{"failing spec", bad, warmDir},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			keys := make([]Key, len(c.specs))
+			for i, s := range c.specs {
+				k, err := s.Key()
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[i] = k
+			}
+			run := func(keyed bool) ([]sim.Result, error, CacheStats) {
+				dir := c.dir
+				if dir == "cold" {
+					dir = t.TempDir()
+				}
+				e := New(Options{Parallelism: 2, DiskCacheDir: dir})
+				var res []sim.Result
+				var err error
+				if keyed {
+					res, err = e.RunAllKeyed(context.Background(), c.specs, keys, nil)
+				} else {
+					res, err = e.RunAll(context.Background(), c.specs, nil)
+				}
+				assertAllEntriesClosed(t, e)
+				return res, err, e.CacheStats()
+			}
+			want, wantErr, wantStats := run(false)
+			got, err, st := run(true)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("RunAllKeyed error %v, RunAll's %v", err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("RunAllKeyed returned %d results, RunAll %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("spec %d: RunAllKeyed's result differs from RunAll's", i)
+				}
+			}
+			if st != wantStats {
+				t.Errorf("RunAllKeyed stats %s, RunAll's %s", counters(st), counters(wantStats))
+			}
+		})
+	}
+	if _, err := New(Options{}).RunAllKeyed(context.Background(), good, make([]Key, 1), nil); err == nil {
+		t.Error("RunAllKeyed accepted one key for several specs")
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/engine"
@@ -223,6 +224,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
+
+	// Single spec: the keyed path, skipping batch machinery (this is the
+	// high-rate cached path a load generator hammers). Its one line is
+	// the whole body, so it goes out unflushed, in one write with a
+	// Content-Length.
+	if len(specs) == 1 {
+		line := RunLine{Index: 0, Key: keyHex(keys[0])}
+		res, err := s.eng.RunKeyed(r.Context(), keys[0], specs[0])
+		if err != nil {
+			line.Error = err.Error()
+		} else {
+			line.Result = &res
+		}
+		body, _ := json.Marshal(line) // a RunLine always encodes: results hold no NaN or Inf
+		body = append(body, '\n')
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		return
+	}
+
+	// Grid: stream lines in spec order as results complete, each flushed
+	// as it is written. The progress callback is serialized by the
+	// engine; finished-early results buffer until the contiguous prefix
+	// reaches them.
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	writeLine := func(line RunLine) {
@@ -231,25 +256,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	// Single spec: the keyed path, skipping batch machinery (this is the
-	// high-rate cached path a load generator hammers).
-	if len(specs) == 1 {
-		res, err := s.eng.RunKeyed(r.Context(), keys[0], specs[0])
-		if err != nil {
-			writeLine(RunLine{Index: 0, Key: keyHex(keys[0]), Error: err.Error()})
-			return
-		}
-		writeLine(RunLine{Index: 0, Key: keyHex(keys[0]), Result: &res})
-		return
-	}
-
-	// Grid: stream lines in spec order as results complete. The
-	// progress callback is serialized by the engine; finished-early
-	// results buffer until the contiguous prefix reaches them.
 	results := make([]*sim.Result, len(specs))
 	next := 0
-	_, err := s.eng.RunAll(r.Context(), specs, func(i int, res sim.Result) {
+	_, err := s.eng.RunAllKeyed(r.Context(), specs, keys, func(i int, res sim.Result) {
 		r := res
 		results[i] = &r
 		for next < len(specs) && results[next] != nil {

@@ -101,6 +101,63 @@ func TestSingleSpecRun(t *testing.T) {
 	}
 }
 
+// TestSingleSpecResponseIsOneWrite: a single-spec response, result or
+// error, is sent whole with a Content-Length equal to its body, which is
+// the one NDJSON line an encoder writes for it; a grid response still
+// streams chunked, a flush per line.
+func TestSingleSpecResponseIsOneWrite(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	spec := engine.Spec{App: "swim", Instructions: 30_000}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing, err := json.Marshal(RunRequest{Spec: &SpecRequest{App: "swim", Instructions: 30_000, System: runtimeFailingSystem()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, body string
+		want       func(lines []RunLine) RunLine
+	}{
+		{"result", `{"spec":{"app":"swim","instructions":30000}}`, func([]RunLine) RunLine {
+			return RunLine{Index: 0, Key: key.Hex(), Result: &res}
+		}},
+		{"error", string(failing), func(lines []RunLine) RunLine {
+			if len(lines) != 1 || lines[0].Error == "" {
+				t.Fatalf("lines %+v, want one error line", lines)
+			}
+			return RunLine{Index: 0, Key: lines[0].Key, Error: lines[0].Error}
+		}},
+	} {
+		resp := postRun(t, ts.URL, c.body)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte body, want the body's length and none",
+				c.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.want(decodeLines(t, bytes.NewReader(body)))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body\n%s\nwant\n%s", c.name, body, want.Bytes())
+		}
+	}
+
+	resp := postRun(t, ts.URL, `{"specs":[{"app":"swim","instructions":30000},{"app":"lucas","instructions":30000}]}`)
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+		t.Errorf("grid: Content-Length %d, transfer encoding %v, want a chunked stream", resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
 // TestPDNRunOverWire: a spec selecting the multi-domain PDN and the
 // per-domain tuning technique travels the wire, validates, and serves a
 // result identical to direct execution — and the wire spec keys the same
