@@ -20,10 +20,6 @@ type Throttle struct {
 	// estimated current (amps) of the instructions issued this cycle;
 	// pipeline damping [14] uses it. Negative means unlimited.
 	IssueCurrentBudget float64
-	// PhantomAmps is extra current drawn by phantom operations this
-	// cycle; the core does not use it, but it travels with the throttle
-	// so the power model can account for the energy.
-	PhantomAmps float64
 }
 
 // Unlimited is the throttle that imposes no restrictions.

@@ -59,17 +59,6 @@ func (d *diskCache) path(key Key) string {
 	return filepath.Join(d.dir, key.Hex()+".json")
 }
 
-// DiskCacheHas reports whether dir holds a live (current-version,
-// decodable) entry for key — the per-point completion probe sharded
-// sweeps use: because results are published by atomic link and rename,
-// a live entry means the point's simulation finished somewhere and any
-// engine sharing dir will serve it without simulating.
-func DiskCacheHas(dir string, key Key) bool {
-	d := diskCache{dir: dir}
-	_, err := d.load(key)
-	return err == nil
-}
-
 // DiskCacheKeys enumerates the keys of finished entries under dir with
 // a single directory read, parsing keys out of file names without
 // decoding entry bodies. A corrupt or stale-version entry is counted

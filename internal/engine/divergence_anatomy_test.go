@@ -1,8 +1,8 @@
 package engine
 
 // Divergence-anatomy measurement harness behind the EXPERIMENTS.md
-// "Divergence anatomy" study: for every application it runs (a) the
-// seven registered technique kinds as one lockstep group and (b) the
+// "Divergence anatomy" study: for every application it runs (a) every
+// technique kind (Kinds) as one lockstep group and (b) the
 // Table 3 lane group (base + six resonance-tuning variants), and logs
 // each lane's first-divergence cycle, the cohort economics, and the
 // achieved machine-step sharing factor. Run it with
@@ -99,8 +99,7 @@ func TestDivergenceAnatomy(t *testing.T) {
 		insts = v
 	}
 
-	// Group (a): the seven registered technique kinds, as in the
-	// differential harness.
+	// Group (a): every technique kind, as in the differential harness.
 	kinds := Kinds()
 	kindSpecsFor := func() []Spec {
 		specs := make([]Spec, len(kinds))

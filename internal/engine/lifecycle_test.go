@@ -285,18 +285,16 @@ func TestPanickingSimulationResolvesEntry(t *testing.T) {
 }
 
 // TestGroupPanicFailsEveryClaim: a panic outside the kernel's per-lane
-// containment — here a technique constructor, registered for this test
-// only — fails every spec of its lockstep group with an error, leaves
-// no entry claimed, and keeps the engine serving.
+// containment — here a technique constructor, added to the table for
+// this test only — fails every spec of its lockstep group with an
+// error, leaves no entry claimed, and keeps the engine serving.
 func TestGroupPanicFailsEveryClaim(t *testing.T) {
 	const kind TechniqueKind = "test-constructor-panic"
-	register(Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
+	saved := techniques
+	techniques = append(techniques[:len(techniques):len(techniques)], Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
 		panic("constructor exploded")
 	}})
-	t.Cleanup(func() {
-		delete(registry, kind)
-		registryOrder = registryOrder[:len(registryOrder)-1]
-	})
+	t.Cleanup(func() { techniques = saved })
 	group := []Spec{
 		{App: "swim", Instructions: 5_000},
 		{App: "swim", Instructions: 5_000, Technique: TechniqueTuning},

@@ -1,10 +1,11 @@
-// Technique registry: the single place a control scheme is wired into
-// the engine. A technique registers one Descriptor — its kind string,
-// config defaulting, validation, and constructor (plus trace hooks) —
-// and every Spec operation (normalization, Validate, Execute) walks the
-// registry instead of switching on the kind. Adding a technique is one
-// register call and one Spec section field, which the canonical
-// encoding picks up by reflection.
+// Technique table: the single place a control scheme is wired into the
+// engine. Each technique is one Descriptor — its kind string, config
+// defaulting, validation, and constructor (plus trace hooks) — in the
+// static techniques table, and every Spec operation (normalization,
+// Validate, Execute) reads the table instead of switching on the kind.
+// Adding a technique is one table entry plus one Spec section field,
+// which the canonical encoding picks up by reflection and clearSections
+// must drop.
 package engine
 
 import (
@@ -51,20 +52,14 @@ type TraceHooks struct {
 	Level      func() int
 }
 
-// Descriptor is one registered technique kind. All functions except
-// Validate operate on normalized specs; a descriptor with a config
-// section must provide Clear and Normalize so the section participates
-// in default resolution.
+// Descriptor is one technique kind's entry in the techniques table. All
+// functions except Validate operate on normalized specs.
 type Descriptor struct {
 	// Kind is the technique's spec identifier (Spec.Technique).
 	Kind TechniqueKind
-	// Clear removes the technique's config section from a spec. During
-	// normalization every registered descriptor's Clear runs, so only
-	// the selected technique's section survives into the cache key.
-	Clear func(n *Spec)
 	// Normalize resolves the technique's defaults: it reads the
 	// caller's section from orig (nil means all defaults) and writes
-	// the fully resolved section into n.
+	// the fully resolved section into n; nil means no section.
 	Normalize func(orig, n *Spec, env Env)
 	// Validate checks the resolved section; nil means always valid.
 	// Execute reports its error instead of letting a constructor panic.
@@ -74,35 +69,11 @@ type Descriptor struct {
 	Build func(n *Spec, env Env) (sim.Technique, TraceHooks)
 }
 
-var (
-	registry      = map[TechniqueKind]*Descriptor{}
-	registryOrder []*Descriptor
-)
-
-// register adds a technique descriptor. It panics on duplicate or
-// inconsistent registrations (registration happens at init time; a bad
-// descriptor is a programming error, not a runtime condition).
-func register(d Descriptor) {
-	if d.Kind == "" {
-		panic("engine.register: empty technique kind")
-	}
-	if _, dup := registry[d.Kind]; dup {
-		panic(fmt.Sprintf("engine.register: duplicate technique %q", d.Kind))
-	}
-	if (d.Clear == nil) != (d.Normalize == nil) {
-		panic(fmt.Sprintf("engine.register: technique %q needs both Clear and Normalize or neither", d.Kind))
-	}
-	dd := d
-	registry[d.Kind] = &dd
-	registryOrder = append(registryOrder, &dd)
-}
-
-// Kinds returns every registered technique kind in registration order
-// (base first, then the paper's technique, then the related-work
-// baselines).
+// Kinds returns every technique kind in table order (base first, then
+// the paper's technique, then the related-work baselines).
 func Kinds() []TechniqueKind {
-	out := make([]TechniqueKind, len(registryOrder))
-	for i, d := range registryOrder {
+	out := make([]TechniqueKind, len(techniques))
+	for i, d := range techniques {
 		out[i] = d.Kind
 	}
 	return out
@@ -110,28 +81,29 @@ func Kinds() []TechniqueKind {
 
 // lookupTechnique resolves a kind to its descriptor.
 func lookupTechnique(kind TechniqueKind) (*Descriptor, bool) {
-	d, ok := registry[kind]
-	return d, ok
-}
-
-// clearSections runs every descriptor's Clear so that only the selected
-// technique's configuration can reach the canonical encoding.
-func clearSections(n *Spec) {
-	for _, d := range registryOrder {
-		if d.Clear != nil {
-			d.Clear(n)
+	for i := range techniques {
+		if techniques[i].Kind == kind {
+			return &techniques[i], true
 		}
 	}
+	return nil, false
 }
 
-func init() {
+// clearSections drops every technique section so that only the selected
+// technique's configuration, which its Normalize writes back, can reach
+// the canonical encoding.
+func clearSections(n *Spec) {
+	n.Tuning, n.VoltageControl, n.Damping, n.Convolution, n.Wavelet, n.DualBand, n.DomainTuning = nil, nil, nil, nil, nil, nil, nil
+}
+
+// techniques is the table of technique kinds, in Kinds order.
+var techniques = []Descriptor{
 	// The uncontrolled base processor: no section, no constructor.
-	register(Descriptor{Kind: TechniqueNone})
+	{Kind: TechniqueNone},
 
 	// Resonance tuning, the paper's contribution (Section 3).
-	register(Descriptor{
-		Kind:  TechniqueTuning,
-		Clear: func(n *Spec) { n.Tuning = nil },
+	{
+		Kind: TechniqueTuning,
 		Normalize: func(orig, n *Spec, env Env) {
 			tc := DefaultTuningConfig(100)
 			if orig.Tuning != nil {
@@ -149,12 +121,11 @@ func init() {
 			rt := sim.NewResonanceTuning(*n.Tuning)
 			return rt, TraceHooks{EventCount: rt.EventCount, Level: rt.Level}
 		},
-	})
+	},
 
 	// The voltage-threshold scheme of [10].
-	register(Descriptor{
-		Kind:  TechniqueVoltageControl,
-		Clear: func(n *Spec) { n.VoltageControl = nil },
+	{
+		Kind: TechniqueVoltageControl,
 		Normalize: func(orig, n *Spec, env Env) {
 			vc := defaultVoltageControl()
 			if orig.VoltageControl != nil {
@@ -167,12 +138,11 @@ func init() {
 			v := sim.NewVoltageControl(*n.VoltageControl, env.PhantomFireAmps)
 			return v, TraceHooks{Level: v.Level}
 		},
-	})
+	},
 
 	// Pipeline damping [14].
-	register(Descriptor{
-		Kind:  TechniqueDamping,
-		Clear: func(n *Spec) { n.Damping = nil },
+	{
+		Kind: TechniqueDamping,
 		Normalize: func(orig, n *Spec, env Env) {
 			dc := defaultDamping()
 			if orig.Damping != nil {
@@ -184,14 +154,13 @@ func init() {
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewDamping(*n.Damping), TraceHooks{}
 		},
-	})
+	},
 
 	// Convolution-based prediction [8]: the supply defaults to the
 	// spec's own simulated supply, so the impulse response driving the
 	// prediction matches the network being simulated.
-	register(Descriptor{
-		Kind:  TechniqueConvolution,
-		Clear: func(n *Spec) { n.Convolution = nil },
+	{
+		Kind: TechniqueConvolution,
 		Normalize: func(orig, n *Spec, env Env) {
 			var cc convctl.Config
 			if orig.Convolution != nil {
@@ -207,12 +176,11 @@ func init() {
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewConvolutionControl(*n.Convolution, env.PhantomFireAmps), TraceHooks{}
 		},
-	})
+	},
 
 	// Haar-wavelet detector in the spirit of [11].
-	register(Descriptor{
-		Kind:  TechniqueWavelet,
-		Clear: func(n *Spec) { n.Wavelet = nil },
+	{
+		Kind: TechniqueWavelet,
 		Normalize: func(orig, n *Spec, env Env) {
 			var wc wavelet.Config
 			if orig.Wavelet != nil {
@@ -227,13 +195,12 @@ func init() {
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewWaveletControl(*n.Wavelet), TraceHooks{}
 		},
-	})
+	},
 
 	// Dual-band resonance tuning (Section 2.2): medium-band controller
 	// at core clock plus a decimated low-band controller.
-	register(Descriptor{
-		Kind:  TechniqueDualBand,
-		Clear: func(n *Spec) { n.DualBand = nil },
+	{
+		Kind: TechniqueDualBand,
 		Normalize: func(orig, n *Spec, env Env) {
 			var db DualBandConfig
 			if orig.DualBand != nil {
@@ -273,14 +240,13 @@ func init() {
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
 			return sim.NewDualBandTuning(n.DualBand.Medium, n.DualBand.Low, n.DualBand.DecimationFactor), TraceHooks{}
 		},
-	})
+	},
 
 	// Per-domain resonance tuning over a multi-domain PDN: one
 	// medium-band controller per supply domain, each watching its own
 	// rail sensor, with the strongest response applied to the pipeline.
-	register(Descriptor{
-		Kind:  TechniqueDomainTuning,
-		Clear: func(n *Spec) { n.DomainTuning = nil },
+	{
+		Kind: TechniqueDomainTuning,
 		Normalize: func(orig, n *Spec, env Env) {
 			var dt DomainTuningConfig
 			if orig.DomainTuning != nil {
@@ -315,7 +281,7 @@ func init() {
 			dt := sim.NewPerDomainTuning(n.DomainTuning.Domains)
 			return dt, TraceHooks{EventCount: dt.EventCount, Level: dt.Level}
 		},
-	})
+	},
 }
 
 // derivedCap bounds each derivedTable. A process sees few distinct

@@ -37,6 +37,57 @@ func TestKindsCoverAllTechniques(t *testing.T) {
 	}
 }
 
+// TestNormalizeKeepsOnlySelectedSection: a spec carrying every technique
+// section normalizes to one that keeps only the selected kind's section
+// (none for base). The section fields are found by reflection — every
+// pointer field of Spec but Workload, System and PDN — so a new section
+// field that clearSections misses fails here.
+func TestNormalizeKeepsOnlySelectedSection(t *testing.T) {
+	owner := map[TechniqueKind]string{
+		TechniqueNone:           "",
+		TechniqueTuning:         "Tuning",
+		TechniqueVoltageControl: "VoltageControl",
+		TechniqueDamping:        "Damping",
+		TechniqueConvolution:    "Convolution",
+		TechniqueWavelet:        "Wavelet",
+		TechniqueDualBand:       "DualBand",
+		TechniqueDomainTuning:   "DomainTuning",
+	}
+	full := Spec{App: "swim"}
+	fv := reflect.ValueOf(&full).Elem()
+	var sections []string
+	for i := 0; i < fv.NumField(); i++ {
+		f := fv.Type().Field(i)
+		if f.Type.Kind() != reflect.Pointer || f.Name == "Workload" || f.Name == "System" || f.Name == "PDN" {
+			continue
+		}
+		sections = append(sections, f.Name)
+		fv.Field(i).Set(reflect.New(f.Type.Elem()))
+	}
+	if len(sections) != len(owner)-1 {
+		t.Errorf("Spec has %d technique sections %v, want one per non-base kind (%d)", len(sections), sections, len(owner)-1)
+	}
+	for _, kind := range Kinds() {
+		want, ok := owner[kind]
+		if !ok {
+			t.Errorf("kind %q: no section named for it in this test", kind)
+			continue
+		}
+		s := full
+		s.Technique = kind
+		n, _, err := s.normalized()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		nv := reflect.ValueOf(n)
+		for _, name := range sections {
+			if kept := !nv.FieldByName(name).IsNil(); kept != (name == want) {
+				t.Errorf("kind %q: normalized %s section kept = %v, want %v", kind, name, kept, name == want)
+			}
+		}
+	}
+}
+
 // TestCrossTechniqueKeysNeverCollide: two specs differing only in
 // Technique must never share a cache key — a collision would replay one
 // technique's cached result for another.
@@ -111,10 +162,11 @@ func TestNormalizeMidAmpsMatchesPowerModel(t *testing.T) {
 }
 
 // TestRegistryCompleteness asserts every sim.Technique adapter defined
-// in internal/sim/techniques.go has a registered descriptor: the count
-// of adapter types (those with a Name method, the sim.Technique
-// identity) must equal the count of registered constructors. A new
-// adapter without a registration fails here, not silently at a driver.
+// in internal/sim/techniques.go has a descriptor in the techniques
+// table: the count of adapter types (those with a Name method, the
+// sim.Technique identity) must equal the count of table constructors. A
+// new adapter without a table entry fails here, not silently at a
+// driver.
 func TestRegistryCompleteness(t *testing.T) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "../sim/techniques.go", nil, 0)
@@ -139,13 +191,13 @@ func TestRegistryCompleteness(t *testing.T) {
 		t.Fatal("found no sim.Technique adapters in internal/sim/techniques.go — has the file moved?")
 	}
 	var constructors int
-	for _, d := range registryOrder {
+	for _, d := range techniques {
 		if d.Build != nil {
 			constructors++
 		}
 	}
 	if constructors != len(adapters) {
-		t.Errorf("internal/sim/techniques.go defines %d adapters (%s) but the registry has %d constructors — register a descriptor for the new technique",
+		t.Errorf("internal/sim/techniques.go defines %d adapters (%s) but the techniques table has %d constructors — add a descriptor for the new technique",
 			len(adapters), strings.Join(adapters, ", "), constructors)
 	}
 }

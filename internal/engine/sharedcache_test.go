@@ -10,7 +10,7 @@ import (
 
 // TestDiskCacheEnumeration: DiskCacheKeys lists exactly the live
 // current-schema entries (no tmp files, no foreign files, no
-// subdirectories), and DiskCacheHas agrees with it per key.
+// subdirectories), and the disk tier's reader agrees with it per key.
 func TestDiskCacheEnumeration(t *testing.T) {
 	dir := t.TempDir()
 	if keys, err := DiskCacheKeys(dir); err != nil || len(keys) != 0 {
@@ -50,6 +50,7 @@ func TestDiskCacheEnumeration(t *testing.T) {
 	for _, k := range keys {
 		listed[k] = true
 	}
+	d := &diskCache{dir: dir}
 	for i, s := range specs {
 		k, err := s.Key()
 		if err != nil {
@@ -58,13 +59,16 @@ func TestDiskCacheEnumeration(t *testing.T) {
 		if !listed[k] {
 			t.Errorf("spec %d's key %s missing from enumeration", i, k)
 		}
-		if !DiskCacheHas(dir, k) {
-			t.Errorf("DiskCacheHas(%s) = false for a stored entry", k)
+		if _, err := d.load(k); err != nil {
+			t.Errorf("load(%s) = %v for a stored entry", k, err)
 		}
 	}
-	absent := Spec{App: "mcf", Instructions: 20_000}
-	if k, err := absent.Key(); err != nil || DiskCacheHas(dir, k) {
-		t.Errorf("DiskCacheHas reports an entry never stored (err %v)", err)
+	absent, err := Spec{App: "mcf", Instructions: 20_000}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.load(absent); err == nil {
+		t.Error("load serves an entry never stored")
 	}
 }
 

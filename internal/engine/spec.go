@@ -31,9 +31,9 @@ import (
 // Instructions zero.
 const DefaultInstructions = 1_000_000
 
-// TechniqueKind selects an inductive-noise control scheme. The set of
-// valid kinds is the technique registry (see Kinds and Register in
-// registry.go); each kind below is registered in this package's init.
+// TechniqueKind selects an inductive-noise control scheme. The valid
+// kinds are the entries of the techniques table in registry.go (see
+// Kinds), one for each constant below.
 type TechniqueKind string
 
 // Available techniques.
@@ -123,14 +123,10 @@ type Spec struct {
 	Trace func(sim.TracePoint) `json:"-"`
 }
 
-// SpecWire is the JSON wire form of a Spec: the Spec itself, whose
-// Trace callback the encoding skips.
-type SpecWire = Spec
-
 // WireSpec renders a spec in its wire form, dropping the Trace callback
 // (process-local, and not part of the content address either): a replay
 // of the wire spec computes the same Result.
-func WireSpec(s Spec) SpecWire {
+func WireSpec(s Spec) Spec {
 	s.Trace = nil
 	return s
 }
@@ -227,8 +223,8 @@ func defaultDamping() damping.Config {
 // pointers to equal configurations — become structurally identical. The
 // canonical encoding (and therefore the cache key) is computed from the
 // normalized form, and Execute builds the simulation from it, which is
-// what makes the cache sound. The selected technique's registry
-// descriptor is returned alongside.
+// what makes the cache sound. The selected technique's descriptor is
+// returned alongside.
 func (s Spec) normalized() (Spec, *Descriptor, error) {
 	n := s
 	if n.Instructions == 0 {
@@ -282,13 +278,13 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 	return n, desc, nil
 }
 
-// Validate resolves the spec through the registry's Normalize path and
-// checks everything Execute would reject before simulating — unknown
-// technique kind, unusable technique section, unknown application, bad
-// synthetic-workload parameters, unusable system configuration — without
-// constructing a simulator. It is what a serving front-end runs on an
-// incoming spec so configuration mistakes surface as client errors
-// rather than failed runs.
+// Validate resolves the spec through the technique table's Normalize
+// path and checks everything Execute would reject before simulating —
+// unknown technique kind, unusable technique section, unknown
+// application, bad synthetic-workload parameters, unusable system
+// configuration — without constructing a simulator. It is what a
+// serving front-end runs on an incoming spec so configuration mistakes
+// surface as client errors rather than failed runs.
 func (s Spec) Validate() error {
 	n, desc, err := s.normalized()
 	if err != nil {

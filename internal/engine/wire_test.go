@@ -51,7 +51,7 @@ func TestSpecWireRoundTripPreservesKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fixture %d: marshal: %v", i, err)
 		}
-		var w SpecWire
+		var w Spec
 		if err := json.Unmarshal(blob, &w); err != nil {
 			t.Fatalf("fixture %d: unmarshal: %v", i, err)
 		}
@@ -74,7 +74,7 @@ func TestSpecWireDropsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal traced spec's wire form: %v", err)
 	}
-	var w SpecWire
+	var w Spec
 	if err := json.Unmarshal(blob, &w); err != nil {
 		t.Fatal(err)
 	}

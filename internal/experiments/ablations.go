@@ -120,23 +120,16 @@ func Ablations(opts Options) (Report, error) {
 
 // integratorWorstError measures the worst deviation error of the given
 // method against the analytic underdamped step response of the Table 1
-// supply over 3000 cycles.
+// supply (circuit.Params.StepResponse) over 3000 cycles.
 func integratorWorstError(m circuit.Method) float64 {
 	p := circuit.Table1()
 	const i0, i1 = 50.0, 80.0
 	s := circuit.NewSimulatorMethod(p, i0, m)
-	alpha := p.DampingRateNepers()
-	w0 := 2 * math.Pi * p.ResonantFrequency()
-	wd := math.Sqrt(w0*w0 - alpha*alpha)
-	a := p.R * (i1 - i0)
-	bb := (-(i1-i0)/p.C + alpha*a) / wd
 	dt := 1 / p.ClockHz
 	worst := 0.0
 	for c := 1; c <= 3000; c++ {
 		got := s.Step(i1)
-		t := float64(c) * dt
-		want := math.Exp(-alpha*t) * (a*math.Cos(wd*t) + bb*math.Sin(wd*t))
-		if e := math.Abs(got - want); e > worst {
+		if e := math.Abs(got - p.StepResponse(i1-i0, float64(c)*dt)); e > worst {
 			worst = e
 		}
 	}

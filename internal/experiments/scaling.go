@@ -150,8 +150,8 @@ func runScalingPoint(opts Options, supply circuit.Params) (ScalingRow, error) {
 			ThresholdAmps:          threshold,
 			MaxRepetitionTolerance: tolerance,
 		},
-		InitialResponseThreshold: maxInt(1, tolerance-2),
-		SecondResponseThreshold:  maxInt(2, tolerance-1),
+		InitialResponseThreshold: max(1, tolerance-2),
+		SecondResponseThreshold:  max(2, tolerance-1),
 		InitialResponseCycles:    int(period),
 		SecondResponseCycles:     circuit.DissipationCycles(supply, tolerance) + 3,
 		ReducedIssueWidth:        4,
@@ -185,12 +185,4 @@ func runScalingPoint(opts Options, supply circuit.Params) (ScalingRow, error) {
 		Slowdown:            sum.AvgSlowdown,
 		EnergyDelay:         sum.AvgEnergyDelay,
 	}, nil
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,7 @@
 // per-endpoint latency histograms in Prometheus text format.
 //
 // The server adds no execution machinery of its own: every request is
-// validated through the technique registry's Normalize/Validate path,
+// validated through the technique table's Normalize/Validate path,
 // keyed by its canonical content address, and handed to the shared
 // engine, whose entry/waiter singleflight makes identical in-flight
 // requests from any number of connections coalesce onto one simulation.
@@ -121,11 +121,11 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // SpecRequest is the JSON wire form of one simulation spec: the
-// engine's Spec (engine.SpecWire), which the sharded sweep's grid
+// engine's Spec itself, whose JSON tags the sharded sweep's grid
 // manifest also speaks. Zero-valued fields resolve to the same defaults
 // every other driver uses (Table 1 system, 1M instructions, base
 // technique).
-type SpecRequest = engine.SpecWire
+type SpecRequest = engine.Spec
 
 // RunRequest is the POST /v1/run body: exactly one of Spec (single run)
 // or Specs (grid).
@@ -143,11 +143,6 @@ type RunLine struct {
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
 }
-
-// keyHex renders a spec's full content address (the cache key) for the
-// wire; clients can use it to correlate or content-address results
-// themselves.
-func keyHex(k engine.Key) string { return k.Hex() }
 
 // errorJSON is the body of a non-streaming error response.
 type errorJSON struct {
@@ -170,7 +165,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRun is POST /v1/run. Every spec is validated through the
-// registry before anything executes, so a malformed grid is a 400
+// technique table before anything executes, so a malformed grid is a 400
 // naming the offending spec rather than a half-streamed failure;
 // runtime errors that survive validation (and cancel the batch, per
 // engine semantics) surface as a terminal NDJSON error line.
@@ -210,7 +205,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate and key everything up front, one normalization per spec:
-	// the registry's Normalize/Validate path plus application
+	// the technique table's Normalize/Validate path plus application
 	// resolution, so configuration mistakes are client errors, not
 	// failed batches.
 	keys := make([]engine.Key, len(specs))
@@ -230,7 +225,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// the whole body, so it goes out unflushed, in one write with a
 	// Content-Length.
 	if len(specs) == 1 {
-		line := RunLine{Index: 0, Key: keyHex(keys[0])}
+		line := RunLine{Index: 0, Key: keys[0].Hex()}
 		res, err := s.eng.RunKeyed(r.Context(), keys[0], specs[0])
 		if err != nil {
 			line.Error = err.Error()
@@ -262,7 +257,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		r := res
 		results[i] = &r
 		for next < len(specs) && results[next] != nil {
-			writeLine(RunLine{Index: next, Key: keyHex(keys[next]), Result: results[next]})
+			writeLine(RunLine{Index: next, Key: keys[next].Hex(), Result: results[next]})
 			next++
 		}
 	})

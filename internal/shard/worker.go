@@ -21,11 +21,8 @@ type WorkerOptions struct {
 	// LeaseExpiry is how long a lease may go unrefreshed before other
 	// workers treat its holder as dead and steal it; zero means
 	// DefaultLeaseExpiry. Every cooperating worker must use the same
-	// expiry, and it must comfortably exceed Heartbeat.
+	// expiry; a holder refreshes its leases every LeaseExpiry/4.
 	LeaseExpiry time.Duration
-	// Heartbeat is the holder's lease-refresh interval; zero means
-	// LeaseExpiry/4.
-	Heartbeat time.Duration
 	// Poll is how long an idle worker (nothing claimable, grid
 	// incomplete) sleeps before re-scanning; zero means DefaultPoll.
 	Poll time.Duration
@@ -74,9 +71,6 @@ func (o WorkerOptions) withDefaults(eng *engine.Engine) WorkerOptions {
 	}
 	if o.LeaseExpiry <= 0 {
 		o.LeaseExpiry = DefaultLeaseExpiry
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseExpiry / 4
 	}
 	if o.Poll <= 0 {
 		o.Poll = DefaultPoll
@@ -216,7 +210,7 @@ func (b *Board) runBatch(ctx context.Context, eng *engine.Engine, o WorkerOption
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		t := time.NewTicker(o.Heartbeat)
+		t := time.NewTicker(o.LeaseExpiry / 4)
 		defer t.Stop()
 		for {
 			select {

@@ -120,9 +120,8 @@ func (t *VoltageControl) Level() int {
 // is injected on the following cycle, mirroring the one-cycle actuation
 // lag of a real implementation.
 type Damping struct {
-	ctrl          *damping.Controller
-	pendingAmps   float64
-	warmupPending bool
+	ctrl        *damping.Controller
+	pendingAmps float64
 }
 
 // NewDamping returns the technique for the given configuration.
