@@ -128,8 +128,9 @@ func TestShardedSweepCrashRecovery(t *testing.T) {
 
 // BenchmarkSweepSharded measures the full sharded path — publish, two
 // workers over a cold shared cache, completion wait, disk-served merge
-// — on the same grid shape as the serial and engine benchmarks, so the
-// three numbers in BENCH_sim.json compare like for like.
+// — on the same grid shape as BenchmarkSweepSerial and
+// BenchmarkSweepEngine, so the three compare like for like. No perfbench
+// workload shards, so this is the sharded path's only timing entry.
 func BenchmarkSweepSharded(b *testing.B) {
 	g := benchGrid()
 	for i := 0; i < b.N; i++ {

@@ -94,7 +94,8 @@ type Inst struct {
 //
 // The core reads a *TraceSource in place: its fetch queue is a window on
 // the trace's packed arrays, and fetch only advances the trace's cursor.
-// Every other source — the live workload Generator, a trace.Reader, a
+// Stored workload traces and recorded streams (trace.Read) both arrive
+// as one. Every other source — the live workload Generator, a
 // SliceSource or a RepeatSource — is read one Next call per fetched
 // instruction into a small ring in the same packed form, so dispatch is
 // one loop whichever way the stream arrives.

@@ -76,24 +76,20 @@ func prepare(spec Spec) (job, error) {
 	if err != nil {
 		return job{}, err
 	}
-	if err := n.validate(desc); err != nil {
-		return job{}, err
-	}
-	params, err := n.workloadParams()
+	params, err := n.validate(desc)
 	if err != nil {
 		return job{}, err
 	}
-	tech, hooks, err := buildTechnique(&n, desc)
-	if err != nil {
-		return job{}, err
+	lane := batchkernel.Lane{TechName: string(TechniqueNone)}
+	if desc.Build != nil {
+		var hooks TraceHooks
+		lane.Tech, hooks = desc.Build(&n, envOf(n.System))
+		lane.TechName = lane.Tech.Name()
+		if spec.Trace != nil {
+			lane.EventCount, lane.Level = hooks.EventCount, hooks.Level
+		}
 	}
-	lane := batchkernel.Lane{Tech: tech, TechName: string(TechniqueNone)}
-	if tech != nil {
-		lane.TechName = tech.Name()
-	}
-	if spec.Trace != nil {
-		lane.Trace, lane.EventCount, lane.Level = spec.Trace, hooks.EventCount, hooks.Level
-	}
+	lane.Trace = spec.Trace
 	return job{n: n, params: params, lane: lane}, nil
 }
 

@@ -128,11 +128,11 @@ func diffMatrix(t *testing.T) []diffCase {
 // returning the per-cycle records, trace points, and final Result.
 func scalarReference(t *testing.T, spec Spec) ([]cycleRecord, []sim.TracePoint, sim.Result) {
 	t.Helper()
-	n, desc, err := spec.normalized()
+	n, _, err := spec.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tech, hooks, err := buildTechnique(&n, desc)
+	tech, hooks, err := BuildTechnique(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,7 @@ func batchedLanes(t *testing.T, specs []Spec) ([][]cycleRecord, [][]sim.TracePoi
 	tps := make([][]sim.TracePoint, len(specs))
 	lanes := make([]batchkernel.Lane, len(specs))
 	for i := range specs {
-		ni, desc, err := specs[i].normalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tech, hooks, err := buildTechnique(&ni, desc)
+		tech, hooks, err := BuildTechnique(specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

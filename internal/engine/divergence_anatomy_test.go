@@ -43,11 +43,7 @@ func anatomyGroup(t *testing.T, label, app string, insts uint64, specs []Spec) {
 	lanes := make([]batchkernel.Lane, len(specs))
 	names := make([]string, len(specs))
 	for i := range specs {
-		ni, desc, err := specs[i].normalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tech, _, err := buildTechnique(&ni, desc)
+		tech, _, err := BuildTechnique(specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

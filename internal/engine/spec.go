@@ -290,7 +290,8 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	return n.validate(desc)
+	_, err = n.validate(desc)
+	return err
 }
 
 // ValidKey is Validate followed by Key from one normalization: the
@@ -302,32 +303,35 @@ func (s Spec) ValidKey() (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	if err := n.validate(desc); err != nil {
+	if _, err := n.validate(desc); err != nil {
 		return Key{}, err
 	}
 	return n.key()
 }
 
-// validate is Validate on a normalized spec and its descriptor.
-func (n *Spec) validate(desc *Descriptor) error {
-	if _, err := n.workloadParams(); err != nil {
-		return err
+// validate is Validate on a normalized spec and its descriptor. It
+// returns the spec's instruction-stream parameters, which it resolves
+// on the way.
+func (n *Spec) validate(desc *Descriptor) (workload.Params, error) {
+	params, err := n.workloadParams()
+	if err != nil {
+		return params, err
 	}
 	if err := n.System.PDN.Validate(); err != nil {
-		return err
+		return params, err
 	}
 	if nd := n.System.PDN.DomainCount(); n.System.SensorDomain < 0 || n.System.SensorDomain > nd {
-		return fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
+		return params, fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
 	}
 	if desc.Validate != nil {
 		if err := desc.Validate(n); err != nil {
-			return err
+			return params, err
 		}
 	}
 	if err := n.System.CPU.Validate(); err != nil {
-		return err
+		return params, err
 	}
-	return n.System.Power.Validate()
+	return params, n.System.Power.Validate()
 }
 
 // workloadParams resolves a normalized spec's instruction stream: the
@@ -389,24 +393,6 @@ func (p *Prepared) Run() (sim.Result, error) {
 	return outs[0].Result, outs[0].Err
 }
 
-// buildTechnique validates a normalized spec's technique section and
-// constructs the adapter with the system's envelope. tech is nil for
-// TechniqueNone.
-func buildTechnique(n *Spec, desc *Descriptor) (sim.Technique, TraceHooks, error) {
-	// The technique constructors panic on unusable configurations;
-	// validate here so a bad grid point surfaces as an error naming it.
-	if desc.Validate != nil {
-		if err := desc.Validate(n); err != nil {
-			return nil, TraceHooks{}, err
-		}
-	}
-	if desc.Build == nil {
-		return nil, TraceHooks{}, nil
-	}
-	tech, hooks := desc.Build(n, envOf(n.System))
-	return tech, hooks, nil
-}
-
 // BuildTechnique resolves spec's technique section exactly as Execute
 // does — registry defaulting, validation, the system's envelope — and
 // returns the constructed adapter without running a simulation. It
@@ -418,5 +404,16 @@ func BuildTechnique(spec Spec) (sim.Technique, TraceHooks, error) {
 	if err != nil {
 		return nil, TraceHooks{}, err
 	}
-	return buildTechnique(&n, desc)
+	// The technique constructors panic on unusable configurations;
+	// validate the section so a bad configuration surfaces as an error.
+	if desc.Validate != nil {
+		if err := desc.Validate(&n); err != nil {
+			return nil, TraceHooks{}, err
+		}
+	}
+	if desc.Build == nil {
+		return nil, TraceHooks{}, nil
+	}
+	tech, hooks := desc.Build(&n, envOf(n.System))
+	return tech, hooks, nil
 }

@@ -88,7 +88,8 @@ func Related(opts Options) (Report, error) {
 		"Convolution control predicts superbly in simulation — even with noisy\n" +
 		"estimates — which sharpens the paper's actual critique: the barrier is\n" +
 		"a ~400-tap multiply-accumulate every cycle at core clock, not accuracy\n" +
-		"(compare BenchmarkSimCycle with and without it). The dyadic wavelet\n" +
+		"(compare perfbench's per-layer baselines.convctl.ns_per_cycle with\n" +
+		"tuning.resonance.ns_per_cycle). The dyadic wavelet\n" +
 		"scales approximate the band more coarsely than resonance tuning's\n" +
 		"per-half-period adders and pay roughly [10]-like costs.\n")
 	return Report{ID: "related", Text: b.String(), Data: data}, nil

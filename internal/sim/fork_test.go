@@ -7,16 +7,19 @@ package sim
 // fork must not perturb the original, which is why the checks run the
 // two machines interleaved against an undisturbed reference run. The
 // deterministic matrix covers both supply models, sensor delay and
-// quantisation, and the live RNG-driven generator source; the fuzz
-// target randomizes seed, fork cycle, and configuration.
+// quantisation, and the live RNG-driven generator source, plus a
+// recorded stream read back by trace.Read; the fuzz target randomizes
+// seed, fork cycle, and configuration.
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/cpu"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -66,8 +69,8 @@ func forkSchedule(cycle uint64) (cpu.Throttle, Phantom) {
 	return th, ph
 }
 
-// forkCase builds one machine over the given config and generator seed.
-func forkMachine(t testing.TB, cfg Config, seed uint64, insts uint64) *Machine {
+// swimParams returns swim's stream parameters under the given seed.
+func swimParams(t testing.TB, seed uint64) workload.Params {
 	t.Helper()
 	app, err := workload.ByName("swim")
 	if err != nil {
@@ -75,22 +78,35 @@ func forkMachine(t testing.TB, cfg Config, seed uint64, insts uint64) *Machine {
 	}
 	p := app.Params
 	p.Seed = seed
-	m, err := NewMachine(cfg, workload.NewGenerator(p, insts))
+	return p
+}
+
+// swimStream returns a constructor of swim's live generator stream.
+func swimStream(t testing.TB, seed, insts uint64) func() cpu.Source {
+	p := swimParams(t, seed)
+	return func() cpu.Source { return workload.NewGenerator(p, insts) }
+}
+
+// forkMachine builds one machine over the given config and source.
+func forkMachine(t testing.TB, cfg Config, src cpu.Source) *Machine {
+	t.Helper()
+	m, err := NewMachine(cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-// runForkContract runs the contract for one (config, seed, forkCycle)
+// runForkContract runs the contract for one (config, stream, forkCycle)
 // point: a reference machine records the undisturbed stream; a second
 // machine forks at forkCycle, and the pair then advances interleaved —
 // one cycle each, so any state secretly shared between them corrupts at
 // least one stream — with every cycle compared against the reference.
-func runForkContract(t testing.TB, cfg Config, seed, forkCycle, insts uint64) {
+// stream returns a fresh source of the same instructions on each call.
+func runForkContract(t testing.TB, cfg Config, stream func() cpu.Source, forkCycle uint64) {
 	t.Helper()
 
-	ref := forkMachine(t, cfg, seed, insts)
+	ref := forkMachine(t, cfg, stream())
 	var refRecs []forkObs
 	limit := ref.CycleLimit()
 	for !ref.Done() && ref.Cycles() < limit {
@@ -99,7 +115,7 @@ func runForkContract(t testing.TB, cfg Config, seed, forkCycle, insts uint64) {
 	}
 	refRes := ref.Result("swim", "forktest")
 
-	m := forkMachine(t, cfg, seed, insts)
+	m := forkMachine(t, cfg, stream())
 	for m.Cycles() < forkCycle && !m.Done() && m.Cycles() < limit {
 		th, ph := forkSchedule(m.Cycles())
 		got := flatObs(m.Step(th, ph))
@@ -170,9 +186,30 @@ func TestMachineForkBitIdentical(t *testing.T) {
 	for name, cfg := range forkConfigs() {
 		for _, forkCycle := range []uint64{0, 1, 127, 1000} {
 			t.Run(fmt.Sprintf("%s/fork%d", name, forkCycle), func(t *testing.T) {
-				runForkContract(t, cfg, 42, forkCycle, 4000)
+				runForkContract(t, cfg, swimStream(t, 42, 4000), forkCycle)
 			})
 		}
+	}
+}
+
+// TestMachineForkRecordedTrace runs the contract on a machine fed by a
+// recorded stream: trace.Read's source must fork like a stored trace.
+func TestMachineForkRecordedTrace(t *testing.T) {
+	var rec bytes.Buffer
+	if _, err := trace.Write(&rec, workload.NewGenerator(swimParams(t, 42), 4000)); err != nil {
+		t.Fatal(err)
+	}
+	stream := func() cpu.Source {
+		src, err := trace.Read(bytes.NewReader(rec.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	for _, forkCycle := range []uint64{0, 1000} {
+		t.Run(fmt.Sprintf("fork%d", forkCycle), func(t *testing.T) {
+			runForkContract(t, DefaultConfig(), stream, forkCycle)
+		})
 	}
 }
 
@@ -180,7 +217,8 @@ func TestMachineForkBitIdentical(t *testing.T) {
 // with the same contract, since the batch kernel re-splits cohorts that
 // already live on forked machines.
 func TestMachineForkOfFork(t *testing.T) {
-	ref := forkMachine(t, DefaultConfig(), 7, 4000)
+	stream := swimStream(t, 7, 4000)
+	ref := forkMachine(t, DefaultConfig(), stream())
 	var refRecs []forkObs
 	limit := ref.CycleLimit()
 	for !ref.Done() && ref.Cycles() < limit {
@@ -188,7 +226,7 @@ func TestMachineForkOfFork(t *testing.T) {
 		refRecs = append(refRecs, flatObs(ref.Step(th, ph)))
 	}
 
-	m := forkMachine(t, DefaultConfig(), 7, 4000)
+	m := forkMachine(t, DefaultConfig(), stream())
 	machines := []*Machine{m}
 	for !allDone(machines, limit) {
 		for _, mm := range machines {
@@ -249,7 +287,7 @@ func FuzzMachineFork(f *testing.F) {
 			cfg.SensorResolutionAmps = 2
 		}
 		cfg.MaxCycles = 3000
-		runForkContract(t, cfg, seed, forkCycle%3000, 4000)
+		runForkContract(t, cfg, swimStream(t, seed, 4000), forkCycle%3000)
 	})
 }
 

@@ -6,8 +6,10 @@
 //	magic "RTI1" | uint32 count | count × record
 //	record: class u8 | mem u8 | flags u8 | srcDist1 u16 | srcDist2 u16
 //
-// All multi-byte fields are little-endian. A Reader implements cpu.Source
-// and can replay the stream any number of times via Reset.
+// All multi-byte fields are little-endian. Read decodes a stream into the
+// packed arrays a materialized workload trace uses and returns a
+// *cpu.TraceSource over them, so a core fetches a recorded stream in
+// place, a machine on it forks, and Reset replays it any number of times.
 package trace
 
 import (
@@ -91,15 +93,8 @@ func decode(rec []byte) (cpu.Inst, error) {
 	return in, nil
 }
 
-// Reader replays a recorded stream. It implements cpu.Source; decoding
-// errors surface through Err after the stream ends early.
-type Reader struct {
-	insts []cpu.Inst
-	pos   int
-}
-
 // Read parses an entire recorded stream from r.
-func Read(r io.Reader) (*Reader, error) {
+func Read(r io.Reader) (*cpu.TraceSource, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -112,7 +107,12 @@ func Read(r io.Reader) (*Reader, error) {
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("trace: reading count: %w", err)
 	}
-	insts := make([]cpu.Inst, 0, count)
+	// The count is read, not trusted: the arrays grow with the records
+	// that are actually there.
+	hint := min(count, 1<<20)
+	meta := make([]uint8, 0, hint)
+	src1 := make([]uint16, 0, hint)
+	src2 := make([]uint16, 0, hint)
 	var rec [recordSize]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -122,23 +122,9 @@ func Read(r io.Reader) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		insts = append(insts, in)
+		meta = append(meta, cpu.PackMeta(in))
+		src1 = append(src1, in.SrcDist1)
+		src2 = append(src2, in.SrcDist2)
 	}
-	return &Reader{insts: insts}, nil
+	return cpu.NewTraceSource(meta, src1, src2), nil
 }
-
-// Next implements cpu.Source.
-func (r *Reader) Next() (cpu.Inst, bool) {
-	if r.pos >= len(r.insts) {
-		return cpu.Inst{}, false
-	}
-	in := r.insts[r.pos]
-	r.pos++
-	return in, true
-}
-
-// Len returns the number of recorded instructions.
-func (r *Reader) Len() int { return len(r.insts) }
-
-// Reset rewinds the reader for another replay.
-func (r *Reader) Reset() { r.pos = 0 }

@@ -122,7 +122,8 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("XXXX"),
 		[]byte("RTI1"),                     // missing count
 		append([]byte("RTI1"), 5, 0, 0, 0), // count 5, no records
-		append([]byte("RTI1"), 1, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0), // bad class
+		append([]byte("RTI1"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0), // count 2^32-1, one record
+		append([]byte("RTI1"), 1, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0),           // bad class
 	}
 	for i, blob := range cases {
 		if _, err := Read(bytes.NewReader(blob)); err == nil {

@@ -261,8 +261,10 @@ func RecordWorkload(w io.Writer, appName string, instructions uint64) (uint32, e
 
 // ReplayWorkload runs a previously recorded instruction stream on the
 // Table 1 system under the given technique kind (empty = base machine).
+// The stream is decoded into a trace the core fetches in place, as it
+// does every stored workload trace.
 func ReplayWorkload(r io.Reader, kind TechniqueKind) (Result, error) {
-	rd, err := trace.Read(r)
+	src, err := trace.Read(r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -275,7 +277,7 @@ func ReplayWorkload(r io.Reader, kind TechniqueKind) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := sim.NewMachine(sim.DefaultConfig(), rd)
+	m, err := sim.NewMachine(sim.DefaultConfig(), src)
 	if err != nil {
 		return Result{}, err
 	}
