@@ -77,16 +77,6 @@ func BenchmarkCircuitStepHeun(b *testing.B) {
 	}
 }
 
-// BenchmarkCircuitStepEuler measures one forward-Euler step (the
-// integrator ablation's cheaper, less accurate baseline).
-func BenchmarkCircuitStepEuler(b *testing.B) {
-	s := circuit.NewSimulatorMethod(circuit.Table1(), 70, circuit.Euler)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Step(70 + float64(i%30))
-	}
-}
-
 // BenchmarkDetectorStep measures one cycle of resonant-event detection
 // with the Table 1 band (19 half-period adders).
 func BenchmarkDetectorStep(b *testing.B) {

@@ -92,14 +92,9 @@ func main() {
 	}
 
 	var currentTrace []float64
+	var traceFn func(resonance.TracePoint)
 	if *spect {
-		prev := spec.Trace
-		spec.Trace = func(tp resonance.TracePoint) {
-			currentTrace = append(currentTrace, tp.TotalAmps)
-			if prev != nil {
-				prev(tp)
-			}
-		}
+		traceFn = func(tp resonance.TracePoint) { currentTrace = append(currentTrace, tp.TotalAmps) }
 	}
 
 	var traceFile *os.File
@@ -111,8 +106,8 @@ func main() {
 		traceFile = f
 		defer f.Close()
 		fmt.Fprintln(f, "cycle,amps,deviation_mv,event_count,response_level")
-		prev := spec.Trace
-		spec.Trace = func(tp resonance.TracePoint) {
+		prev := traceFn
+		traceFn = func(tp resonance.TracePoint) {
 			fmt.Fprintf(f, "%d,%.2f,%.3f,%d,%d\n",
 				tp.Cycle, tp.TotalAmps, tp.DeviationVolts*1000, tp.EventCount, tp.ResponseLevel)
 			if prev != nil {
@@ -121,8 +116,9 @@ func main() {
 		}
 	}
 
-	// Run through the engine, keeping the process responsive to an
-	// interrupt while the simulation executes.
+	// Run through the engine — a traced run on its own machine, outside
+	// the result cache — keeping the process responsive to an interrupt
+	// while the simulation executes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	type outcome struct {
@@ -132,8 +128,13 @@ func main() {
 	eng := cache.Engine(1)
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := eng.Run(ctx, spec)
-		ch <- outcome{res, err}
+		var out outcome
+		if traceFn != nil {
+			out.res, out.err = resonance.SimulateTraced(spec, traceFn)
+		} else {
+			out.res, out.err = eng.Run(ctx, spec)
+		}
+		ch <- out
 	}()
 	var res resonance.Result
 	select {

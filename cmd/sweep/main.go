@@ -96,6 +96,9 @@ func main() {
 	if grid.seconds, err = parseInts(*secondMin); err != nil {
 		fatal(fmt.Errorf("-second: %w", err))
 	}
+	if err := shard.CheckLeaseExpiry(*leaseF); err != nil {
+		fatal(fmt.Errorf("-lease-expiry: %w", err))
+	}
 
 	if *workerF && *coordF {
 		fatal(fmt.Errorf("-worker and -coordinate are mutually exclusive"))

@@ -42,10 +42,8 @@ func main() {
 	// 3. Spectral view of the uncontrolled run: where does this app's
 	// current variation live relative to the 84-119-cycle band?
 	var trace []float64
-	if _, err := resonance.Simulate(resonance.SimulationSpec{
-		App: app, Instructions: insts,
-		Trace: func(tp resonance.TracePoint) { trace = append(trace, tp.TotalAmps) },
-	}); err != nil {
+	if _, err := resonance.SimulateTraced(resonance.SimulationSpec{App: app, Instructions: insts},
+		func(tp resonance.TracePoint) { trace = append(trace, tp.TotalAmps) }); err != nil {
 		log.Fatal(err)
 	}
 	sp, err := resonance.AnalyzeSpectrum(trace)

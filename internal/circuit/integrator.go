@@ -1,31 +1,5 @@
 package circuit
 
-import "fmt"
-
-// Method selects the numerical scheme used to advance the circuit state.
-// The paper uses the Heun formula (improved Euler); forward Euler is kept
-// for the integrator ablation study.
-type Method int
-
-const (
-	// Heun is the improved Euler predictor-corrector scheme (paper §4.1).
-	Heun Method = iota
-	// Euler is the first-order forward Euler scheme (ablation baseline).
-	Euler
-)
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case Heun:
-		return "heun"
-	case Euler:
-		return "euler"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // State is the instantaneous electrical state of the second-order supply
 // of Figure 1(b): the deviation of the die node voltage from its source
 // value and the current through the supply inductor.
@@ -47,26 +21,18 @@ type State struct {
 // The reported noise deviation subtracts the IR drop (paper §4.1): a
 // constant processor current produces zero deviation in steady state.
 type Simulator struct {
-	p      Params
-	method Method
-	dt     float64
-	state  State
-	cycle  uint64
+	p     Params
+	dt    float64
+	state State
+	cycle uint64
 }
 
 // NewSimulator returns a transient simulator for supply p using the Heun
 // formula with a time step of one processor clock cycle. The initial state
 // is the DC steady state for current i0, so simulations begin glitch-free.
 func NewSimulator(p Params, i0 float64) *Simulator {
-	s := &Simulator{p: p, method: Heun, dt: 1 / p.ClockHz}
+	s := &Simulator{p: p, dt: 1 / p.ClockHz}
 	s.Reset(i0)
-	return s
-}
-
-// NewSimulatorMethod is NewSimulator with an explicit integration method.
-func NewSimulatorMethod(p Params, i0 float64, m Method) *Simulator {
-	s := NewSimulator(p, i0)
-	s.method = m
 	return s
 }
 
@@ -102,22 +68,17 @@ func (s *Simulator) derivatives(st State, icpu float64) (dV, dIL float64) {
 }
 
 // Step advances the circuit by one processor cycle during which the core
-// draws icpu amps, and returns the supply-voltage deviation in volts with
+// draws icpu amps, with the Heun predictor-corrector (improved Euler,
+// paper §4.1), and returns the supply-voltage deviation in volts with
 // the IR drop subtracted. A deviation whose magnitude exceeds
 // Params.NoiseMarginVolts is a noise-margin violation.
 func (s *Simulator) Step(icpu float64) float64 {
 	st := s.state
 	dV1, dIL1 := s.derivatives(st, icpu)
-	switch s.method {
-	case Euler:
-		st.V += s.dt * dV1
-		st.IL += s.dt * dIL1
-	default: // Heun predictor-corrector
-		pred := State{V: st.V + s.dt*dV1, IL: st.IL + s.dt*dIL1}
-		dV2, dIL2 := s.derivatives(pred, icpu)
-		st.V += s.dt * 0.5 * (dV1 + dV2)
-		st.IL += s.dt * 0.5 * (dIL1 + dIL2)
-	}
+	pred := State{V: st.V + s.dt*dV1, IL: st.IL + s.dt*dIL1}
+	dV2, dIL2 := s.derivatives(pred, icpu)
+	st.V += s.dt * 0.5 * (dV1 + dV2)
+	st.IL += s.dt * 0.5 * (dIL1 + dIL2)
 	s.state = st
 	s.cycle++
 	return s.Deviation(icpu)

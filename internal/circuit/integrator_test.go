@@ -53,28 +53,6 @@ func TestHeunMatchesClosedFormStepResponse(t *testing.T) {
 	}
 }
 
-func TestHeunMoreAccurateThanEuler(t *testing.T) {
-	p := Table1()
-	const i0, i1 = 50.0, 80.0
-	dt := 1 / p.ClockHz
-	run := func(m Method) float64 {
-		sim := NewSimulatorMethod(p, i0, m)
-		worst := 0.0
-		for c := 1; c <= 2000; c++ {
-			got := sim.Step(i1)
-			want := closedFormStep(p, i1-i0, float64(c)*dt)
-			if e := math.Abs(got - want); e > worst {
-				worst = e
-			}
-		}
-		return worst
-	}
-	he, eu := run(Heun), run(Euler)
-	if he >= eu {
-		t.Errorf("Heun error %g >= Euler error %g", he, eu)
-	}
-}
-
 func TestResonantStimulusBuildsUpAndDissipates(t *testing.T) {
 	p := Table1()
 	mid := (p.IMax + p.IMin) / 2
@@ -195,15 +173,6 @@ func TestResetRestoresSteadyState(t *testing.T) {
 	st := sim.State()
 	if math.Abs(st.IL-70) > 1e-6 {
 		t.Errorf("inductor current after reset = %g, want 70", st.IL)
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	if Heun.String() != "heun" || Euler.String() != "euler" {
-		t.Error("Method.String mismatch")
-	}
-	if Method(99).String() == "" {
-		t.Error("unknown method should still render")
 	}
 }
 

@@ -18,7 +18,6 @@ func (s Spec) MachineKey() (Key, error) {
 	m := s
 	m.Technique = TechniqueNone
 	clearSections(&m)
-	m.Trace = nil
 	return m.Key()
 }
 
@@ -30,19 +29,13 @@ type laneGroup struct {
 
 // packGroups partitions the given spec indices into lane groups by
 // MachineKey. Every index appears in exactly one group; specs that
-// cannot be keyed (invalid technique) and traced specs become one-lane
-// groups — a trace callback is caller code run every cycle on the
-// worker, and must not hold up the other specs' simulations. Group
+// cannot be keyed (invalid technique) become one-lane groups. Group
 // order follows first appearance, and indices within a group stay in
 // caller order, so packing is deterministic.
 func packGroups(specs []Spec, indices []int) []laneGroup {
 	byKey := make(map[Key]int) // machine key -> position in groups
 	var groups []laneGroup
 	for _, i := range indices {
-		if specs[i].Trace != nil {
-			groups = append(groups, laneGroup{indices: []int{i}})
-			continue
-		}
 		mk, err := specs[i].MachineKey()
 		if err != nil {
 			groups = append(groups, laneGroup{indices: []int{i}})
@@ -59,12 +52,14 @@ func packGroups(specs []Spec, indices []int) []laneGroup {
 }
 
 // job is one spec resolved for simulation: its normalized form, its
-// instruction stream's parameters, and its kernel lane (the constructed
-// technique plus, for a traced spec, the trace hooks).
+// instruction stream's parameters, its untraced kernel lane (the
+// constructed technique), and the technique's trace hooks, which a
+// traced Prepared.Run puts on the lane.
 type job struct {
 	n      Spec
 	params workload.Params
 	lane   batchkernel.Lane
+	hooks  TraceHooks
 }
 
 // prepare resolves spec for simulation. It checks the whole spec, as
@@ -81,16 +76,12 @@ func prepare(spec Spec) (job, error) {
 		return job{}, err
 	}
 	lane := batchkernel.Lane{TechName: string(TechniqueNone)}
+	var hooks TraceHooks
 	if desc.Build != nil {
-		var hooks TraceHooks
 		lane.Tech, hooks = desc.Build(&n, envOf(n.System))
 		lane.TechName = lane.Tech.Name()
-		if spec.Trace != nil {
-			lane.EventCount, lane.Level = hooks.EventCount, hooks.Level
-		}
 	}
-	lane.Trace = spec.Trace
-	return job{n: n, params: params, lane: lane}, nil
+	return job{n: n, params: params, lane: lane, hooks: hooks}, nil
 }
 
 // machine builds the job's simulated system. The instruction stream

@@ -325,17 +325,11 @@ func TestCacheStatsCountsForks(t *testing.T) {
 	}
 }
 
-// tracedSpec returns spec with a trace sink appending to *tps.
-func tracedSpec(spec Spec, tps *[]sim.TracePoint) Spec {
-	spec.Trace = func(tp sim.TracePoint) { *tps = append(*tps, tp) }
-	return spec
-}
-
-// TestExecuteMatchesScalarReference pins Execute — a one-lane kernel
-// group — to the frozen scalar loop for every registered technique
-// kind: untraced, the Result must match; traced, so must the full
-// per-cycle TracePoint stream, including the technique's EventCount and
-// ResponseLevel columns.
+// TestExecuteMatchesScalarReference pins the one-machine paths — Execute
+// and Prepare, each a one-lane kernel group — to the frozen scalar loop
+// for every registered technique kind: untraced, the Result must match;
+// traced through Prepared.Run, so must the full per-cycle TracePoint
+// stream, including the technique's EventCount and ResponseLevel columns.
 func TestExecuteMatchesScalarReference(t *testing.T) {
 	app, err := workload.ByName("swim")
 	if err != nil {
@@ -352,13 +346,17 @@ func TestExecuteMatchesScalarReference(t *testing.T) {
 		if got != sRes {
 			t.Errorf("%s: Execute %+v != scalar %+v", k, got, sRes)
 		}
+		prep, err := Prepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var tps []sim.TracePoint
-		got, err = Execute(tracedSpec(spec, &tps))
+		got, err = prep.Run(func(tp sim.TracePoint) { tps = append(tps, tp) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != sRes {
-			t.Errorf("%s: traced Execute %+v != scalar %+v", k, got, sRes)
+			t.Errorf("%s: traced Prepare %+v != scalar %+v", k, got, sRes)
 		}
 		if len(tps) != len(sTps) {
 			t.Errorf("%s: traced %d cycles, scalar %d", k, len(tps), len(sTps))
@@ -369,9 +367,8 @@ func TestExecuteMatchesScalarReference(t *testing.T) {
 
 // TestRunAllMatchesScalarReference pins the engine's batch path end to
 // end against the frozen scalar loop: a RunAll mixing multi-lane groups
-// (every kind on two shared machines), singletons (every kind on a
-// machine of its own), and traced specs must return exactly the scalar
-// Results, and every traced spec must see exactly the scalar trace.
+// (every kind on two shared machines) and singletons (every kind on a
+// machine of its own) must return exactly the scalar Results.
 func TestRunAllMatchesScalarReference(t *testing.T) {
 	app, err := workload.ByName("gcc")
 	if err != nil {
@@ -391,27 +388,14 @@ func TestRunAllMatchesScalarReference(t *testing.T) {
 	for i, k := range Kinds() {
 		specs = append(specs, spec(uint64(1000+i), k))
 	}
-	traces := make([][]sim.TracePoint, len(Kinds()))
-	for i, k := range Kinds() {
-		specs = append(specs, tracedSpec(spec(uint64(2000+i), k), &traces[i]))
-	}
 	got, err := New(Options{Parallelism: 2}).RunAll(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstTraced := len(specs) - len(Kinds())
 	for i, s := range specs {
-		s.Trace = nil
-		_, sTps, want := scalarReference(t, s)
+		_, _, want := scalarReference(t, s)
 		if got[i] != want {
 			t.Errorf("spec %d (%s): RunAll %+v != scalar %+v", i, s.Technique, got[i], want)
-		}
-		if i >= firstTraced {
-			name := fmt.Sprintf("spec %d (%s)", i, s.Technique)
-			if tps := traces[i-firstTraced]; len(tps) != len(sTps) {
-				t.Errorf("%s: traced %d cycles, scalar %d", name, len(tps), len(sTps))
-			}
-			compareTraces(t, name, traces[i-firstTraced], sTps, len(sTps))
 		}
 	}
 }

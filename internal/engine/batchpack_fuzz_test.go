@@ -1,22 +1,18 @@
 package engine
 
 // Fuzzing for the batch packer, in the style of FuzzSpecKey: throw
-// arbitrary spec lists (including junk and traced specs) at packGroups
-// and assert the packing invariants the lockstep kernel depends on.
+// arbitrary spec lists (including junk specs) at packGroups and assert
+// the packing invariants the lockstep kernel depends on.
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // FuzzBatchPack asserts packGroups' contract over fuzzed spec lists:
 // every index lands in exactly one group, multi-lane groups never mix
-// specs with different MachineKeys, and traced or unkeyable specs always
-// ride alone (the scalar path owns their semantics).
+// specs with different MachineKeys, and unkeyable specs always ride
+// alone.
 func FuzzBatchPack(f *testing.F) {
 	// Seeds: a compatible pair, an all-different list, duplicated
-	// machines across techniques, and a traced spec mixed in.
+	// machines across techniques, and a junk spec mixed in.
 	f.Add("swim", uint64(10_000), uint8(2), uint8(0), 50.0, 0.0, 75, 0,
 		"swim", uint64(10_000), uint8(3), uint8(0), 0.0, 0.0, 0, 0, uint8(0))
 	f.Add("lucas", uint64(20_000), uint8(2), uint8(1), 70.0, 0.0, 75, 0,
@@ -32,7 +28,7 @@ func FuzzBatchPack(f *testing.F) {
 		shape uint8) {
 		// Build a list mixing two fuzzed base specs, technique variants
 		// of each (same machine, different control), and — depending on
-		// shape — a traced spec and an unkeyable junk spec.
+		// shape — an unkeyable junk spec.
 		a := specFromFuzz(appA, instsA, techA, varA, f1A, f2A, i1A, i2A)
 		b := specFromFuzz(appB, instsB, techB, varB, f1B, f2B, i1B, i2B)
 		aAlt := a
@@ -43,11 +39,6 @@ func FuzzBatchPack(f *testing.F) {
 		clearSections(&bAlt)
 		specs := []Spec{a, b, aAlt, bAlt, a}
 		if shape%2 == 1 {
-			traced := a
-			traced.Trace = func(sim.TracePoint) {}
-			specs = append(specs, traced)
-		}
-		if shape%4 >= 2 {
 			junk := b
 			junk.Technique = TechniqueKind("no-such-technique")
 			specs = append(specs, junk)
@@ -96,12 +87,11 @@ func FuzzBatchPack(f *testing.F) {
 			}
 		}
 
-		// Invariant 3: traced and unkeyable specs ride alone.
+		// Invariant 3: unkeyable specs ride alone.
 		for gi, g := range groups {
 			for _, i := range g.indices {
-				_, keyErr := specs[i].MachineKey()
-				if (specs[i].Trace != nil || keyErr != nil) && len(g.indices) != 1 {
-					t.Fatalf("group %d: traced/unkeyable spec %d shares a machine with %d others",
+				if _, keyErr := specs[i].MachineKey(); keyErr != nil && len(g.indices) != 1 {
+					t.Fatalf("group %d: unkeyable spec %d shares a machine with %d others",
 						gi, i, len(g.indices)-1)
 				}
 			}

@@ -220,15 +220,10 @@ func (e *Engine) addKernelStats(st batchkernel.Stats) {
 	e.mu.Unlock()
 }
 
-// claim is one spec's stake in the memory tier while it is served. An
-// untraced spec either finds an entry (a hit: it waits on it) or creates
-// and owns one (en), which it must resolve exactly once — through
-// fromDisk or settle — or identical specs wait forever. A traced spec
-// owns nothing: its per-cycle callback means it always simulates, and
-// settle publishes its result only into a vacant slot. A traced run must
-// never displace a live entry, because a traced failure would then evict
-// that entry while the displaced run's good result has nowhere to land,
-// and even a traced success would strand the original run's waiters.
+// claim is one spec's stake in the memory tier while it is served. A
+// spec either finds an entry (a hit: it waits on it) or creates and owns
+// one (en), which it must resolve exactly once — through fromDisk or
+// settle — or identical specs wait forever.
 type claim struct {
 	key Key
 	en  *entry
@@ -279,9 +274,7 @@ func (e *Engine) fromDisk(c claim, res sim.Result, err error) bool {
 func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Result)) []int {
 	index := make(map[lineKey]int, len(toRun))
 	for k, i := range toRun {
-		if claims[i].en != nil {
-			index[claims[i].key.lineKey()] = k
-		}
+		index[claims[i].key.lineKey()] = k
 	}
 	taken := make([]atomic.Bool, len(toRun))
 	served := make([]bool, len(toRun))
@@ -297,7 +290,7 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 		}
 		for k := r * len(toRun) / runs; k < (r+1)*len(toRun)/runs; k++ {
 			c := claims[toRun[k]]
-			if c.en == nil || !taken[k].CompareAndSwap(false, true) {
+			if !taken[k].CompareAndSwap(false, true) {
 				continue
 			}
 			blob, info, err := e.disk.read(c.key)
@@ -358,38 +351,26 @@ func (e *Engine) store(keys []Key, res []sim.Result, errs []error) {
 	e.mu.Unlock()
 }
 
-// settle records the outcome of a claim that reached simulation (or, for
-// an owned claim, was abandoned before it): it counts the miss and
-// publishes a success — into the owned entry, or into a vacant slot for
-// a traced spec — or, on failure, evicts the owned entry so a later
+// settle records the outcome of a claim that reached simulation (or was
+// abandoned before it): it counts the miss and publishes the outcome
+// into the owned entry, evicting the entry on failure so a later
 // identical spec retries instead of replaying the error.
 func (e *Engine) settle(c claim, res sim.Result, err error) {
 	e.mu.Lock()
 	e.misses++
-	switch {
-	case c.en == nil && err == nil:
-		if _, exists := e.entries[c.key]; !exists {
-			en := &entry{done: make(chan struct{}), res: res}
-			close(en.done)
-			e.entries[c.key] = en
-		}
-	case c.en != nil && err != nil && e.entries[c.key] == c.en:
+	if err != nil && e.entries[c.key] == c.en {
 		delete(e.entries, c.key)
 	}
 	e.mu.Unlock()
-	if c.en != nil {
-		c.en.res, c.en.err = res, err
-		close(c.en.done)
-	}
+	c.en.res, c.en.err = res, err
+	close(c.en.done)
 }
 
 // Run executes one spec, serving it from the memory tier when an
 // identical spec has already run, then from the disk tier when one is
 // configured, simulating only on a miss of both. Identical specs
 // submitted concurrently — from any number of goroutines or batches —
-// coalesce onto a single simulation sharing one done channel. Specs
-// carrying a Trace callback always simulate (the per-cycle side effects
-// cannot be replayed), but their result still lands in both tiers. A
+// coalesce onto a single simulation sharing one done channel. A
 // failed simulation is evicted so a later identical spec retries instead
 // of replaying the stale error. Cancelling ctx abandons a wait on
 // another goroutine's in-flight run; a simulation already executing runs
@@ -418,20 +399,18 @@ func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, 
 	}
 	// A memory hit is served here, without allocating: the common case of
 	// a warm server. Everything else is a one-spec batch.
-	if spec.Trace == nil {
-		e.mu.Lock()
-		en, hit := e.entries[key]
-		if hit {
-			e.hits++
-		}
-		e.mu.Unlock()
-		if hit {
-			select {
-			case <-en.done:
-				return en.res, en.err
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
-			}
+	e.mu.Lock()
+	en, hit := e.entries[key]
+	if hit {
+		e.hits++
+	}
+	e.mu.Unlock()
+	if hit {
+		select {
+		case <-en.done:
+			return en.res, en.err
+		case <-ctx.Done():
+			return sim.Result{}, ctx.Err()
 		}
 	}
 	res, errs := e.serve(ctx, []Spec{spec}, []Key{key}, nil)
@@ -585,10 +564,10 @@ func (e *Engine) serve(parent context.Context, specs []Spec, keys []Key, progres
 	}
 
 	// Claim: key every spec (on every worker, unless the caller brought
-	// the keys), then claim every untraced spec's memory-tier entry in
-	// one critical section, so the packer below sees the whole set of
-	// specs this batch must simulate. Specs already in flight (or cached)
-	// elsewhere become waiters; traced specs claim nothing (see claim).
+	// the keys), then claim every spec's memory-tier entry in one
+	// critical section, so the packer below sees the whole set of specs
+	// this batch must simulate. Specs already in flight (or cached)
+	// elsewhere become waiters.
 	type waiter struct {
 		i  int
 		en *entry
@@ -614,14 +593,12 @@ func (e *Engine) serve(parent context.Context, specs []Spec, keys []Key, progres
 		if errs[i] != nil {
 			continue // key error already recorded
 		}
-		if specs[i].Trace == nil {
-			en, hit := e.claimLocked(claims[i].key)
-			if hit {
-				waits = append(waits, waiter{i: i, en: en})
-				continue
-			}
-			claims[i].en = en
+		en, hit := e.claimLocked(claims[i].key)
+		if hit {
+			waits = append(waits, waiter{i: i, en: en})
+			continue
 		}
+		claims[i].en = en
 		toRun = append(toRun, i)
 	}
 	e.mu.Unlock()
@@ -644,9 +621,7 @@ func (e *Engine) serve(parent context.Context, specs []Spec, keys []Key, progres
 		g := groups[gi].indices
 		if !e.acquireSlot(ctx) {
 			for _, i := range g {
-				if claims[i].en != nil {
-					e.settle(claims[i], sim.Result{}, ctx.Err())
-				}
+				e.settle(claims[i], sim.Result{}, ctx.Err())
 				fail(i, ctx.Err())
 			}
 			return

@@ -100,32 +100,6 @@ func TestRunMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestTracedRunsSimulate: a Trace spec must execute (its callback fires)
-// even when the result is already cached, and its result matches.
-func TestTracedRunsSimulate(t *testing.T) {
-	e := New(Options{})
-	spec := Spec{App: "swim", Instructions: 30_000}
-	plain, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cycles int
-	spec.Trace = func(sim.TracePoint) { cycles++ }
-	traced, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles == 0 {
-		t.Error("trace callback never fired on a warm cache")
-	}
-	if uint64(cycles) != traced.Cycles {
-		t.Errorf("trace saw %d cycles, result has %d", cycles, traced.Cycles)
-	}
-	if plain != traced {
-		t.Errorf("traced result diverged:\n%+v\n%+v", plain, traced)
-	}
-}
-
 // TestProgressCallback: progress fires once per spec, serialized, with
 // the spec's own result.
 func TestProgressCallback(t *testing.T) {

@@ -38,9 +38,7 @@ func ParseKey(s string) (Key, error) {
 	return k, nil
 }
 
-// Key returns the spec's content address. The Trace callback is not part
-// of the identity: a traced run computes the same Result as an untraced
-// one.
+// Key returns the spec's content address.
 func (s Spec) Key() (Key, error) {
 	n, _, err := s.normalized()
 	if err != nil {
@@ -61,9 +59,8 @@ func (n *Spec) key() (Key, error) {
 // Canonical returns the spec's canonical encoding: the normalized spec's
 // fields serialized in declaration order with fixed-width scalars,
 // length-prefixed strings, and presence bytes for optional sections. PDN
-// is left out (normalization folds it into System) and so is Trace (not
-// part of the identity). It is the ground truth the fuzz tests compare
-// Keys against.
+// is left out (normalization folds it into System). It is the ground
+// truth the fuzz tests compare Keys against.
 func (s Spec) Canonical() ([]byte, error) {
 	n, _, err := s.normalized()
 	if err != nil {
@@ -72,9 +69,9 @@ func (s Spec) Canonical() ([]byte, error) {
 	return n.canonical()
 }
 
-// specPDN and specTrace are the indices of the Spec fields the canonical
-// encoding leaves out.
-var specPDN, specTrace = specField("PDN"), specField("Trace")
+// specPDN is the index of the Spec field the canonical encoding leaves
+// out.
+var specPDN = specField("PDN")
 
 func specField(name string) int {
 	f, ok := reflect.TypeFor[Spec]().FieldByName(name)
@@ -94,7 +91,7 @@ func (n *Spec) canonical() ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, canonicalSize))
 	v := reflect.ValueOf(n).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		if i == specPDN || i == specTrace {
+		if i == specPDN {
 			continue
 		}
 		if err := encodeValue(buf, v.Field(i)); err != nil {

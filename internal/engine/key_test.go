@@ -38,8 +38,7 @@ func TestKeyPointerIdentityIrrelevant(t *testing.T) {
 }
 
 // TestKeyNormalizesDefaults: a spec written with zero values hashes the
-// same as one spelling every default out, and a Trace callback does not
-// perturb the key.
+// same as one spelling every default out.
 func TestKeyNormalizesDefaults(t *testing.T) {
 	implicit := Spec{App: "swim"}
 	cfg := sim.DefaultConfig()
@@ -51,7 +50,6 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 		System:       &cfg,
 		// Irrelevant for the base machine; must not perturb the key.
 		Tuning: &tc,
-		Trace:  func(sim.TracePoint) {},
 	}
 	ki, err := implicit.Key()
 	if err != nil {
@@ -145,7 +143,7 @@ func TestCanonicalCoversAllConfigFields(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{"engine.Spec", reflect.TypeOf(Spec{}), 14},
+		{"engine.Spec", reflect.TypeOf(Spec{}), 13},
 		{"engine.DualBandConfig", reflect.TypeOf(DualBandConfig{}), 3},
 		{"engine.DomainTuningConfig", reflect.TypeOf(DomainTuningConfig{}), 1},
 		{"sim.Config", reflect.TypeOf(sim.Config{}), 7},

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/sim"
 )
 
@@ -29,151 +30,6 @@ func assertAllEntriesClosed(t *testing.T, e *Engine) {
 		default:
 			t.Errorf("entry %s never resolved: identical specs would hang forever", k)
 		}
-	}
-}
-
-// TestTracedFailureNeverDisplacesLiveEntry is the regression test for
-// the displaced-entry lifecycle bug: a traced spec used to claim the
-// memory-tier slot unconditionally, displacing an in-flight entry; when
-// the traced run then failed, the eviction guard deleted the traced
-// entry while the displaced run's good result never landed back in the
-// map. A traced run must leave a live entry untouched.
-func TestTracedFailureNeverDisplacesLiveEntry(t *testing.T) {
-	e := New(Options{Parallelism: 2})
-	// Keys fine (normalization doesn't resolve apps) but execution fails.
-	spec := Spec{App: "no-such-app", Instructions: 10_000}
-	key, err := spec.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A live in-flight entry, as if another goroutine were simulating.
-	live := &entry{done: make(chan struct{})}
-	e.mu.Lock()
-	e.entries[key] = live
-	e.mu.Unlock()
-
-	traced := spec
-	traced.Trace = func(sim.TracePoint) {}
-	if _, err := e.Run(context.Background(), traced); err == nil {
-		t.Fatal("traced run of an unknown app succeeded")
-	}
-
-	e.mu.Lock()
-	got := e.entries[key]
-	e.mu.Unlock()
-	if got != live {
-		t.Fatal("traced failure displaced or evicted the live in-flight entry")
-	}
-
-	// The live run can still publish, and a later identical spec is
-	// served from its entry.
-	live.res = sim.Result{App: "marker"}
-	close(live.done)
-	res, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.App != "marker" {
-		t.Errorf("hit returned %+v, want the live entry's published result", res)
-	}
-	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %s, want 1 hit (the wait) and 1 miss (the traced attempt)", counters(st))
-	}
-}
-
-// TestTracedSuccessPublishesOnlyIntoVacantSlot: a successful traced run
-// makes its result available to later untraced consumers, but only by
-// filling a vacant map slot — never by replacing an entry that is
-// already there.
-func TestTracedSuccessPublishesOnlyIntoVacantSlot(t *testing.T) {
-	e := New(Options{Parallelism: 2})
-	spec := Spec{App: "swim", Instructions: 20_000}
-	traced := spec
-	traced.Trace = func(sim.TracePoint) {}
-
-	// Vacant slot: the traced result is published.
-	want, err := e.Run(context.Background(), traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("untraced follow-up diverged:\n%+v\n%+v", want, got)
-	}
-	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %s, want the untraced run served from the traced publish", counters(st))
-	}
-
-	// Occupied slot: the entry already present survives verbatim.
-	spec2 := Spec{App: "lucas", Instructions: 20_000}
-	key2, err := spec2.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentinel := &entry{done: make(chan struct{}), res: sim.Result{App: "sentinel"}}
-	close(sentinel.done)
-	e.mu.Lock()
-	e.entries[key2] = sentinel
-	e.mu.Unlock()
-	traced2 := spec2
-	traced2.Trace = func(sim.TracePoint) {}
-	if _, err := e.Run(context.Background(), traced2); err != nil {
-		t.Fatal(err)
-	}
-	e.mu.Lock()
-	kept := e.entries[key2]
-	e.mu.Unlock()
-	if kept != sentinel {
-		t.Error("traced success displaced an existing entry")
-	}
-}
-
-// TestConcurrentTracedAndUntracedIdenticalSpecs races traced and
-// untraced requests for one spec from many goroutines: every request
-// must return the identical result, every entry must resolve, and the
-// counters must balance (each request is exactly one hit, disk hit, or
-// miss).
-func TestConcurrentTracedAndUntracedIdenticalSpecs(t *testing.T) {
-	e := New(Options{Parallelism: 4})
-	spec := Spec{App: "swim", Instructions: 20_000}
-	want, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 12
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(traced bool) {
-			defer wg.Done()
-			s := spec
-			if traced {
-				s.Trace = func(sim.TracePoint) {}
-			}
-			res, err := e.Run(context.Background(), s)
-			if err != nil {
-				t.Errorf("run failed: %v", err)
-				return
-			}
-			if res != want {
-				t.Errorf("result diverged:\n%+v\n%+v", want, res)
-			}
-		}(i%2 == 0)
-	}
-	wg.Wait()
-
-	assertAllEntriesClosed(t, e)
-	st := e.CacheStats()
-	if st.Hits+st.DiskHits+st.Misses != n {
-		t.Errorf("counters do not balance: %s over %d requests", counters(st), n)
-	}
-	if st.Entries != 1 {
-		t.Errorf("entries = %d, want exactly 1 for one distinct spec", st.Entries)
 	}
 }
 
@@ -261,19 +117,37 @@ func TestRunKeyedCoalesces(t *testing.T) {
 	}
 }
 
-// TestPanickingSimulationResolvesEntry: a panic escaping a simulation
-// (here: a panicking trace callback) must come back as an error, leave
-// no poisoned entry behind, and keep the engine serving.
+// observePanicTech is the base machine's control with an Observe that
+// panics on the first cycle.
+type observePanicTech struct{}
+
+func (observePanicTech) Name() string                      { return "observe-panic" }
+func (observePanicTech) Next() (cpu.Throttle, sim.Phantom) { return cpu.Unlimited, sim.Phantom{} }
+func (observePanicTech) Observe(*sim.Observation)          { panic("technique exploded") }
+
+// TestPanickingSimulationResolvesEntry: a simulation that fails in a
+// panic — here a technique whose Observe panics, added to the table for
+// this test only — must come back as an error, resolve and evict its
+// entry, free its worker slot, and keep the engine serving.
 func TestPanickingSimulationResolvesEntry(t *testing.T) {
+	const kind TechniqueKind = "test-observe-panic"
+	saved := techniques
+	techniques = append(techniques[:len(techniques):len(techniques)], Descriptor{Kind: kind, Build: func(*Spec, Env) (sim.Technique, TraceHooks) {
+		return observePanicTech{}, TraceHooks{}
+	}})
+	t.Cleanup(func() { techniques = saved })
 	e := New(Options{Parallelism: 2})
 	spec := Spec{App: "swim", Instructions: 10_000}
 	boom := spec
-	boom.Trace = func(sim.TracePoint) { panic("trace callback exploded") }
+	boom.Technique = kind
 	_, err := e.Run(context.Background(), boom)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("panicking run returned %v, want a panic-wrapping error", err)
 	}
 	assertAllEntriesClosed(t, e)
+	if st := e.CacheStats(); st.Entries != 0 || st.Misses != 1 {
+		t.Errorf("stats %s, want the failed run counted and evicted", counters(st))
+	}
 
 	// The engine still serves the spec normally.
 	if _, err := e.Run(context.Background(), spec); err != nil {
@@ -332,8 +206,8 @@ func stressSpec(r *rand.Rand, insts uint64) Spec {
 	}
 }
 
-// TestEngineLifecycleStress hammers Run/RunAll from many goroutines with
-// duplicate keys, traced specs, and a warm disk tier, then asserts the
+// TestEngineLifecycleStress hammers Run, RunKeyed and RunAll from many
+// goroutines with duplicate keys and a warm disk tier, then asserts the
 // lifecycle invariants: every entry resolved, and the counters balance
 // exactly — hits + diskHits + misses == requests. Run under -race in CI.
 func TestEngineLifecycleStress(t *testing.T) {
@@ -367,14 +241,15 @@ func TestEngineLifecycleStress(t *testing.T) {
 						t.Errorf("run: %v", err)
 					}
 					requests.Add(1)
-				case 1: // traced run
+				case 1: // keyed run
 					s := stressSpec(r, insts)
-					var cycles atomic.Uint64
-					s.Trace = func(sim.TracePoint) { cycles.Add(1) }
-					if _, err := e.Run(context.Background(), s); err != nil {
-						t.Errorf("traced run: %v", err)
-					} else if cycles.Load() == 0 {
-						t.Error("traced run never fired its callback")
+					k, err := s.Key()
+					if err != nil {
+						t.Errorf("key: %v", err)
+						continue
+					}
+					if _, err := e.RunKeyed(context.Background(), k, s); err != nil {
+						t.Errorf("keyed run: %v", err)
 					}
 					requests.Add(1)
 				default: // batch with duplicates
@@ -500,8 +375,6 @@ func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := spec
-	traced.Trace = func(sim.TracePoint) {}
 	// Keys fine (normalization doesn't resolve apps) but execution fails.
 	bad := Spec{App: "no-such-app", Instructions: 8_000}
 	_, rawErr := Execute(bad)
@@ -524,7 +397,6 @@ func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
 		cancelWait bool
 		wantErr    error // nil for success (then the result must be want)
 		wantStats  CacheStats
-		check      func(t *testing.T, e *Engine)
 	}{
 		{name: "memory hit", spec: spec, setup: runFirst,
 			wantStats: CacheStats{Hits: 1, Misses: 1, Entries: 1}},
@@ -532,26 +404,6 @@ func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
 			wantStats: CacheStats{DiskHits: 1, Entries: 1}},
 		{name: "simulated miss", spec: spec, dir: "cold",
 			wantStats: CacheStats{Misses: 1, DiskWrites: 1, Entries: 1}},
-		{name: "traced into a vacant slot", spec: traced,
-			wantStats: CacheStats{Misses: 1, Entries: 1},
-			check: func(t *testing.T, e *Engine) {
-				if got, err := e.RunKeyed(context.Background(), key, spec); err != nil || got != want {
-					t.Errorf("untraced follow-up returned %v, want the traced run's published result", err)
-				}
-			}},
-		{name: "traced beside a live entry", spec: traced, setup: func(t *testing.T, e *Engine) {
-			runFirst(t, e)
-			e.mu.Lock()
-			e.entries[key].res.App = "marker"
-			e.mu.Unlock()
-		}, wantStats: CacheStats{Misses: 2, Entries: 1},
-			check: func(t *testing.T, e *Engine) {
-				e.mu.Lock()
-				defer e.mu.Unlock()
-				if e.entries[key].res.App != "marker" {
-					t.Error("traced run replaced the live entry")
-				}
-			}},
 		{name: "failing spec", spec: bad, wantErr: rawErr,
 			wantStats: CacheStats{Misses: 1}},
 		{name: "wait cancelled while another caller simulates", spec: spec, cancelWait: true,
@@ -615,9 +467,6 @@ func TestRunKeyedMatchesOneSpecRunAll(t *testing.T) {
 				}
 				if st := e.CacheStats(); st != c.wantStats {
 					t.Errorf("%s stats %s, want %s", via, counters(st), counters(c.wantStats))
-				}
-				if c.check != nil {
-					c.check(t, e)
 				}
 				if c.cancelWait {
 					continue // the other caller's entry is still in flight

@@ -114,22 +114,11 @@ type Spec struct {
 	// DomainTuning overrides the derived per-domain tuning configuration
 	// when non-nil (only used with TechniqueDomainTuning).
 	DomainTuning *DomainTuningConfig `json:"domain_tuning,omitempty"`
-
-	// Trace, when non-nil, receives every cycle's waveform point. A
-	// traced run always simulates — the callback's side effects cannot
-	// be replayed from a cached Result — but its result is still stored
-	// for later untraced consumers. It is process-local: neither the
-	// wire form nor the content address carries it.
-	Trace func(sim.TracePoint) `json:"-"`
 }
 
-// WireSpec renders a spec in its wire form, dropping the Trace callback
-// (process-local, and not part of the content address either): a replay
-// of the wire spec computes the same Result.
-func WireSpec(s Spec) Spec {
-	s.Trace = nil
-	return s
-}
+// WireSpec returns s: a Spec is plain data, so it is its own wire form.
+// It is kept only because perfbench calls it.
+func WireSpec(s Spec) Spec { return s }
 
 // DampingConfig aliases the [14] configuration for Spec construction.
 type DampingConfig = damping.Config
@@ -359,10 +348,11 @@ func Execute(spec Spec) (sim.Result, error) {
 }
 
 // Prepared is a spec resolved for simulation on its own machine — the
-// construction path Execute takes — for callers that must read machine
-// or technique state the Result does not carry (the power model's energy
-// breakdown, the network's noise margins, per-domain controller
-// statistics), before or after the run.
+// construction path Execute takes — for callers that need more than the
+// Result: machine or technique state the Result does not carry (the
+// power model's energy breakdown, the network's noise margins,
+// per-domain controller statistics), before or after the run, or the
+// run's per-cycle waveform. It never touches a result cache.
 type Prepared struct {
 	job
 	m *sim.Machine
@@ -387,9 +377,16 @@ func (p *Prepared) Machine() *sim.Machine { return p.m }
 // Technique returns the technique the run steps; nil for the base machine.
 func (p *Prepared) Technique() sim.Technique { return p.lane.Tech }
 
-// Run simulates the prepared spec to completion; call it once.
-func (p *Prepared) Run() (sim.Result, error) {
-	outs, _ := batchkernel.Run(p.m, p.n.App, []batchkernel.Lane{p.lane})
+// Run simulates the prepared spec to completion; call it once. trace,
+// when non-nil, receives every cycle's waveform point, with the
+// technique's resonant event count and response level where it has
+// them; a nil trace runs untraced.
+func (p *Prepared) Run(trace func(sim.TracePoint)) (sim.Result, error) {
+	lane := p.lane
+	if trace != nil {
+		lane.Trace, lane.EventCount, lane.Level = trace, p.hooks.EventCount, p.hooks.Level
+	}
+	outs, _ := batchkernel.Run(p.m, p.n.App, []batchkernel.Lane{lane})
 	return outs[0].Result, outs[0].Err
 }
 

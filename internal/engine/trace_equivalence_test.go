@@ -41,19 +41,12 @@ func TestTraceSourceActivityEquivalence(t *testing.T) {
 	}
 }
 
-// execWithGenerator mirrors Execute's construction path but feeds the
+// execWithGenerator mirrors Prepare's construction path but feeds the
 // simulation from a live Generator instead of the trace store — the
-// pre-trace reference implementation.
+// pre-trace reference implementation — and returns its Result and
+// per-cycle waveform.
 func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	t.Helper()
-	var points []sim.TracePoint
-	prev := spec.Trace
-	spec.Trace = func(tp sim.TracePoint) {
-		points = append(points, tp)
-		if prev != nil {
-			prev(tp)
-		}
-	}
 	n, _, err := spec.normalized()
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +66,8 @@ func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace(spec.Trace, countFn, levelFn)
+	var points []sim.TracePoint
+	s.SetTrace(func(tp sim.TracePoint) { points = append(points, tp) }, countFn, levelFn)
 	name := string(TechniqueNone)
 	if tech != nil {
 		name = tech.Name()
@@ -81,11 +75,11 @@ func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	return s.Run(n.App, name), points
 }
 
-// TestExecuteTraceEquivalence: Execute (which replays through the trace
-// store) returns the bit-identical Result — and the bit-identical
-// per-cycle waveform — of a simulation fed by the live Generator, for
-// every Table 2 application under both the base machine and resonance
-// tuning.
+// TestExecuteTraceEquivalence: a traced Prepared.Run (which replays
+// through the trace store, as Execute does) returns the bit-identical
+// Result — and the bit-identical per-cycle waveform — of a simulation
+// fed by the live Generator, for every Table 2 application under both
+// the base machine and resonance tuning.
 func TestExecuteTraceEquivalence(t *testing.T) {
 	const insts = 10_000
 	for _, kind := range []TechniqueKind{TechniqueNone, TechniqueTuning} {
@@ -95,9 +89,12 @@ func TestExecuteTraceEquivalence(t *testing.T) {
 				spec := Spec{App: app.Params.Name, Instructions: insts, Technique: kind}
 				wantRes, wantPoints := execWithGenerator(t, spec)
 
+				p, err := Prepare(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var gotPoints []sim.TracePoint
-				spec.Trace = func(tp sim.TracePoint) { gotPoints = append(gotPoints, tp) }
-				gotRes, err := Execute(spec)
+				gotRes, err := p.Run(func(tp sim.TracePoint) { gotPoints = append(gotPoints, tp) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -65,29 +65,6 @@ func TestSpecWireRoundTripPreservesKey(t *testing.T) {
 	}
 }
 
-// TestSpecWireDropsTrace: the wire form of a traced spec is the
-// untraced spec — same key (Trace is not part of the identity), and
-// the JSON never errors on the func field.
-func TestSpecWireDropsTrace(t *testing.T) {
-	traced := Spec{App: "lucas", Instructions: 20_000, Trace: func(sim.TracePoint) {}}
-	blob, err := json.Marshal(WireSpec(traced))
-	if err != nil {
-		t.Fatalf("marshal traced spec's wire form: %v", err)
-	}
-	var w Spec
-	if err := json.Unmarshal(blob, &w); err != nil {
-		t.Fatal(err)
-	}
-	if w.Trace != nil {
-		t.Error("wire round-trip resurrected a Trace callback")
-	}
-	want, _ := Spec{App: "lucas", Instructions: 20_000}.Key()
-	got, err := w.Key()
-	if err != nil || got != want {
-		t.Errorf("traced spec's wire key = %s, %v; want the untraced key %s", got, err, want)
-	}
-}
-
 // TestKeyHexRoundTrip: ParseKey inverts Key.Hex, and rejects wrong
 // lengths and junk.
 func TestKeyHexRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -52,21 +51,19 @@ func Fig4(opts Options) (Report, error) {
 		ThresholdAmps: 32, MaxRepetitionTolerance: 4,
 	})
 
-	// The run goes through the engine (a traced spec always simulates,
-	// but the result is cached for untraced consumers); the external
-	// detector rides along on the trace callback.
-	var trace []sim.TracePoint
-	spec := engine.Spec{
-		App:          "parser",
-		Workload:     &app.Params,
-		Instructions: insts,
-		Trace: func(tp sim.TracePoint) {
-			det.Step(tp.TotalAmps)
-			tp.EventCount = det.CountNow()
-			trace = append(trace, tp)
-		},
+	// A per-cycle capture no cache can serve: the run goes through the
+	// engine's one-machine path, and the external detector rides along
+	// on the trace callback.
+	p, err := engine.Prepare(engine.Spec{App: "parser", Workload: &app.Params, Instructions: insts})
+	if err != nil {
+		return Report{}, err
 	}
-	if _, err := opts.engine().Run(context.Background(), spec); err != nil {
+	var trace []sim.TracePoint
+	if _, err := p.Run(func(tp sim.TracePoint) {
+		det.Step(tp.TotalAmps)
+		tp.EventCount = det.CountNow()
+		trace = append(trace, tp)
+	}); err != nil {
 		return Report{}, err
 	}
 

@@ -209,7 +209,7 @@ func domainStats(spec engine.Spec) ([]sim.DomainStat, []tuning.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := p.Run(); err != nil {
+	if _, err := p.Run(nil); err != nil {
 		return nil, nil, err
 	}
 	var ctrl []tuning.Stats

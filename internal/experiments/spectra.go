@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/engine"
@@ -46,37 +46,28 @@ func Spectra(opts Options) (Report, error) {
 	band := supply.ResonanceBandCycles()
 	lo, hi := float64(band.Lo), float64(band.Hi)
 
-	// Each spec carries its own trace sink, so the engine runs the suite
-	// through its pool while every worker appends to a distinct slice.
+	// Each app's traced run and its Welch analysis are one task on the
+	// engine's one-machine path (a per-cycle capture no cache can
+	// serve), at most the engine's parallelism at a time, so the
+	// analyses run in parallel too and each trace is dropped once
+	// analysed.
 	apps := workload.Apps()
-	specs := make([]engine.Spec, len(apps))
-	traces := make([][]float64, len(apps))
-	for i, app := range apps {
-		i := i
-		traces[i] = make([]float64, 0, opts.instructions())
-		specs[i] = engine.Spec{
-			App:          app.Params.Name,
-			Instructions: opts.instructions(),
-			Trace:        func(tp sim.TracePoint) { traces[i] = append(traces[i], tp.TotalAmps) },
-		}
-	}
-	results, err := opts.engine().RunAll(context.Background(), specs, nil)
-	if err != nil {
-		return Report{}, err
-	}
 	rows := make([]SpectrumRow, len(apps))
+	errs := make([]error, len(apps))
+	sem := make(chan struct{}, opts.engine().Parallelism())
+	var wg sync.WaitGroup
 	for i, app := range apps {
-		sp, err := spectrum.Analyze(traces[i], supply.ClockHz, 10, 4*hi)
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			rows[i], errs[i] = spectrumRow(app, opts.instructions(), supply.ClockHz, lo, hi)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return Report{}, fmt.Errorf("%s: %w", app.Params.Name, err)
-		}
-		rows[i] = SpectrumRow{
-			App:            app.Params.Name,
-			PaperViolating: app.PaperViolating,
-			BandPowerA2:    sp.BandPower(lo, hi),
-			BandFraction:   sp.BandFraction(lo, hi),
-			PeakPeriod:     sp.Peak().PeriodCycles,
-			Violations:     results[i].Violations,
+			return Report{}, fmt.Errorf("%s: %w", apps[i].Params.Name, err)
 		}
 	}
 
@@ -111,6 +102,32 @@ func Spectra(opts Options) (Report, error) {
 	b.WriteString("the violating class carries the in-band energy — the spectral footing\n" +
 		"of the paper's \"only variations in the band are problematic\" claim.\n")
 	return Report{ID: "spectra", Text: b.String(), Data: data}, nil
+}
+
+// spectrumRow captures app's per-cycle current on the base machine and
+// Welch-analyses it against the resonance band of lo-hi cycles.
+func spectrumRow(app workload.App, insts uint64, clockHz, lo, hi float64) (SpectrumRow, error) {
+	p, err := engine.Prepare(engine.Spec{App: app.Params.Name, Instructions: insts})
+	if err != nil {
+		return SpectrumRow{}, err
+	}
+	current := make([]float64, 0, insts)
+	res, err := p.Run(func(tp sim.TracePoint) { current = append(current, tp.TotalAmps) })
+	if err != nil {
+		return SpectrumRow{}, err
+	}
+	sp, err := spectrum.Analyze(current, clockHz, 10, 4*hi)
+	if err != nil {
+		return SpectrumRow{}, err
+	}
+	return SpectrumRow{
+		App:            app.Params.Name,
+		PaperViolating: app.PaperViolating,
+		BandPowerA2:    sp.BandPower(lo, hi),
+		BandFraction:   sp.BandFraction(lo, hi),
+		PeakPeriod:     sp.Peak().PeriodCycles,
+		Violations:     res.Violations,
+	}, nil
 }
 
 // classMeans averages in-band power by violation class.

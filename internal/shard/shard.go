@@ -145,9 +145,6 @@ func Publish(cacheDir string, specs []engine.Spec) (*Board, error) {
 	}
 	keys := make([]engine.Key, len(specs))
 	for i, s := range specs {
-		if s.Trace != nil {
-			return nil, fmt.Errorf("shard: point %d carries a Trace callback, which cannot cross a process boundary", i)
-		}
 		k, err := s.ValidKey()
 		if err != nil {
 			return nil, fmt.Errorf("shard: point %d: %w", i, err)

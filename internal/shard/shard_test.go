@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 )
 
 // gridSpecs is a small mixed grid: two baselines and two tuned points.
@@ -70,9 +69,8 @@ func TestPublishOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublishRejectsBadGrids: empty grids, invalid specs, and Trace
-// callbacks (which cannot cross a process boundary) are publish-time
-// errors, not worker-time surprises.
+// TestPublishRejectsBadGrids: empty grids and invalid specs are
+// publish-time errors, not worker-time surprises.
 func TestPublishRejectsBadGrids(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Publish(dir, nil); err == nil {
@@ -81,12 +79,37 @@ func TestPublishRejectsBadGrids(t *testing.T) {
 	if _, err := Publish(dir, []engine.Spec{{App: "lucas", Technique: "no-such-technique"}}); err == nil {
 		t.Error("invalid spec published")
 	}
-	traced := []engine.Spec{{App: "lucas", Instructions: 10_000, Trace: func(sim.TracePoint) {}}}
-	if _, err := Publish(dir, traced); err == nil || !strings.Contains(err.Error(), "Trace") {
-		t.Errorf("traced spec published (err %v)", err)
-	}
 	if _, err := os.Stat(filepath.Join(Dir(dir), manifestName)); !os.IsNotExist(err) {
 		t.Error("rejected publish left a manifest behind")
+	}
+}
+
+// TestRunWorkerRejectsHeartbeatlessExpiry: a lease expiry under 4 ns
+// leaves no heartbeat interval (expiry/4). RunWorker reports it as an
+// error, claiming nothing, instead of panicking in the heartbeat's
+// ticker once it has claimed a batch.
+func TestRunWorkerRejectsHeartbeatlessExpiry(t *testing.T) {
+	dir := t.TempDir()
+	b, err := Publish(dir, gridSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{DiskCacheDir: dir, Parallelism: 1})
+	for _, d := range []time.Duration{1, 3} {
+		_, err := RunWorker(context.Background(), eng, b, WorkerOptions{LeaseExpiry: d, Poll: time.Millisecond})
+		if err == nil || !strings.Contains(err.Error(), "heartbeat") {
+			t.Errorf("lease expiry %v: RunWorker returned %v, want a heartbeat-interval error", d, err)
+		}
+	}
+	for i := range b.Keys {
+		if _, held := b.leaseAge(i); held {
+			t.Errorf("point %d leased by a rejected worker", i)
+		}
+	}
+	for _, d := range []time.Duration{-time.Second, 0, 4, DefaultLeaseExpiry} {
+		if err := CheckLeaseExpiry(d); err != nil {
+			t.Errorf("CheckLeaseExpiry(%v) = %v, want nil", d, err)
+		}
 	}
 }
 

@@ -61,6 +61,17 @@ type WorkerStats struct {
 // worker exited holding an unreleased, unrun lease.
 var ErrAbandoned = errors.New("shard: worker died holding a claimed lease (die-after test hook)")
 
+// CheckLeaseExpiry reports whether d can serve as
+// WorkerOptions.LeaseExpiry: zero or less means DefaultLeaseExpiry, and
+// a positive expiry must leave a holder a heartbeat interval (d/4) of
+// at least a nanosecond.
+func CheckLeaseExpiry(d time.Duration) error {
+	if d > 0 && d/4 == 0 {
+		return fmt.Errorf("lease expiry %v leaves no heartbeat interval (expiry/4); use at least 4ns", d)
+	}
+	return nil
+}
+
 func (o WorkerOptions) withDefaults(eng *engine.Engine) WorkerOptions {
 	if o.ID == "" {
 		host, err := os.Hostname()
@@ -107,8 +118,11 @@ func rotation(id string, n int) int {
 // are validated at publish time, so a runtime error is not retryable
 // configuration noise but a real defect every retry would hit too).
 func RunWorker(ctx context.Context, eng *engine.Engine, b *Board, o WorkerOptions) (WorkerStats, error) {
-	o = o.withDefaults(eng)
 	var st WorkerStats
+	if err := CheckLeaseExpiry(o.LeaseExpiry); err != nil {
+		return st, fmt.Errorf("shard: %w", err)
+	}
+	o = o.withDefaults(eng)
 	if err := os.MkdirAll(b.leaseDir, 0o755); err != nil {
 		return st, fmt.Errorf("shard: %w", err)
 	}

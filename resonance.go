@@ -155,9 +155,11 @@ const (
 // then the related-work baselines).
 func TechniqueKinds() []TechniqueKind { return engine.Kinds() }
 
-// SimulationSpec describes one run for Simulate. It is the engine's Spec:
-// batch drivers hand the same value to Engine.RunAll / Engine.Grid to run
-// many of them through the shared worker pool and result cache.
+// SimulationSpec describes one run for Simulate. It is the engine's Spec,
+// plain data: batch drivers hand the same value to Engine.RunAll /
+// Engine.Grid to run many of them through the shared worker pool and
+// result cache. A per-cycle waveform is not part of a spec; capture one
+// with SimulateTraced.
 type SimulationSpec = engine.Spec
 
 // Engine is the shared run-execution subsystem: a bounded worker pool
@@ -221,9 +223,22 @@ func DefaultTuningConfig(initialResponseCycles int) TuningConfig {
 
 // Simulate runs one application under one technique on the Table 1 system
 // and returns the run summary. It executes on the calling goroutine; use
-// an Engine to run batches in parallel with caching.
+// an Engine to run batches in parallel with caching, and SimulateTraced
+// to capture the per-cycle waveform.
 func Simulate(spec SimulationSpec) (Result, error) {
 	return engine.Execute(spec)
+}
+
+// SimulateTraced is Simulate with trace receiving every cycle's waveform
+// point: core current, supply deviation and, where the technique has
+// them, its resonant event count and response level. Like Simulate it
+// runs on the calling goroutine and touches no result cache.
+func SimulateTraced(spec SimulationSpec, trace func(TracePoint)) (Result, error) {
+	p, err := engine.Prepare(spec)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.Run(trace)
 }
 
 // Experiments lists every paper table/figure runner.
@@ -380,19 +395,17 @@ type EnergyShare struct {
 }
 
 // EnergyBreakdown re-runs the given simulation — technique, network and
-// workload included, built exactly as Simulate builds it, but without
-// calling spec.Trace again — and reports where the energy went: the
-// ungated clock floor, each architectural unit's dynamic share, and
-// phantom operations, sorted by consumption. The rows sum to the run's
-// EnergyJ up to the energy still spreading in the power model's ring
-// when the run ends.
+// workload included, built exactly as Simulate builds it — and reports
+// where the energy went: the ungated clock floor, each architectural
+// unit's dynamic share, and phantom operations, sorted by consumption.
+// The rows sum to the run's EnergyJ up to the energy still spreading in
+// the power model's ring when the run ends.
 func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
-	spec.Trace = nil
 	p, err := engine.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Run()
+	res, err := p.Run(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -427,14 +440,6 @@ type ViolationReport = sim.ViolationReport
 // are measured against the noise margin of the network the spec
 // simulates (on a multi-domain network, the tightest domain's).
 func Postmortem(spec SimulationSpec, warningLevel, lookback int) ([]ViolationReport, Result, error) {
-	var pm *sim.Postmortem
-	prev := spec.Trace
-	spec.Trace = func(tp TracePoint) {
-		pm.Observe(tp)
-		if prev != nil {
-			prev(tp)
-		}
-	}
 	p, err := engine.Prepare(spec)
 	if err != nil {
 		return nil, Result{}, err
@@ -444,8 +449,8 @@ func Postmortem(spec SimulationSpec, warningLevel, lookback int) ([]ViolationRep
 	for d := 1; d < net.Domains(); d++ {
 		margin = math.Min(margin, net.DomainInfo(d).NoiseMarginVolts)
 	}
-	pm = sim.NewPostmortem(margin, warningLevel, lookback)
-	res, err := p.Run()
+	pm := sim.NewPostmortem(margin, warningLevel, lookback)
+	res, err := p.Run(pm.Observe)
 	if err != nil {
 		return nil, Result{}, err
 	}

@@ -78,16 +78,17 @@ func TestSimulateEveryTechnique(t *testing.T) {
 }
 
 func TestSimulateWithTrace(t *testing.T) {
+	spec := SimulationSpec{App: "parser", Instructions: 20_000, Technique: TechniqueTuning}
 	n := 0
-	res, err := Simulate(SimulationSpec{
-		App: "parser", Instructions: 20_000, Technique: TechniqueTuning,
-		Trace: func(TracePoint) { n++ },
-	})
+	res, err := SimulateTraced(spec, func(TracePoint) { n++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(n) != res.Cycles {
 		t.Errorf("trace saw %d cycles, result says %d", n, res.Cycles)
+	}
+	if want, err := Simulate(spec); err != nil || res != want {
+		t.Errorf("traced result %+v differs from Simulate's %+v (%v)", res, want, err)
 	}
 }
 
@@ -246,16 +247,14 @@ func TestEnergyBreakdown(t *testing.T) {
 }
 
 // TestEnergyBreakdownHonoursSpec: the breakdown re-runs the spec it is
-// given — technique included, trace callback excluded — so its rows add
-// up to the energy Simulate reports for that spec, phantom operations
-// among them.
+// given, technique included, so its rows add up to the energy Simulate
+// reports for that spec, phantom operations among them.
 func TestEnergyBreakdownHonoursSpec(t *testing.T) {
 	spec := SimulationSpec{App: "swim", Instructions: 60_000, Technique: TechniqueTuning}
 	res, err := Simulate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Trace = func(TracePoint) { t.Fatal("EnergyBreakdown called the spec's trace callback") }
 	rows, err := EnergyBreakdown(spec)
 	if err != nil {
 		t.Fatal(err)
