@@ -178,7 +178,7 @@ func BenchmarkBatchKernelLockstep(b *testing.B) {
 		lanes := make([]batchkernel.Lane, 1, 1+len(inis))
 		for _, ini := range inis {
 			cfg := DefaultTuningConfig(ini)
-			lanes = append(lanes, batchkernel.Lane{Tech: sim.NewResonanceTuning(cfg)})
+			lanes = append(lanes, batchkernel.Lane{Tech: tuning.NewController(cfg)})
 		}
 		outs, _ := batchkernel.Run(m, "gzip", lanes)
 		for j := range outs {
@@ -211,7 +211,7 @@ func BenchmarkBatchKernelForked(b *testing.B) {
 		lanes := make([]batchkernel.Lane, 1, 1+len(inis))
 		for _, ini := range inis {
 			cfg := DefaultTuningConfig(ini)
-			lanes = append(lanes, batchkernel.Lane{Tech: sim.NewResonanceTuning(cfg)})
+			lanes = append(lanes, batchkernel.Lane{Tech: tuning.NewController(cfg)})
 		}
 		outs, stats := batchkernel.Run(m, "swim", lanes)
 		for j := range outs {

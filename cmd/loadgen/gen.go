@@ -227,20 +227,24 @@ func run(cfg config) (summary, error) {
 	}, nil
 }
 
-// prewarm POSTs the whole population once as a single grid so the
-// measured window runs against a warm cache (the server coalesces and
-// caches; one grid is the cheapest way to install every entry).
+// prewarm POSTs the whole population once so the measured window runs
+// against a warm cache (the server coalesces and caches; a grid is the
+// cheapest way to install many entries), in grids of at most
+// server.DefaultMaxSpecs specs, the largest a server started with the
+// default limit accepts.
 func prewarm(client *http.Client, cfg config) error {
-	specs := make([]server.SpecRequest, cfg.Population)
-	for i := range specs {
-		specs[i] = server.SpecRequest{App: cfg.App, Instructions: cfg.Insts + uint64(i)}
-	}
-	body, err := json.Marshal(server.RunRequest{Specs: specs})
-	if err != nil {
-		return err
-	}
-	if _, err := post(client, cfg.URL, body); err != nil {
-		return err
+	for lo := 0; lo < cfg.Population; lo += server.DefaultMaxSpecs {
+		specs := make([]server.SpecRequest, min(server.DefaultMaxSpecs, cfg.Population-lo))
+		for i := range specs {
+			specs[i] = server.SpecRequest{App: cfg.App, Instructions: cfg.Insts + uint64(lo+i)}
+		}
+		body, err := json.Marshal(server.RunRequest{Specs: specs})
+		if err != nil {
+			return err
+		}
+		if _, err := post(client, cfg.URL, body); err != nil {
+			return err
+		}
 	}
 	return nil
 }

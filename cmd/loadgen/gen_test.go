@@ -53,6 +53,23 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 }
 
+// TestPrewarmAboveGridLimit: a population larger than the grid a server
+// accepts by default prewarms as several grids, simulating every spec
+// once, instead of failing on one grid the server refuses with 413.
+func TestPrewarmAboveGridLimit(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 2})
+	ts := httptest.NewServer(server.New(server.Options{Engine: eng}).Handler())
+	defer ts.Close()
+
+	cfg := config{URL: ts.URL, Population: server.DefaultMaxSpecs + 1, App: "swim", Insts: 1}
+	if err := prewarm(ts.Client(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.CacheStats(); st.Misses != uint64(cfg.Population) {
+		t.Errorf("misses = %d, want %d (each spec once)", st.Misses, cfg.Population)
+	}
+}
+
 // TestRunAgainstLiveServer drives the real handler end to end: a short
 // closed-loop burst over a tiny warm population must complete without a
 // single error, and the cold fraction must force fresh simulations.

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"repro/internal/server"
 )
 
 func main() {
@@ -42,7 +44,9 @@ func main() {
 	flag.Float64Var(&cfg.Cold, "cold", 0, "fraction of requests carrying a never-seen spec (forced miss)")
 	flag.StringVar(&cfg.App, "app", "swim", "application every spec runs")
 	flag.Uint64Var(&cfg.Insts, "insts", 30_000, "base instruction count (spec i runs insts+i)")
-	flag.BoolVar(&cfg.Prewarm, "prewarm", true, "POST the whole population once as a grid before timing")
+	flag.BoolVar(&cfg.Prewarm, "prewarm", true, fmt.Sprintf(
+		"POST the whole population once before timing, in grids of at most %d specs (a resonanced started with a smaller -max-specs answers 413)",
+		server.DefaultMaxSpecs))
 	seed := flag.Int64("seed", 1, "PRNG seed for the traffic pattern")
 	flag.Parse()
 	cfg.Seed = *seed

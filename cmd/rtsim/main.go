@@ -116,36 +116,40 @@ func main() {
 		}
 	}
 
-	// Run through the engine — a traced run on its own machine, outside
-	// the result cache — keeping the process responsive to an interrupt
-	// while the simulation executes.
+	// Run once, keeping the process responsive to an interrupt while the
+	// simulation executes: through the engine's cache, or, for a trace or
+	// an energy breakdown, on a machine of its own outside the cache.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	type outcome struct {
-		res resonance.Result
-		err error
+		res  resonance.Result
+		rows []resonance.EnergyShare
+		err  error
 	}
 	eng := cache.Engine(1)
 	ch := make(chan outcome, 1)
 	go func() {
 		var out outcome
-		if traceFn != nil {
+		switch {
+		case *energy:
+			out.rows, out.res, out.err = resonance.EnergyBreakdown(spec, traceFn)
+		case traceFn != nil:
 			out.res, out.err = resonance.SimulateTraced(spec, traceFn)
-		} else {
+		default:
 			out.res, out.err = eng.Run(ctx, spec)
 		}
 		ch <- out
 	}()
-	var res resonance.Result
+	var out outcome
 	select {
-	case out := <-ch:
+	case out = <-ch:
 		if out.err != nil {
 			fatal(out.err)
 		}
-		res = out.res
 	case <-ctx.Done():
 		fatal(ctx.Err())
 	}
+	res := out.res
 	fmt.Printf("app:            %s\n", res.App)
 	fmt.Printf("technique:      %s\n", res.Technique)
 	fmt.Printf("instructions:   %d\n", res.Instructions)
@@ -167,12 +171,8 @@ func main() {
 			sp.TotalVarianceA2, sp.BandPowerA2, 100*sp.BandFraction, sp.PeakPeriodCycles)
 	}
 	if *energy {
-		bd, err := resonance.EnergyBreakdown(spec)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Println("energy breakdown:")
-		for _, row := range bd {
+		for _, row := range out.rows {
 			fmt.Printf("  %-10s %8.4g J  (%.1f%%)\n", row.Unit, row.Joules, row.Percent)
 		}
 	}

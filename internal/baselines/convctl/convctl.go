@@ -12,6 +12,10 @@
 // hardware. In simulation the convolution is merely expensive, so this
 // package exists to reproduce the comparison, with the impulse response
 // derived from the same simulated supply the rest of the repo uses.
+//
+// Controller is the technique the simulation loop runs (sim.Technique):
+// it observes the cycle's true core current, and its phantom-fire
+// response injects the current New is given.
 package convctl
 
 import (
@@ -21,6 +25,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 // Config parameterises the controller.
@@ -177,11 +182,15 @@ func (s Stats) ResponseFraction() float64 {
 }
 
 // Controller predicts the supply deviation by rolling convolution and
-// reacts when the prediction crosses the threshold.
+// reacts when the prediction crosses the threshold. As a sim.Technique,
+// Observe steps it on the cycle's current and deviation and Next applies
+// the response Step chose last.
 type Controller struct {
-	cfg  Config
-	h    []float64 // impulse response, h[0] most recent
-	bias float64
+	cfg      Config
+	h        []float64 // impulse response, h[0] most recent
+	bias     float64
+	fireAmps float64
+	next     Response
 
 	hist []float64 // current-variation history ring, most recent at pos
 	pos  int
@@ -195,9 +204,11 @@ type Controller struct {
 	stats Stats
 }
 
-// New returns a controller. It panics on an invalid configuration,
-// mirroring the other technique constructors.
-func New(cfg Config) *Controller {
+// New returns a controller; fireAmps is the phantom-fire current
+// (power.PhantomFireAmps), injected on cycles the overshoot response
+// holds. It panics on an invalid configuration, mirroring the other
+// technique constructors.
+func New(cfg Config, fireAmps float64) *Controller {
 	resolved, err := cfg.withDefaults()
 	if err != nil {
 		panic(fmt.Sprintf("convctl.New: %v", err))
@@ -206,6 +217,8 @@ func New(cfg Config) *Controller {
 		cfg:         resolved,
 		h:           ImpulseResponse(resolved.Supply, resolved.Taps),
 		bias:        (resolved.Supply.IMax + resolved.Supply.IMin) / 2,
+		fireAmps:    fireAmps,
+		next:        Response{Throttle: cpu.Unlimited},
 		hist:        make([]float64, resolved.Taps),
 		pendingPred: make([]float64, resolved.Horizon),
 		errRng:      rng.New(resolved.Seed),
@@ -274,11 +287,11 @@ func (c *Controller) Step(coreAmps, trueDeviation float64) Response {
 	switch {
 	case c.n < len(c.hist):
 		// History still filling: no reliable prediction yet.
-		return Response{Throttle: cpu.Unlimited, PredictedVolts: pred}
+		c.next = Response{Throttle: cpu.Unlimited, PredictedVolts: pred}
 	case pred < -c.cfg.ThresholdVolts:
 		c.stats.ResponseCycles++
 		c.stats.LowResponses++
-		return Response{
+		c.next = Response{
 			Throttle:       cpu.Throttle{StallIssue: true, StallFetch: true, IssueCurrentBudget: -1},
 			InResponse:     true,
 			PredictedVolts: pred,
@@ -286,13 +299,29 @@ func (c *Controller) Step(coreAmps, trueDeviation float64) Response {
 	case pred > c.cfg.ThresholdVolts:
 		c.stats.ResponseCycles++
 		c.stats.HighResponses++
-		return Response{
+		c.next = Response{
 			Throttle:       cpu.Unlimited,
 			PhantomFire:    true,
 			InResponse:     true,
 			PredictedVolts: pred,
 		}
 	default:
-		return Response{Throttle: cpu.Unlimited, PredictedVolts: pred}
+		c.next = Response{Throttle: cpu.Unlimited, PredictedVolts: pred}
 	}
+	return c.next
 }
+
+// Name implements sim.Technique.
+func (c *Controller) Name() string { return "convolution-control" }
+
+// Next implements sim.Technique.
+func (c *Controller) Next() (cpu.Throttle, sim.Phantom) {
+	var ph sim.Phantom
+	if c.next.PhantomFire {
+		ph.FireAmps = c.fireAmps
+	}
+	return c.next.Throttle, ph
+}
+
+// Observe implements sim.Technique.
+func (c *Controller) Observe(obs *sim.Observation) { c.Step(obs.TotalAmps, obs.DeviationVolts) }

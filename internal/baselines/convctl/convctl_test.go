@@ -48,7 +48,7 @@ func TestImpulseResponseShape(t *testing.T) {
 }
 
 func TestDefaultsResolved(t *testing.T) {
-	c := New(defaultConfig())
+	c := New(defaultConfig(), 0)
 	cfg := c.Config()
 	if cfg.Taps < 100 || cfg.Taps > 2000 {
 		t.Errorf("derived taps %d implausible", cfg.Taps)
@@ -66,7 +66,7 @@ func TestPredictionTracksResonantBuildup(t *testing.T) {
 	// waveform; the convolution prediction must stay close to the
 	// actual deviation once history fills.
 	p := circuit.Table1()
-	ctl := New(Config{Supply: p, Horizon: 1})
+	ctl := New(Config{Supply: p, Horizon: 1}, 0)
 	sim := circuit.NewSimulator(p, 70)
 	w := circuit.Square{Mid: 70, Amplitude: 20, PeriodCycles: 100}
 
@@ -102,7 +102,7 @@ func TestPredictionTracksResonantBuildup(t *testing.T) {
 
 func TestRespondsToThreateningWaveform(t *testing.T) {
 	p := circuit.Table1()
-	ctl := New(Config{Supply: p})
+	ctl := New(Config{Supply: p}, 0)
 	sim := circuit.NewSimulator(p, 70)
 	w := circuit.Square{Mid: 70, Amplitude: 40, PeriodCycles: 100}
 	responses := 0
@@ -126,7 +126,7 @@ func TestRespondsToThreateningWaveform(t *testing.T) {
 }
 
 func TestQuietCurrentNoResponse(t *testing.T) {
-	ctl := New(defaultConfig())
+	ctl := New(defaultConfig(), 0)
 	for c := 0; c < 3000; c++ {
 		if r := ctl.Step(70, 0); r.InResponse {
 			t.Fatalf("cycle %d: responded to constant current", c)
@@ -149,7 +149,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("bad config %d accepted", i)
 				}
 			}()
-			New(cfg)
+			New(cfg, 0)
 		}()
 	}
 }
@@ -164,7 +164,7 @@ func TestStatsZeroValue(t *testing.T) {
 func TestEstimateErrorDegradesPrediction(t *testing.T) {
 	p := circuit.Table1()
 	run := func(errAmps float64) float64 {
-		ctl := New(Config{Supply: p, EstimateErrorAmps: errAmps, Seed: 5})
+		ctl := New(Config{Supply: p, EstimateErrorAmps: errAmps, Seed: 5}, 0)
 		sim := circuit.NewSimulator(p, 70)
 		w := circuit.Square{Mid: 70, Amplitude: 20, PeriodCycles: 100}
 		for c := 0; c < 4000; c++ {
@@ -200,12 +200,12 @@ func refPredict(c *Controller) float64 {
 // bit-identical — at every ring position, for short, default and
 // whole-ring horizons.
 func TestPredictMatchesModularWalk(t *testing.T) {
-	taps := New(defaultConfig()).Config().Taps
+	taps := New(defaultConfig(), 0).Config().Taps
 	for _, horizon := range []int{1, 4, taps - 1} {
 		cfg := defaultConfig()
 		cfg.Horizon = horizon
 		cfg.EstimateErrorAmps = 3
-		c := New(cfg)
+		c := New(cfg, 0)
 		r := rng.New(uint64(horizon))
 		var first, last bool
 		for cyc := 0; cyc < 100_000; cyc++ {

@@ -14,9 +14,20 @@
 // (the paper sets it relative to the resonant current variation
 // threshold: 1×, 0.5×, 0.25×). Internally the window-sum bound is
 // δ·W·Scale amp-cycles for a W-cycle window.
+//
+// Controller is the technique the simulation loop runs (sim.Technique).
+// The make-up current Account computes for one cycle is injected on the
+// following cycle, mirroring the one-cycle actuation lag of a real
+// implementation, although the window ring records it in the cycle that
+// computed it.
 package damping
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cpu"
+	"repro/internal/sim"
+)
 
 // Config parameterises pipeline damping.
 type Config struct {
@@ -84,7 +95,8 @@ type Stats struct {
 
 // Controller implements the damping window accounting. Use Budget before
 // the core's cycle to obtain the issue-current cap, then Account after it
-// with the estimated current actually issued.
+// with the estimated current actually issued; as a sim.Technique, Next
+// and Observe do exactly that.
 type Controller struct {
 	cfg        Config
 	bound      float64
@@ -98,6 +110,10 @@ type Controller struct {
 
 	recentSum float64 // last W-1 entries plus nothing for this cycle yet
 	priorSum  float64 // the W entries before those
+
+	// pendingAmps is the make-up current Observe accounted last, which
+	// Next injects on the following cycle.
+	pendingAmps float64
 
 	stats Stats
 }
@@ -172,6 +188,33 @@ func (c *Controller) Account(issuedEstAmps float64) (phantomAmps float64) {
 	}
 	c.push(issuedEstAmps + phantomAmps)
 	return phantomAmps
+}
+
+// Name implements sim.Technique.
+func (c *Controller) Name() string { return "pipeline-damping" }
+
+// Next implements sim.Technique: the coming cycle's issue-current budget,
+// plus the make-up current accounted on the cycle before.
+func (c *Controller) Next() (cpu.Throttle, sim.Phantom) {
+	th := cpu.Unlimited
+	if amps, limited := c.Budget(); limited {
+		th.IssueCurrentBudget = amps
+	}
+	ph := sim.Phantom{FireAmps: c.pendingAmps}
+	c.pendingAmps = 0
+	return th, ph
+}
+
+// Observe implements sim.Technique: it accounts the cycle's issued-current
+// estimate and keeps the make-up current for the next cycle.
+func (c *Controller) Observe(obs *sim.Observation) {
+	c.pendingAmps = c.Account(obs.IssuedEstAmps)
+}
+
+// TechStats reports the cycle accounting a sim.Result carries (the
+// Table 5 analysis).
+func (c *Controller) TechStats() sim.TechStats {
+	return sim.TechStats{ControllerCycles: c.stats.Cycles, ResponseCycles: c.stats.ConstrainedCyc}
 }
 
 // push advances the two rolling window sums with this cycle's estimate.

@@ -11,6 +11,10 @@
 // the paper's central critique is that those false alarms, plus the need
 // for fast fine-grained sensors, make the technique expensive. The noise
 // and delay parameters reproduce the Table 4 sweep.
+//
+// Controller is the technique the simulation loop runs (sim.Technique):
+// it senses the cycle's supply deviation, and its phantom-fire response
+// injects the current New is given.
 package voltctl
 
 import (
@@ -18,6 +22,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/sensor"
+	"repro/internal/sim"
 )
 
 // Config parameterises the technique.
@@ -81,21 +86,29 @@ func (s Stats) ResponseFraction() float64 {
 }
 
 // Controller drives the technique; feed it the true supply deviation once
-// per cycle.
+// per cycle. As a sim.Technique, Observe steps it on the cycle's
+// deviation and Next applies the response Step chose last.
 type Controller struct {
-	cfg   Config
-	sens  *sensor.Voltage
-	stats Stats
+	cfg      Config
+	sens     *sensor.Voltage
+	fireAmps float64
+	next     Response
+	stats    Stats
 }
 
-// New returns a controller. It panics on an invalid configuration.
-func New(cfg Config) *Controller {
+// New returns a controller; fireAmps is the current of phantom-firing
+// the caches and functional units (power.PhantomFireAmps), injected on
+// cycles the high-voltage response holds. It panics on an invalid
+// configuration.
+func New(cfg Config, fireAmps float64) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("voltctl.New: %v", err))
 	}
 	return &Controller{
-		cfg:  cfg,
-		sens: sensor.NewVoltage(cfg.SensorNoiseVolts, cfg.SensorDelayCycles, cfg.Seed),
+		cfg:      cfg,
+		sens:     sensor.NewVoltage(cfg.SensorNoiseVolts, cfg.SensorDelayCycles, cfg.Seed),
+		fireAmps: fireAmps,
+		next:     Response{Throttle: cpu.Unlimited},
 	}
 }
 
@@ -115,19 +128,49 @@ func (c *Controller) Step(trueDeviationVolts float64) Response {
 	case sensed < -thr:
 		c.stats.ResponseCycles++
 		c.stats.LowResponses++
-		return Response{
+		c.next = Response{
 			Throttle:   cpu.Throttle{StallIssue: true, StallFetch: true, IssueCurrentBudget: -1},
 			InResponse: true,
 		}
 	case sensed > thr:
 		c.stats.ResponseCycles++
 		c.stats.HighResponses++
-		return Response{
+		c.next = Response{
 			Throttle:    cpu.Unlimited,
 			PhantomFire: true,
 			InResponse:  true,
 		}
 	default:
-		return Response{Throttle: cpu.Unlimited}
+		c.next = Response{Throttle: cpu.Unlimited}
 	}
+	return c.next
+}
+
+// Name implements sim.Technique.
+func (c *Controller) Name() string { return "voltage-control" }
+
+// Next implements sim.Technique.
+func (c *Controller) Next() (cpu.Throttle, sim.Phantom) {
+	var ph sim.Phantom
+	if c.next.PhantomFire {
+		ph.FireAmps = c.fireAmps
+	}
+	return c.next.Throttle, ph
+}
+
+// Observe implements sim.Technique.
+func (c *Controller) Observe(obs *sim.Observation) { c.Step(obs.DeviationVolts) }
+
+// TechStats reports the cycle accounting a sim.Result carries (the
+// Table 4 columns).
+func (c *Controller) TechStats() sim.TechStats {
+	return sim.TechStats{ControllerCycles: c.stats.Cycles, ResponseCycles: c.stats.ResponseCycles}
+}
+
+// Level reports 1 while responding (for traces).
+func (c *Controller) Level() int {
+	if c.next.InResponse {
+		return 1
+	}
+	return 0
 }

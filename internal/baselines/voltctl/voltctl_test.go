@@ -10,7 +10,7 @@ func cleanConfig() Config {
 }
 
 func TestLowVoltageStallsFetchAndIssue(t *testing.T) {
-	c := New(cleanConfig())
+	c := New(cleanConfig(), 0)
 	r := c.Step(-0.040)
 	if !r.InResponse {
 		t.Fatal("no response to -40 mV with 30 mV threshold")
@@ -24,7 +24,7 @@ func TestLowVoltageStallsFetchAndIssue(t *testing.T) {
 }
 
 func TestHighVoltagePhantomFires(t *testing.T) {
-	c := New(cleanConfig())
+	c := New(cleanConfig(), 0)
 	r := c.Step(+0.040)
 	if !r.InResponse || !r.PhantomFire {
 		t.Fatalf("high-voltage response %+v, want phantom fire", r)
@@ -35,7 +35,7 @@ func TestHighVoltagePhantomFires(t *testing.T) {
 }
 
 func TestInsideWindowNoResponse(t *testing.T) {
-	c := New(cleanConfig())
+	c := New(cleanConfig(), 0)
 	for _, v := range []float64{0, 0.029, -0.029, 0.010} {
 		if r := c.Step(v); r.InResponse {
 			t.Errorf("responded to %g V inside the 30 mV window", v)
@@ -54,7 +54,7 @@ func TestNoiseCausesFalseAlarms(t *testing.T) {
 	// With 15 mV of noise and a 22.5 mV actual threshold, a true
 	// deviation of 20 mV (harmless at the 30 mV target) sometimes
 	// crosses.
-	c := New(Config{TargetThresholdVolts: 0.030, SensorNoiseVolts: 0.015, Seed: 3})
+	c := New(Config{TargetThresholdVolts: 0.030, SensorNoiseVolts: 0.015, Seed: 3}, 0)
 	fired := 0
 	for i := 0; i < 10_000; i++ {
 		if r := c.Step(0.020); r.InResponse {
@@ -70,7 +70,7 @@ func TestNoiseCausesFalseAlarms(t *testing.T) {
 }
 
 func TestDelayPostponesResponse(t *testing.T) {
-	c := New(Config{TargetThresholdVolts: 0.030, SensorDelayCycles: 3})
+	c := New(Config{TargetThresholdVolts: 0.030, SensorDelayCycles: 3}, 0)
 	// Three quiet cycles prime the delay line.
 	for i := 0; i < 3; i++ {
 		if r := c.Step(0); r.InResponse {
@@ -89,7 +89,7 @@ func TestDelayPostponesResponse(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	c := New(cleanConfig())
+	c := New(cleanConfig(), 0)
 	c.Step(-0.040)
 	c.Step(+0.040)
 	c.Step(0)
@@ -129,5 +129,5 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(Config{})
+	New(Config{}, 0)
 }

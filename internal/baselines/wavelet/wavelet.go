@@ -12,12 +12,17 @@
 // the relevant scales are 32 and 64; the mismatch between dyadic scales
 // and the actual band is the price of the wavelet framing, and the
 // repo's extra-baselines experiment quantifies it.
+//
+// Controller is the technique the simulation loop runs (sim.Technique):
+// it observes the cycle's sensed core current and requests no phantom
+// current.
 package wavelet
 
 import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/sim"
 )
 
 // Config parameterises the detector/controller.
@@ -110,9 +115,12 @@ type scaleState struct {
 	inEvent        bool // suppress duplicate counting within a crossing
 }
 
-// Controller is the wavelet-based detect-and-respond mechanism.
+// Controller is the wavelet-based detect-and-respond mechanism. As a
+// sim.Technique, Observe steps it on the cycle's sensed current and Next
+// applies the throttle Step chose last.
 type Controller struct {
-	cfg Config
+	cfg  Config
+	next cpu.Throttle
 
 	cum    []float64 // cumulative-sum ring
 	total  float64
@@ -141,6 +149,7 @@ func New(cfg Config) *Controller {
 	}
 	return &Controller{
 		cfg:    resolved,
+		next:   cpu.Unlimited,
 		cum:    make([]float64, 2*maxScale+2),
 		scales: states,
 	}
@@ -180,14 +189,23 @@ func (c *Controller) Step(sensedAmps float64) cpu.Throttle {
 	}
 
 	c.stats.Cycles++
-	out := cpu.Unlimited
+	c.next = cpu.Unlimited
 	if c.cycle < c.respondUntil {
 		c.stats.ResponseCycles++
-		out = cpu.Throttle{IssueWidth: 4, CachePorts: 1, IssueCurrentBudget: -1}
+		c.next = cpu.Throttle{IssueWidth: 4, CachePorts: 1, IssueCurrentBudget: -1}
 	}
 	c.cycle++
-	return out
+	return c.next
 }
+
+// Name implements sim.Technique.
+func (c *Controller) Name() string { return "wavelet-control" }
+
+// Next implements sim.Technique.
+func (c *Controller) Next() (cpu.Throttle, sim.Phantom) { return c.next, sim.Phantom{} }
+
+// Observe implements sim.Technique.
+func (c *Controller) Observe(obs *sim.Observation) { c.Step(obs.SensedAmps) }
 
 // observeScale updates one scale's chain state and triggers the response
 // when the chain reaches the configured repetitions.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/baselines/damping"
 	"repro/internal/circuit"
 	"repro/internal/sim"
 )
@@ -188,7 +189,7 @@ func TestInvalidConfigIsError(t *testing.T) {
 	if _, err := Execute(Spec{App: "swim", Technique: TechniqueTuning, Tuning: &tc}); err == nil {
 		t.Error("negative response time accepted")
 	}
-	dc := DampingConfig{WindowCycles: 1, DeltaAmps: -3}
+	dc := damping.Config{WindowCycles: 1, DeltaAmps: -3}
 	if _, err := Execute(Spec{App: "swim", Technique: TechniqueDamping, Damping: &dc}); err == nil {
 		t.Error("invalid damping config accepted")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baselines/convctl"
+	"repro/internal/baselines/damping"
 	"repro/internal/baselines/voltctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
@@ -23,7 +24,7 @@ func pinnedSpecs() []struct {
 	tc := DefaultTuningConfig(75)
 	tc.ResponseDelayCycles = 5
 	vc := voltctl.Config{TargetThresholdVolts: 0.025, SensorNoiseVolts: 0.01, SensorDelayCycles: 3, Seed: 9}
-	dc := DampingConfig{WindowCycles: 40, DeltaAmps: 12, Scale: 0.5}
+	dc := damping.Config{WindowCycles: 40, DeltaAmps: 12, Scale: 0.5}
 	cc := convctl.Config{ThresholdVolts: 0.03, Horizon: 6, Seed: 42}
 	wc := wavelet.Config{Scales: []int{16, 32}, ThresholdAmpCycles: 8, Repetitions: 2}
 	db := DefaultDualBandConfig(circuit.Table1TwoStage())

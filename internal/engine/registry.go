@@ -16,6 +16,8 @@ import (
 	"sync"
 
 	"repro/internal/baselines/convctl"
+	"repro/internal/baselines/damping"
+	"repro/internal/baselines/voltctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
 	"repro/internal/power"
@@ -64,8 +66,9 @@ type Descriptor struct {
 	// Validate checks the resolved section; nil means always valid.
 	// Execute reports its error instead of letting a constructor panic.
 	Validate func(n *Spec) error
-	// Build constructs the simulation adapter and its trace hooks from
-	// the resolved section; nil means the uncontrolled base machine.
+	// Build constructs the technique's controller, which is the
+	// sim.Technique itself, and its trace hooks from the resolved
+	// section; nil means the uncontrolled base machine.
 	Build func(n *Spec, env Env) (sim.Technique, TraceHooks)
 }
 
@@ -118,8 +121,8 @@ var techniques = []Descriptor{
 		},
 		Validate: func(n *Spec) error { return n.Tuning.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			rt := sim.NewResonanceTuning(*n.Tuning)
-			return rt, TraceHooks{EventCount: rt.EventCount, Level: rt.Level}
+			c := tuning.NewController(*n.Tuning)
+			return c, TraceHooks{EventCount: c.EventCount, Level: c.Level}
 		},
 	},
 
@@ -135,8 +138,8 @@ var techniques = []Descriptor{
 		},
 		Validate: func(n *Spec) error { return n.VoltageControl.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			v := sim.NewVoltageControl(*n.VoltageControl, env.PhantomFireAmps)
-			return v, TraceHooks{Level: v.Level}
+			c := voltctl.New(*n.VoltageControl, env.PhantomFireAmps)
+			return c, TraceHooks{Level: c.Level}
 		},
 	},
 
@@ -152,7 +155,7 @@ var techniques = []Descriptor{
 		},
 		Validate: func(n *Spec) error { return n.Damping.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			return sim.NewDamping(*n.Damping), TraceHooks{}
+			return damping.New(*n.Damping), TraceHooks{}
 		},
 	},
 
@@ -174,7 +177,7 @@ var techniques = []Descriptor{
 		},
 		Validate: func(n *Spec) error { return n.Convolution.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			return sim.NewConvolutionControl(*n.Convolution, env.PhantomFireAmps), TraceHooks{}
+			return convctl.New(*n.Convolution, env.PhantomFireAmps), TraceHooks{}
 		},
 	},
 
@@ -193,7 +196,7 @@ var techniques = []Descriptor{
 		},
 		Validate: func(n *Spec) error { return n.Wavelet.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			return sim.NewWaveletControl(*n.Wavelet), TraceHooks{}
+			return wavelet.New(*n.Wavelet), TraceHooks{}
 		},
 	},
 
@@ -238,7 +241,7 @@ var techniques = []Descriptor{
 			return nil
 		},
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			return sim.NewDualBandTuning(n.DualBand.Medium, n.DualBand.Low, n.DualBand.DecimationFactor), TraceHooks{}
+			return tuning.NewDualBand(n.DualBand.Medium, n.DualBand.Low, n.DualBand.DecimationFactor), TraceHooks{}
 		},
 	},
 
@@ -278,8 +281,8 @@ var techniques = []Descriptor{
 			return nil
 		},
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
-			dt := sim.NewPerDomainTuning(n.DomainTuning.Domains)
-			return dt, TraceHooks{EventCount: dt.EventCount, Level: dt.Level}
+			t := tuning.NewPerDomain(n.DomainTuning.Domains)
+			return t, TraceHooks{EventCount: t.EventCount, Level: t.Level}
 		},
 	},
 }

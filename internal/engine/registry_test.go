@@ -3,20 +3,20 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/baselines/convctl"
+	"repro/internal/baselines/damping"
+	"repro/internal/baselines/voltctl"
+	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/tuning"
 )
 
 // TestKindsCoverAllTechniques pins the registered kind set: base first,
@@ -161,44 +161,66 @@ func TestNormalizeMidAmpsMatchesPowerModel(t *testing.T) {
 	}
 }
 
-// TestRegistryCompleteness asserts every sim.Technique adapter defined
-// in internal/sim/techniques.go has a descriptor in the techniques
-// table: the count of adapter types (those with a Name method, the
-// sim.Technique identity) must equal the count of table constructors. A
-// new adapter without a table entry fails here, not silently at a
-// driver.
+// TestRegistryCompleteness: every kind in Kinds() but base builds its
+// own controller type, which is the sim.Technique itself, under the
+// Name() its results are labelled with; exactly tuning, voltctl, damping
+// and domain-tuning report sim.TechStats (the others leave Result.Tech
+// zero); and the trace hooks are the ones each kind has. A kind added to
+// the table without a row here fails, and so do two kinds building one
+// type.
 func TestRegistryCompleteness(t *testing.T) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "../sim/techniques.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		tech         sim.Technique // a typed nil naming the concrete type
+		name         string
+		stats        bool
+		count, level bool
 	}
-	var adapters []string
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Recv == nil || fn.Name.Name != "Name" {
+	want := map[TechniqueKind]row{
+		TechniqueTuning:         {(*tuning.Controller)(nil), "resonance-tuning", true, true, true},
+		TechniqueVoltageControl: {(*voltctl.Controller)(nil), "voltage-control", true, false, true},
+		TechniqueDamping:        {(*damping.Controller)(nil), "pipeline-damping", true, false, false},
+		TechniqueConvolution:    {(*convctl.Controller)(nil), "convolution-control", false, false, false},
+		TechniqueWavelet:        {(*wavelet.Controller)(nil), "wavelet-control", false, false, false},
+		TechniqueDualBand:       {(*tuning.DualBand)(nil), "dual-band-tuning", false, false, false},
+		TechniqueDomainTuning:   {(*tuning.PerDomain)(nil), "per-domain-tuning", true, true, true},
+	}
+	builds := map[reflect.Type]TechniqueKind{}
+	for _, kind := range Kinds() {
+		tech, hooks, err := BuildTechnique(Spec{App: "swim", Technique: kind})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if kind == TechniqueNone {
+			if tech != nil || hooks.EventCount != nil || hooks.Level != nil {
+				t.Errorf("base builds %T with hooks %+v, want nothing", tech, hooks)
+			}
 			continue
 		}
-		recv := fn.Recv.List[0].Type
-		if star, ok := recv.(*ast.StarExpr); ok {
-			recv = star.X
+		w, ok := want[kind]
+		if !ok {
+			t.Errorf("kind %q builds %T but has no row in this test", kind, tech)
+			continue
 		}
-		if ident, ok := recv.(*ast.Ident); ok {
-			adapters = append(adapters, ident.Name)
+		typ := reflect.TypeOf(tech)
+		if typ != reflect.TypeOf(w.tech) {
+			t.Errorf("kind %q builds %v, want %T", kind, typ, w.tech)
+		}
+		if prev, dup := builds[typ]; dup {
+			t.Errorf("kinds %q and %q both build %v", prev, kind, typ)
+		}
+		builds[typ] = kind
+		if got := tech.Name(); got != w.name {
+			t.Errorf("kind %q is named %q, want %q", kind, got, w.name)
+		}
+		if _, stats := tech.(interface{ TechStats() sim.TechStats }); stats != w.stats {
+			t.Errorf("kind %q reports TechStats: %v, want %v", kind, stats, w.stats)
+		}
+		if count, level := hooks.EventCount != nil, hooks.Level != nil; count != w.count || level != w.level {
+			t.Errorf("kind %q trace hooks (event count %v, level %v), want (%v, %v)", kind, count, level, w.count, w.level)
 		}
 	}
-	if len(adapters) == 0 {
-		t.Fatal("found no sim.Technique adapters in internal/sim/techniques.go — has the file moved?")
-	}
-	var constructors int
-	for _, d := range techniques {
-		if d.Build != nil {
-			constructors++
-		}
-	}
-	if constructors != len(adapters) {
-		t.Errorf("internal/sim/techniques.go defines %d adapters (%s) but the techniques table has %d constructors — add a descriptor for the new technique",
-			len(adapters), strings.Join(adapters, ", "), constructors)
+	if len(builds) != len(want) {
+		t.Errorf("the techniques table builds %d controller types, this test names %d", len(builds), len(want))
 	}
 }
 

@@ -100,7 +100,7 @@ type Spec struct {
 	VoltageControl *voltctl.Config `json:"voltage_control,omitempty"`
 	// Damping overrides the default [14] configuration (50-cycle
 	// window, δ = 16 A) when non-nil.
-	Damping *DampingConfig `json:"damping,omitempty"`
+	Damping *damping.Config `json:"damping,omitempty"`
 	// Convolution overrides the default [8] configuration when non-nil
 	// (only used with TechniqueConvolution). A zero Supply defaults to
 	// the spec's own simulated supply.
@@ -119,9 +119,6 @@ type Spec struct {
 // WireSpec returns s: a Spec is plain data, so it is its own wire form.
 // It is kept only because perfbench calls it.
 func WireSpec(s Spec) Spec { return s }
-
-// DampingConfig aliases the [14] configuration for Spec construction.
-type DampingConfig = damping.Config
 
 // DualBandConfig configures Section 2.2's dual-band resonance tuning: a
 // medium-band controller at core clock plus a low-band controller
@@ -341,7 +338,7 @@ func (s *Spec) workloadParams() (workload.Params, error) {
 // calling goroutine, bypassing any cache. Like every engine run it is a
 // one-lane group of the lockstep kernel (see simulate); the spec's
 // technique descriptor (see registry.go) validates the resolved
-// configuration and constructs the adapter.
+// configuration and constructs the controller.
 func Execute(spec Spec) (sim.Result, error) {
 	res, errs, _ := simulate([]Spec{spec})
 	return res[0], errs[0]
@@ -392,7 +389,8 @@ func (p *Prepared) Run(trace func(sim.TracePoint)) (sim.Result, error) {
 
 // BuildTechnique resolves spec's technique section exactly as Execute
 // does — registry defaulting, validation, the system's envelope — and
-// returns the constructed adapter without running a simulation. It
+// returns the constructed controller, with its trace hooks, without
+// running a simulation. It
 // serves drivers that feed the simulator from an external instruction
 // source (e.g. a recorded trace) and so cannot go through Execute. A nil
 // Technique means the base machine.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
+	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -58,9 +59,9 @@ func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	var tech sim.Technique
 	var countFn, levelFn func() int
 	if n.Technique == TechniqueTuning {
-		rt := sim.NewResonanceTuning(*n.Tuning)
-		tech = rt
-		countFn, levelFn = rt.EventCount, rt.Level
+		c := tuning.NewController(*n.Tuning)
+		tech = c
+		countFn, levelFn = c.EventCount, c.Level
 	}
 	s, err := sim.New(*n.System, workload.NewGenerator(app.Params, n.Instructions), tech)
 	if err != nil {

@@ -213,7 +213,7 @@ func domainStats(spec engine.Spec) ([]sim.DomainStat, []tuning.Stats, error) {
 		return nil, nil, err
 	}
 	var ctrl []tuning.Stats
-	if t, ok := p.Technique().(*sim.PerDomainTuning); ok {
+	if t, ok := p.Technique().(*tuning.PerDomain); ok {
 		ctrl = t.DomainStats()
 	}
 	return p.Machine().DomainStats(), ctrl, nil

@@ -25,9 +25,9 @@ func directRun(t *testing.T, app string, insts uint64, cfg *tuning.Config) sim.R
 	var tech sim.Technique
 	name := "base"
 	if cfg != nil {
-		rt := sim.NewResonanceTuning(*cfg)
-		tech = rt
-		name = rt.Name()
+		c := tuning.NewController(*cfg)
+		tech = c
+		name = c.Name()
 	}
 	s, err := sim.New(sim.DefaultConfig(), g, tech)
 	if err != nil {

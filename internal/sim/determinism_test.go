@@ -1,9 +1,11 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
 	"repro/internal/circuit"
+	. "repro/internal/sim"
+	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -20,7 +22,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 			g := workload.NewGenerator(app.Params, 120_000)
 			var tech Technique
 			if techName == "tuning" {
-				tech = NewResonanceTuning(table1Tuning())
+				tech = tuning.NewController(table1Tuning())
 			}
 			s, err := New(DefaultConfig(), g, tech)
 			if err != nil {

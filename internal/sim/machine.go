@@ -250,8 +250,9 @@ func (m *Machine) Done() bool { return m.core.Done() }
 // Cycles returns the number of cycles stepped so far.
 func (m *Machine) Cycles() uint64 { return m.cycles }
 
-// CycleLimit returns the configured MaxCycles bound, substituting the
-// generous livelock guard when the configuration leaves it zero.
+// CycleLimit returns the configured MaxCycles bound, or 2^62 when the
+// configuration leaves it zero: no bound in practice, so such a run ends
+// when its instruction stream drains.
 func (m *Machine) CycleLimit() uint64 {
 	if m.cfg.MaxCycles == 0 {
 		return 1 << 62

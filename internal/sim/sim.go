@@ -11,6 +11,10 @@
 // current) are added to the cycle's current and energy but perform no
 // work. Noise-margin violations are counted from the simulated supply
 // deviation each cycle.
+//
+// The package defines the contract a technique meets (Technique) but
+// implements none: the controllers of internal/tuning and
+// internal/baselines implement it themselves.
 package sim
 
 import (
@@ -70,7 +74,8 @@ type DomainObservation struct {
 }
 
 // Technique is an inductive-noise control scheme plugged into the loop.
-// Implementations adapt the tuning, voltctl, and damping controllers.
+// The controllers implement it directly: tuning.Controller, DualBand and
+// PerDomain, and the voltctl, damping, convctl and wavelet Controllers.
 type Technique interface {
 	// Name identifies the technique in reports.
 	Name() string
@@ -106,8 +111,8 @@ type Config struct {
 	// the aggregate core current, d ≥ 1 is domain d-1's rail sensor.
 	// Ignored on single-domain machines.
 	SensorDomain int
-	// MaxCycles bounds the simulation; zero means a generous default
-	// derived from the instruction stream (guards against livelock).
+	// MaxCycles bounds the simulation in cycles; zero means 2^62, no
+	// bound in practice: the run ends when its instruction stream drains.
 	MaxCycles uint64
 }
 

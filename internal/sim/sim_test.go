@@ -1,13 +1,19 @@
-package sim
+// The tests that run techniques live in an external test package: the
+// controllers implement sim.Technique, so they import sim, and an
+// in-package test importing them would be an import cycle.
+package sim_test
 
 import (
+	"go/build"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines/damping"
 	"repro/internal/baselines/voltctl"
 	"repro/internal/circuit"
 	"repro/internal/cpu"
+	. "repro/internal/sim"
 	"repro/internal/tuning"
 	"repro/internal/workload"
 )
@@ -82,7 +88,7 @@ func TestResonanceTuningPreventsViolations(t *testing.T) {
 	if base.Violations == 0 {
 		t.Fatal("base lucas run shows no violations to prevent")
 	}
-	tuned := runApp(t, "lucas", 400_000, NewResonanceTuning(table1Tuning()))
+	tuned := runApp(t, "lucas", 400_000, tuning.NewController(table1Tuning()))
 	if tuned.Violations > base.Violations/10 {
 		t.Errorf("tuning left %d of %d violations", tuned.Violations, base.Violations)
 	}
@@ -96,7 +102,7 @@ func TestResonanceTuningPreventsViolations(t *testing.T) {
 }
 
 func TestTuningIdlesOnQuietApp(t *testing.T) {
-	tech := NewResonanceTuning(table1Tuning())
+	tech := tuning.NewController(table1Tuning())
 	base := runApp(t, "perlbmk", 150_000, nil)
 	tuned := runApp(t, "perlbmk", 150_000, tech)
 	slowdown := float64(tuned.Cycles) / float64(base.Cycles)
@@ -111,7 +117,7 @@ func TestTuningIdlesOnQuietApp(t *testing.T) {
 
 func TestVoltageControlRespondsToViolatingApp(t *testing.T) {
 	cfg := voltctl.Config{TargetThresholdVolts: 0.020, Seed: 1}
-	tech := NewVoltageControl(cfg, 30)
+	tech := voltctl.New(cfg, 30)
 	r := runApp(t, "lucas", 400_000, tech)
 	if tech.Stats().ResponseCycles == 0 {
 		t.Error("voltage control never responded on lucas")
@@ -123,7 +129,7 @@ func TestVoltageControlRespondsToViolatingApp(t *testing.T) {
 }
 
 func TestDampingConstrainsIssue(t *testing.T) {
-	tech := NewDamping(damping.Config{WindowCycles: 50, DeltaAmps: 8})
+	tech := damping.New(damping.Config{WindowCycles: 50, DeltaAmps: 8})
 	r := runApp(t, "bzip", 200_000, tech)
 	base := runApp(t, "bzip", 200_000, nil)
 	if tech.Stats().ConstrainedCyc == 0 {
@@ -137,7 +143,7 @@ func TestDampingConstrainsIssue(t *testing.T) {
 func TestTraceCapture(t *testing.T) {
 	app, _ := workload.ByName("swim")
 	g := workload.NewGenerator(app.Params, 20_000)
-	tech := NewResonanceTuning(table1Tuning())
+	tech := tuning.NewController(table1Tuning())
 	s, err := New(DefaultConfig(), g, tech)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +238,7 @@ func TestSensorDelayPlumbed(t *testing.T) {
 	cfg.SensorDelayCycles = 5
 	app, _ := workload.ByName("swim")
 	g := workload.NewGenerator(app.Params, 50_000)
-	tech := NewResonanceTuning(table1Tuning())
+	tech := tuning.NewController(table1Tuning())
 	s, err := New(cfg, g, tech)
 	if err != nil {
 		t.Fatal(err)
@@ -252,13 +258,13 @@ func TestEnergyDelayConsistency(t *testing.T) {
 }
 
 func TestTechniqueNames(t *testing.T) {
-	if NewResonanceTuning(table1Tuning()).Name() != "resonance-tuning" {
+	if tuning.NewController(table1Tuning()).Name() != "resonance-tuning" {
 		t.Error("tuning name")
 	}
-	if NewVoltageControl(voltctl.Config{TargetThresholdVolts: 0.03}, 30).Name() != "voltage-control" {
+	if voltctl.New(voltctl.Config{TargetThresholdVolts: 0.03}, 30).Name() != "voltage-control" {
 		t.Error("voltctl name")
 	}
-	if NewDamping(damping.Config{WindowCycles: 50, DeltaAmps: 32}).Name() != "pipeline-damping" {
+	if damping.New(damping.Config{WindowCycles: 50, DeltaAmps: 32}).Name() != "pipeline-damping" {
 		t.Error("damping name")
 	}
 }
@@ -278,5 +284,67 @@ func TestDefaultConfigIsTable1(t *testing.T) {
 	}
 	if cfg.CPU != cpu.DefaultConfig() {
 		t.Error("default CPU is not Table 1")
+	}
+}
+
+func TestPostmortemOnRealRun(t *testing.T) {
+	// The anatomy claim end to end: on a violating app under tuning,
+	// most remaining bursts either carried an advance warning or were
+	// already inside a response when they hit.
+	app, err := workload.ByName("lucas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	tech := tuning.NewController(table1Tuning())
+	g := workload.NewGenerator(app.Params, 400_000)
+	s, err := New(cfg, g, tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := NewPostmortem(circuit.Table1().NoiseMarginVolts(), 2, 500)
+	s.SetTrace(pm.Observe, tech.EventCount, tech.Level)
+	res := s.Run("lucas", tech.Name())
+
+	reps := pm.Reports()
+	// Total violating cycles across bursts must match the result.
+	var cyc uint64
+	for _, r := range reps {
+		if r.EndCycle < r.StartCycle {
+			t.Fatalf("inverted burst %+v", r)
+		}
+		cyc += r.EndCycle - r.StartCycle + 1
+	}
+	// Merged gaps mean cyc >= res.Violations is not exact; but bursts
+	// can never cover fewer cycles than the violations counted.
+	if cyc < res.Violations {
+		t.Errorf("bursts cover %d cycles but %d violations counted", cyc, res.Violations)
+	}
+	if res.Violations > 0 && len(reps) == 0 {
+		t.Fatal("violations occurred but no bursts reported")
+	}
+	warnedOrResponding := 0
+	for _, r := range reps {
+		if r.WarningLeadCycles >= 0 || r.ResponseLevelAtStart > 0 {
+			warnedOrResponding++
+		}
+	}
+	if len(reps) > 0 && warnedOrResponding < len(reps)*5/10 {
+		t.Errorf("only %d of %d residual bursts were warned or in-response", warnedOrResponding, len(reps))
+	}
+}
+
+// TestSimImportsNoController: the loop defines the technique contract and
+// the controllers implement it, so the package's own (non-test) files
+// import no controller package, and no type here can wrap one.
+func TestSimImportsNoController(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range pkg.Imports {
+		if imp == "repro/internal/tuning" || strings.HasPrefix(imp, "repro/internal/baselines/") {
+			t.Errorf("internal/sim imports %s", imp)
+		}
 	}
 }

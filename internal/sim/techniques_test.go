@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -6,6 +6,8 @@ import (
 	"repro/internal/baselines/convctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
+	. "repro/internal/sim"
+	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
@@ -15,7 +17,7 @@ func TestConvolutionControlInLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := mustRun(t, app, nil, 250_000)
-	tech := NewConvolutionControl(convctl.Config{Supply: circuit.Table1()}, 30)
+	tech := convctl.New(convctl.Config{Supply: circuit.Table1()}, 30)
 	ctl := mustRun(t, app, tech, 250_000)
 	if base.Violations == 0 {
 		t.Fatal("no base violations")
@@ -40,7 +42,7 @@ func TestWaveletControlInLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := mustRun(t, app, nil, 250_000)
-	tech := NewWaveletControl(wavelet.Config{})
+	tech := wavelet.New(wavelet.Config{})
 	ctl := mustRun(t, app, tech, 250_000)
 	if ctl.Violations > base.Violations/2 {
 		t.Errorf("wavelet control left %d of %d violations", ctl.Violations, base.Violations)
@@ -61,7 +63,7 @@ func TestDualBandTuningInLoop(t *testing.T) {
 	lowCfg := table1Tuning()
 	lowCfg.Detector.HalfPeriodLo = 40
 	lowCfg.Detector.HalfPeriodHi = 60
-	tech := NewDualBandTuning(table1Tuning(), lowCfg, 25)
+	tech := tuning.NewDualBand(table1Tuning(), lowCfg, 25)
 	base := mustRun(t, app, nil, 250_000)
 	dual := mustRun(t, app, tech, 250_000)
 	if dual.Violations > base.Violations/4 {
@@ -85,17 +87,17 @@ func TestDualBandPanicsOnBadFactor(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewDualBandTuning(table1Tuning(), table1Tuning(), 0)
+	tuning.NewDualBand(table1Tuning(), table1Tuning(), 0)
 }
 
 func TestNewTechniqueNames(t *testing.T) {
-	if NewConvolutionControl(convctl.Config{Supply: circuit.Table1()}, 30).Name() != "convolution-control" {
+	if convctl.New(convctl.Config{Supply: circuit.Table1()}, 30).Name() != "convolution-control" {
 		t.Error("convctl name")
 	}
-	if NewWaveletControl(wavelet.Config{}).Name() != "wavelet-control" {
+	if wavelet.New(wavelet.Config{}).Name() != "wavelet-control" {
 		t.Error("wavelet name")
 	}
-	if NewDualBandTuning(table1Tuning(), table1Tuning(), 25).Name() != "dual-band-tuning" {
+	if tuning.NewDualBand(table1Tuning(), table1Tuning(), 25).Name() != "dual-band-tuning" {
 		t.Error("dual-band name")
 	}
 }

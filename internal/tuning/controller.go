@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cpu"
+	"repro/internal/sim"
 )
 
 // Config parameterises the full resonance-tuning mechanism: the detector
@@ -144,7 +145,10 @@ func (s Stats) SecondLevelFraction() float64 {
 }
 
 // Controller drives resonance tuning: it consumes one sensed current
-// sample per cycle and produces the throttle for the next cycle.
+// sample per cycle and produces the throttle for the next cycle. It is
+// the resonance-tuning technique of the simulation loop itself
+// (sim.Technique): Observe steps it on the cycle's sensed current, and
+// Next applies the response Step chose last.
 type Controller struct {
 	cfg Config
 	det *Detector
@@ -159,8 +163,11 @@ type Controller struct {
 	stats       Stats
 
 	// The three possible responses, precomputed from cfg so Step's hot
-	// path picks one instead of rebuilding a struct every cycle.
+	// path picks one instead of rebuilding a struct every cycle, and the
+	// one Step chose last (respNone, no throttle and no phantom current,
+	// before the first cycle).
 	respNone, respL1, respL2 Response
+	next                     *Response
 }
 
 // NewController returns a controller for the given configuration. It
@@ -169,7 +176,7 @@ func NewController(cfg Config) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("tuning.NewController: %v", err))
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:      cfg,
 		det:      NewDetector(cfg.Detector),
 		respNone: Response{Level: LevelNone, Throttle: cpu.Unlimited},
@@ -187,13 +194,12 @@ func NewController(cfg Config) *Controller {
 			PhantomTargetAmps: cfg.PhantomTargetAmps,
 		},
 	}
+	c.next = &c.respNone
+	return c
 }
 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// Detector exposes the underlying detector (for traces).
-func (c *Controller) Detector() *Detector { return c.det }
 
 // Stats returns the accumulated statistics.
 func (c *Controller) Stats() Stats {
@@ -246,5 +252,36 @@ func (c *Controller) Step(sensedAmps float64) *Response {
 	}
 	c.stats.Cycles++
 	c.cycle++
+	c.next = resp
 	return resp
 }
+
+// Name implements sim.Technique.
+func (c *Controller) Name() string { return "resonance-tuning" }
+
+// Next implements sim.Technique: the response Step chose last applies to
+// the coming cycle.
+func (c *Controller) Next() (cpu.Throttle, sim.Phantom) {
+	return c.next.Throttle, sim.Phantom{TargetAmps: c.next.PhantomTargetAmps}
+}
+
+// Observe implements sim.Technique: the controller steps on the cycle's
+// sensed core current.
+func (c *Controller) Observe(obs *sim.Observation) { c.Step(obs.SensedAmps) }
+
+// TechStats reports the cycle accounting a sim.Result carries (the
+// Table 3 columns).
+func (c *Controller) TechStats() sim.TechStats {
+	return sim.TechStats{
+		ControllerCycles:  c.stats.Cycles,
+		FirstLevelCycles:  c.stats.FirstLevelCycles,
+		SecondLevelCycles: c.stats.SecondLevelCycles,
+		ResponseCycles:    c.stats.FirstLevelCycles + c.stats.SecondLevelCycles,
+	}
+}
+
+// EventCount returns the current resonant event count (for traces).
+func (c *Controller) EventCount() int { return c.det.CountNow() }
+
+// Level returns the active response level (for traces).
+func (c *Controller) Level() int { return int(c.next.Level) }

@@ -20,6 +20,12 @@
 // phantom operations holding a medium current level) one below the
 // maximum repetition tolerance, guaranteeing the count never reaches the
 // violating value.
+//
+// The controllers are the techniques the simulation loop runs: Controller
+// implements sim.Technique directly, and so do its two compositions,
+// DualBand (a medium-band controller plus a decimated low-band one,
+// Section 2.2) and PerDomain (one controller per supply domain of a
+// multi-domain PDN). The engine's technique table constructs them.
 package tuning
 
 import (

@@ -394,20 +394,23 @@ type EnergyShare struct {
 	Percent float64
 }
 
-// EnergyBreakdown re-runs the given simulation — technique, network and
-// workload included, built exactly as Simulate builds it — and reports
-// where the energy went: the ungated clock floor, each architectural
-// unit's dynamic share, and phantom operations, sorted by consumption.
-// The rows sum to the run's EnergyJ up to the energy still spreading in
-// the power model's ring when the run ends.
-func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
+// EnergyBreakdown runs the given simulation — technique, network and
+// workload included, built exactly as Simulate builds it — and returns
+// the run summary with a report of where the energy went: the ungated
+// clock floor, each architectural unit's dynamic share, and phantom
+// operations, sorted by consumption. The rows sum to the run's EnergyJ
+// up to the energy still spreading in the power model's ring when the
+// run ends. trace, when non-nil, receives every cycle's waveform point
+// as in SimulateTraced; nil runs untraced. Like SimulateTraced, it runs
+// on the calling goroutine and touches no result cache.
+func EnergyBreakdown(spec SimulationSpec, trace func(TracePoint)) ([]EnergyShare, Result, error) {
 	p, err := engine.Prepare(spec)
 	if err != nil {
-		return nil, err
+		return nil, Result{}, err
 	}
-	res, err := p.Run(nil)
+	res, err := p.Run(trace)
 	if err != nil {
-		return nil, err
+		return nil, Result{}, err
 	}
 	floorJ, unitJ := p.Machine().Power().Breakdown()
 
@@ -425,7 +428,7 @@ func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Joules > rows[j].Joules })
-	return rows, nil
+	return rows, res, nil
 }
 
 // ViolationReport describes one noise-margin violation burst and its

@@ -217,9 +217,28 @@ func TestAutoTuningConfig(t *testing.T) {
 }
 
 func TestEnergyBreakdown(t *testing.T) {
-	rows, err := EnergyBreakdown(SimulationSpec{App: "gzip", Instructions: 40_000})
+	spec := SimulationSpec{App: "gzip", Instructions: 40_000}
+	var points uint64
+	rows, res, err := EnergyBreakdown(spec, func(tp TracePoint) {
+		if tp.Cycle != points {
+			t.Fatalf("trace point %d is cycle %d", points, tp.Cycle)
+		}
+		points++
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The breakdown's run is the run Simulate makes, and the trace sees
+	// every cycle of it.
+	want, err := Simulate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != want {
+		t.Errorf("breakdown run %+v, Simulate %+v", res, want)
+	}
+	if points != res.Cycles {
+		t.Errorf("trace received %d points over %d cycles", points, res.Cycles)
 	}
 	if len(rows) < 10 {
 		t.Fatalf("only %d rows", len(rows))
@@ -241,12 +260,12 @@ func TestEnergyBreakdown(t *testing.T) {
 	if pct < 99 || pct > 100.5 {
 		t.Errorf("breakdown covers %.1f%% of total energy", pct)
 	}
-	if _, err := EnergyBreakdown(SimulationSpec{App: "nope"}); err == nil {
+	if _, _, err := EnergyBreakdown(SimulationSpec{App: "nope"}, nil); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
-// TestEnergyBreakdownHonoursSpec: the breakdown re-runs the spec it is
+// TestEnergyBreakdownHonoursSpec: the breakdown runs the spec it is
 // given, technique included, so its rows add up to the energy Simulate
 // reports for that spec, phantom operations among them.
 func TestEnergyBreakdownHonoursSpec(t *testing.T) {
@@ -255,7 +274,7 @@ func TestEnergyBreakdownHonoursSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := EnergyBreakdown(spec)
+	rows, _, err := EnergyBreakdown(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
