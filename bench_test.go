@@ -117,7 +117,7 @@ func BenchmarkCoreStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := workload.Materialize(app.Params, 1<<20)
-	core := cpu.New(cpu.DefaultConfig(), tr.Source())
+	core := cpu.New(cpu.DefaultConfig(), tr)
 	var act cpu.Activity
 	// The steady-state step must not allocate at all; without this guard
 	// (and the ResetTimer below excluding trace materialization) the
@@ -132,7 +132,8 @@ func BenchmarkCoreStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if core.Done() {
 			b.StopTimer()
-			core = cpu.New(cpu.DefaultConfig(), tr.Source())
+			tr.Reset()
+			core = cpu.New(cpu.DefaultConfig(), tr)
 			b.StartTimer()
 		}
 		core.StepInto(cpu.Unlimited, &act)
@@ -171,7 +172,8 @@ func BenchmarkBatchKernelLockstep(b *testing.B) {
 	inis := []int{75, 100, 125, 150, 200, 100}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := sim.NewMachine(sim.DefaultConfig(), tr.Source())
+		tr.Reset()
+		m, err := sim.NewMachine(sim.DefaultConfig(), tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +206,8 @@ func BenchmarkBatchKernelForked(b *testing.B) {
 	inis := []int{75, 100, 125, 150, 200, 100}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := sim.NewMachine(sim.DefaultConfig(), tr.Source())
+		tr.Reset()
+		m, err := sim.NewMachine(sim.DefaultConfig(), tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,8 +239,7 @@ func BenchmarkMachineFork(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := workload.Materialize(app.Params, 60_000)
-	m, err := sim.NewMachine(sim.DefaultConfig(), tr.Source())
+	m, err := sim.NewMachine(sim.DefaultConfig(), workload.Materialize(app.Params, 60_000))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func BenchmarkTraceSourceNext(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := cyclingTrace{workload.Materialize(app.Params, 1<<20).Source()}
+	src := cyclingTrace{workload.Materialize(app.Params, 1<<20)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, ok := src.Next(); !ok {

@@ -15,30 +15,72 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"repro"
 	"repro/internal/cacheflags"
 )
 
-func main() {
-	var (
-		app     = flag.String("app", "parser", "application name (see -list)")
-		insts   = flag.Uint64("insts", 1_000_000, "instructions to simulate")
-		tech    = flag.String("tech", "base", "technique: "+kindList())
-		initial = flag.Int("initial-response", 100, "tuning: initial response time in cycles")
-		delay   = flag.Int("delay", 0, "tuning: detection-to-response delay in cycles")
-		trace   = flag.String("trace", "", "write per-cycle CSV trace to this file")
-		record  = flag.String("record", "", "record the instruction stream to this file and exit")
-		replay  = flag.String("replay", "", "replay a recorded instruction stream instead of -app")
-		spect   = flag.Bool("spectrum", false, "analyse the run's current spectrum against the resonance band")
-		energy  = flag.Bool("energy", false, "print the per-unit energy breakdown")
-		cache   = cacheflags.Register(flag.CommandLine)
-		list    = flag.Bool("list", false, "list applications and exit")
-	)
-	flag.Parse()
+// options are rtsim's flags.
+type options struct {
+	app, tech, trace, record, replay string
+	insts                            uint64
+	initial, delay                   int
+	spectrum, energy, list           bool
+	cache                            *cacheflags.Flags
+}
 
-	if *list {
+// declare defines rtsim's flags on fs.
+func declare(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.app, "app", "parser", "application name (see -list)")
+	fs.Uint64Var(&o.insts, "insts", 1_000_000, "instructions to simulate")
+	fs.StringVar(&o.tech, "tech", "base", "technique: "+kindList())
+	fs.IntVar(&o.initial, "initial-response", 100, "tuning: initial response time in cycles")
+	fs.IntVar(&o.delay, "delay", 0, "tuning: detection-to-response delay in cycles")
+	fs.StringVar(&o.trace, "trace", "", "write per-cycle CSV trace to this file")
+	fs.StringVar(&o.record, "record", "", "record the instruction stream to this file and exit")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded instruction stream instead of -app")
+	fs.BoolVar(&o.spectrum, "spectrum", false, "analyse the run's current spectrum against the resonance band")
+	fs.BoolVar(&o.energy, "energy", false, "print the per-unit energy breakdown")
+	o.cache = cacheflags.Register(fs)
+	fs.BoolVar(&o.list, "list", false, "list applications and exit")
+	return o
+}
+
+// ignored names the selected mode and the flags set on fs's command line
+// that it does not read: -list, -record and -replay read only the flags
+// listed with them below, and a run reads the tuning flags only under
+// -tech tuning.
+func ignored(fs *flag.FlagSet) (mode string, flags []string) {
+	tech := fs.Lookup("tech").Value.String()
+	mode, reads := "-tech "+tech, func(name string) bool {
+		return tech == string(resonance.TechniqueTuning) || name != "initial-response" && name != "delay"
+	}
+	for _, m := range [][]string{{"list"}, {"record", "app", "insts"}, {"replay", "tech"}} {
+		if v := fs.Lookup(m[0]).Value.String(); v != "" && v != "false" {
+			mode, reads = "-"+m[0], func(name string) bool { return slices.Contains(m, name) }
+			break
+		}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if !reads(f.Name) {
+			flags = append(flags, "-"+f.Name)
+		}
+	})
+	return mode, flags
+}
+
+func main() {
+	o := declare(flag.CommandLine)
+	flag.Parse()
+	if mode, flags := ignored(flag.CommandLine); len(flags) > 0 {
+		fmt.Fprintf(os.Stderr, "rtsim: %s does not read %s\n", mode, strings.Join(flags, ", "))
+		os.Exit(2)
+	}
+
+	if o.list {
 		fmt.Println("application  paper-IPC  paper-class")
 		for _, a := range resonance.Apps() {
 			class := "clean"
@@ -50,56 +92,56 @@ func main() {
 		return
 	}
 
-	if *record != "" {
-		f, err := os.Create(*record)
+	if o.record != "" {
+		f, err := os.Create(o.record)
 		if err != nil {
 			fatal(err)
 		}
-		n, err := resonance.RecordWorkload(f, *app, *insts)
+		n, err := resonance.RecordWorkload(f, o.app, o.insts)
 		if err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recorded %d instructions of %s to %s\n", n, *app, *record)
+		fmt.Printf("recorded %d instructions of %s to %s\n", n, o.app, o.record)
 		return
 	}
-	if *replay != "" {
-		f, err := os.Open(*replay)
+	if o.replay != "" {
+		f, err := os.Open(o.replay)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		res, err := resonance.ReplayWorkload(f, resonance.TechniqueKind(*tech))
+		res, err := resonance.ReplayWorkload(f, resonance.TechniqueKind(o.tech))
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("replayed %s under %s: %d cycles, IPC %.3f, %d violations\n",
-			*replay, res.Technique, res.Cycles, res.IPC, res.Violations)
+			o.replay, res.Technique, res.Cycles, res.IPC, res.Violations)
 		return
 	}
 
 	spec := resonance.SimulationSpec{
-		App:          *app,
-		Instructions: *insts,
-		Technique:    resonance.TechniqueKind(*tech),
+		App:          o.app,
+		Instructions: o.insts,
+		Technique:    resonance.TechniqueKind(o.tech),
 	}
 	if spec.Technique == resonance.TechniqueTuning {
-		cfg := resonance.DefaultTuningConfig(*initial)
-		cfg.ResponseDelayCycles = *delay
+		cfg := resonance.DefaultTuningConfig(o.initial)
+		cfg.ResponseDelayCycles = o.delay
 		spec.Tuning = &cfg
 	}
 
 	var currentTrace []float64
 	var traceFn func(resonance.TracePoint)
-	if *spect {
+	if o.spectrum {
 		traceFn = func(tp resonance.TracePoint) { currentTrace = append(currentTrace, tp.TotalAmps) }
 	}
 
 	var traceFile *os.File
-	if *trace != "" {
-		f, err := os.Create(*trace)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,12 +168,12 @@ func main() {
 		rows []resonance.EnergyShare
 		err  error
 	}
-	eng := cache.Engine(1)
+	eng := o.cache.Engine(1)
 	ch := make(chan outcome, 1)
 	go func() {
 		var out outcome
 		switch {
-		case *energy:
+		case o.energy:
 			out.rows, out.res, out.err = resonance.EnergyBreakdown(spec, traceFn)
 		case traceFn != nil:
 			out.res, out.err = resonance.SimulateTraced(spec, traceFn)
@@ -162,7 +204,7 @@ func main() {
 	if traceFile != nil {
 		fmt.Printf("trace:          %s\n", traceFile.Name())
 	}
-	if *spect {
+	if o.spectrum {
 		sp, err := resonance.AnalyzeSpectrum(currentTrace)
 		if err != nil {
 			fatal(err)
@@ -170,7 +212,7 @@ func main() {
 		fmt.Printf("spectrum:       variance %.1f A², in-band %.2f A² (%.1f%%), peak period %.0f cycles\n",
 			sp.TotalVarianceA2, sp.BandPowerA2, 100*sp.BandFraction, sp.PeakPeriodCycles)
 	}
-	if *energy {
+	if o.energy {
 		fmt.Println("energy breakdown:")
 		for _, row := range out.rows {
 			fmt.Printf("  %-10s %8.4g J  (%.1f%%)\n", row.Unit, row.Joules, row.Percent)

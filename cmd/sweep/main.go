@@ -3,11 +3,12 @@
 // response threshold, and second-level hold, reporting slowdown,
 // energy-delay, and residual violations per point as CSV.
 //
-// Grid points run through the shared engine (internal/engine): a bounded
-// worker pool executes them in parallel and a content-addressed result
-// cache deduplicates identical points — including each application's
-// baseline, which is just another cached run rather than a special case.
-// Rows stream to the output as points complete, in stable grid order.
+// Grid points run through the shared engine (internal/engine) as one
+// batch with each application's baseline, which is just another cached
+// run rather than a special case: a bounded worker pool executes them in
+// parallel and a content-addressed result cache deduplicates identical
+// points. Rows stream to the output as points complete, in stable grid
+// order.
 //
 // Large grids (or long instruction streams) shard across processes and
 // machines: a coordinator publishes the grid into a shared cache
@@ -294,56 +295,57 @@ func (p gridPoint) spec(insts uint64) engine.Spec {
 const csvHeader = "app,initial_cycles,initial_threshold,second_cycles,slowdown,rel_energy,rel_energy_delay,base_violations,violations"
 
 // runSweep executes the grid through eng and streams CSV rows to w as
-// points complete, preserving grid order. Engine errors carry the
-// coordinates of the failing point. m (nil = silent) ticks once per
-// completed point, baselines included.
+// points complete, preserving grid order. The per-app baselines and the
+// points run as one batch, so each baseline shares a lockstep group with
+// its own app's points; every spec is validated first, and a bad one
+// fails the sweep with its grid coordinates before anything runs. m
+// (nil = silent) ticks once per completed spec, baselines included.
 func runSweep(ctx context.Context, eng *engine.Engine, g sweepGrid, w io.Writer, m *meter) error {
 	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
 		return err
 	}
-
-	// Per-app baselines are ordinary engine runs: cached, so later
-	// sweeps (or other drivers sharing the engine) reuse them for free.
-	bases, err := eng.RunAll(ctx, baseSpecs(g), func(int, sim.Result) { m.add(1) })
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+	specs, pts, nb := shardSpecs(g), g.points(), len(g.apps)
+	keys := make([]engine.Key, len(specs))
+	for i, s := range specs {
+		k, err := s.ValidKey()
+		if err != nil {
+			label := "baseline app=" + s.App
+			if i >= nb {
+				p := pts[i-nb]
+				label = fmt.Sprintf("app=%s initial=%d threshold=%d second=%d", p.app, p.initial, p.th, p.second)
+				if !g.tunes() {
+					label = fmt.Sprintf("app=%s technique=%s", p.app, p.technique)
+				}
+			}
+			if g.pdn != "" {
+				label += " pdn=" + g.pdn
+			}
+			return fmt.Errorf("%s: %w", label, err)
+		}
+		keys[i] = k
 	}
 
-	pts := g.points()
-	ep := make([]engine.Point, len(pts))
-	for i, p := range pts {
-		label := fmt.Sprintf("app=%s initial=%d threshold=%d second=%d", p.app, p.initial, p.th, p.second)
-		if !g.tunes() {
-			label = fmt.Sprintf("app=%s technique=%s", p.app, p.technique)
-		}
-		if p.pdn != "" {
-			label += " pdn=" + p.pdn
-		}
-		ep[i] = engine.Point{Label: label, Spec: p.spec(g.insts)}
-	}
-
-	// The progress callback is serialized by the engine; buffer rows
-	// that finish early and flush the contiguous prefix in grid order.
-	rows := make([]string, len(pts))
-	done := make([]bool, len(pts))
+	// The progress callback is serialized by the engine; a row is
+	// written once its point and its app's baseline have both finished,
+	// flushing the contiguous prefix in grid order.
+	res := make([]sim.Result, len(specs))
+	done := make([]bool, len(specs))
 	next := 0
 	var werr error
-	_, err = eng.Grid(ctx, ep, func(i int, res sim.Result) {
-		p := pts[i]
-		base := bases[p.appIdx]
-		slow := float64(res.Cycles) / float64(base.Cycles)
-		energy := res.EnergyJ / base.EnergyJ
-		rows[i] = fmt.Sprintf("%s,%d,%d,%d,%.4f,%.4f,%.4f,%d,%d\n",
-			p.app, p.initial, p.th, p.second, slow, energy, slow*energy,
-			base.Violations, res.Violations)
+	_, err := eng.RunAllKeyed(ctx, specs, keys, func(i int, r sim.Result) {
+		res[i], done[i] = r, true
 		m.add(1)
-		done[i] = true
-		for next < len(pts) && done[next] {
-			if _, err := io.WriteString(w, rows[next]); err != nil && werr == nil {
+		for ; next < len(pts) && done[nb+next] && done[pts[next].appIdx]; next++ {
+			p := pts[next]
+			base, pr := res[p.appIdx], res[nb+next]
+			slow := float64(pr.Cycles) / float64(base.Cycles)
+			energy := pr.EnergyJ / base.EnergyJ
+			row := fmt.Sprintf("%s,%d,%d,%d,%.4f,%.4f,%.4f,%d,%d\n",
+				p.app, p.initial, p.th, p.second, slow, energy, slow*energy,
+				base.Violations, pr.Violations)
+			if _, err := io.WriteString(w, row); err != nil && werr == nil {
 				werr = err
 			}
-			rows[next] = ""
-			next++
 		}
 	})
 	if err != nil {

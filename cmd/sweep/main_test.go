@@ -100,7 +100,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 }
 
 // TestSweepErrorNamesGridPoint: a failing point is reported with its
-// coordinates.
+// coordinates, before anything is simulated.
 func TestSweepErrorNamesGridPoint(t *testing.T) {
 	g := tinyGrid()
 	g.apps = []string{"lucas", "no-such-app"}
@@ -117,11 +117,27 @@ func TestSweepErrorNamesGridPoint(t *testing.T) {
 	// carry the grid coordinates.
 	g = tinyGrid()
 	g.initials = []int{75, -1}
-	err = runSweep(context.Background(), engine.New(engine.Options{}), g, &sink, nil)
+	eng := engine.New(engine.Options{})
+	err = runSweep(context.Background(), eng, g, &sink, nil)
 	if err == nil {
 		t.Fatal("sweep accepted a negative response time")
 	}
-	if !strings.Contains(err.Error(), "initial=-1") {
+	if !strings.Contains(err.Error(), "app=lucas initial=-1 threshold=1 second=35") {
+		t.Errorf("error does not identify the failing grid point: %v", err)
+	}
+	if n := eng.CacheStats().Misses; n != 0 {
+		t.Errorf("a sweep with an invalid point simulated %d specs, want 0", n)
+	}
+
+	// A grid of another technique names its points by application,
+	// technique and network.
+	g = tinyGrid()
+	g.technique, g.pdn = "no-such-kind", circuit.NetworkTwoStage
+	err = runSweep(context.Background(), engine.New(engine.Options{}), g, &sink, nil)
+	if err == nil {
+		t.Fatal("sweep accepted an unknown technique")
+	}
+	if !strings.Contains(err.Error(), "app=lucas technique=no-such-kind pdn=twostage") {
 		t.Errorf("error does not identify the failing grid point: %v", err)
 	}
 }

@@ -34,22 +34,15 @@ type shardOpts struct {
 	dieAfter    int
 }
 
-// baseSpecs builds the per-app baseline runs the grid's relative
-// columns are computed against; they are ordinary engine runs and
-// ordinary sharded points.
-func baseSpecs(g sweepGrid) []engine.Spec {
-	specs := make([]engine.Spec, len(g.apps))
-	for i, app := range g.apps {
-		specs[i] = engine.Spec{App: app, Instructions: g.insts, PDN: g.pdnConfig()}
-	}
-	return specs
-}
-
-// shardSpecs flattens the sweep's full work list — per-app baselines
-// first, then every grid point in stable grid order — into the
-// manifest's point set.
+// shardSpecs flattens the sweep's full work list — the per-app
+// baselines the grid's relative columns are computed against, then every
+// grid point in stable grid order — into the one batch the sweep submits
+// and the manifest's point set.
 func shardSpecs(g sweepGrid) []engine.Spec {
-	specs := baseSpecs(g)
+	var specs []engine.Spec
+	for _, app := range g.apps {
+		specs = append(specs, engine.Spec{App: app, Instructions: g.insts, PDN: g.pdnConfig()})
+	}
 	for _, p := range g.points() {
 		specs = append(specs, p.spec(g.insts))
 	}

@@ -5,11 +5,20 @@ import (
 	"testing"
 )
 
+// repeatTrace packs n instructions that cycle through pattern.
+func repeatTrace(pattern []Inst, n uint64) *TraceSource {
+	s := make([]Inst, n)
+	for i := range s {
+		s[i] = pattern[i%len(pattern)]
+	}
+	return packTrace(s)
+}
+
 // runIPC executes n instructions of the given repeating pattern and
 // returns the achieved IPC.
 func runIPC(t *testing.T, pattern []Inst, n uint64, th Throttle) float64 {
 	t.Helper()
-	core := New(DefaultConfig(), NewRepeatSource(pattern, n))
+	core := New(DefaultConfig(), repeatTrace(pattern, n))
 	cycles := core.Run(n*200+10_000, th)
 	if !core.Done() {
 		t.Fatalf("core did not drain after %d cycles (committed %d/%d)", cycles, core.Committed(), n)
@@ -92,7 +101,7 @@ func TestFunctionalUnitLimits(t *testing.T) {
 }
 
 func TestStallIssueFreezesPipeline(t *testing.T) {
-	core := New(DefaultConfig(), NewRepeatSource([]Inst{{Class: IntALU}}, 100_000))
+	core := New(DefaultConfig(), repeatTrace([]Inst{{Class: IntALU}}, 100_000))
 	stall := Throttle{StallIssue: true, IssueCurrentBudget: -1}
 	for i := 0; i < 1000; i++ {
 		core.Step(stall)
@@ -116,7 +125,7 @@ func TestStallIssueFreezesPipeline(t *testing.T) {
 }
 
 func TestStallFetchStarvesFrontend(t *testing.T) {
-	core := New(DefaultConfig(), NewRepeatSource([]Inst{{Class: IntALU}}, 100_000))
+	core := New(DefaultConfig(), repeatTrace([]Inst{{Class: IntALU}}, 100_000))
 	for i := 0; i < 50; i++ {
 		core.Step(Unlimited)
 	}
@@ -150,7 +159,7 @@ func TestMispredictedBranchesCostCycles(t *testing.T) {
 }
 
 func TestIssueCurrentBudgetLimitsIssue(t *testing.T) {
-	core := New(DefaultConfig(), NewRepeatSource([]Inst{{Class: IntALU}}, 50_000))
+	core := New(DefaultConfig(), repeatTrace([]Inst{{Class: IntALU}}, 50_000))
 	var est [NumClasses]float64
 	est[IntALU] = 1.0
 	core.SetClassCurrentEstimates(est)
@@ -192,7 +201,7 @@ func TestActivityAccounting(t *testing.T) {
 		{Class: Branch},
 	}
 	const n = 4_000
-	core := New(DefaultConfig(), NewRepeatSource(pattern, n))
+	core := New(DefaultConfig(), repeatTrace(pattern, n))
 	var sum Activity
 	for !core.Done() {
 		act := core.Step(Unlimited)
@@ -225,7 +234,7 @@ func TestActivityAccounting(t *testing.T) {
 func TestROBNeverExceedsCapacity(t *testing.T) {
 	// A long-latency dependent head blocks commit and fills the ROB.
 	pattern := []Inst{{Class: Load, SrcDist1: 1, Mem: MemMain}, {Class: IntALU}}
-	core := New(DefaultConfig(), NewRepeatSource(pattern, 50_000))
+	core := New(DefaultConfig(), repeatTrace(pattern, 50_000))
 	for i := 0; i < 5_000; i++ {
 		act := core.Step(Unlimited)
 		if act.ROBOccupancy > DefaultConfig().ROBSize {
@@ -238,7 +247,7 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 }
 
 func TestDoneAndDrain(t *testing.T) {
-	core := New(DefaultConfig(), NewSliceSource([]Inst{{Class: IntALU}, {Class: IntALU, SrcDist1: 1}}))
+	core := New(DefaultConfig(), packTrace([]Inst{{Class: IntALU}, {Class: IntALU, SrcDist1: 1}}))
 	if core.Done() {
 		t.Fatal("fresh core with pending stream reports Done")
 	}
@@ -264,11 +273,11 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	cfg := DefaultConfig()
 	cfg.ROBSize = 0
-	New(cfg, NewSliceSource(nil))
+	New(cfg, packTrace(nil))
 }
 
 func TestIPCZeroBeforeRun(t *testing.T) {
-	core := New(DefaultConfig(), NewSliceSource(nil))
+	core := New(DefaultConfig(), packTrace(nil))
 	if core.IPC() != 0 {
 		t.Error("IPC before any cycle should be 0")
 	}

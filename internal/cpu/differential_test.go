@@ -89,12 +89,14 @@ type streamSource struct {
 }
 
 // diffSources are the two ways a stream reaches the event-driven core:
-// one instruction per Next call (a SliceSource), and a packed trace
-// (a TraceSource over PackMeta bytes), which is how engine runs replay
-// the shared trace store. The scan reference always reads the slice.
+// one instruction per Next call into the fetch ring (a packed trace
+// behind nextOnly, as the live Generator arrives), and a packed trace
+// read in place (a TraceSource over PackMeta bytes), which is how engine
+// runs replay the shared trace store. The scan reference always reads
+// through Next.
 func diffSources() []streamSource {
 	return []streamSource{
-		{"slice", func(s []Inst) Source { return NewSliceSource(append([]Inst(nil), s...)) }},
+		{"slice", func(s []Inst) Source { return nextOnly{packTrace(s)} }},
 		{"trace", func(s []Inst) Source { return packTrace(s) }},
 	}
 }
@@ -128,7 +130,7 @@ func TestSchedulerMatchesScanReference(t *testing.T) {
 							n := 400 + int(seed%600)
 							stream := randomStream(seed*131+uint64(ci), n)
 							ev := New(cfg, src.of(stream))
-							ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
+							ref := newScanCore(cfg, packTrace(stream))
 							ev.SetClassCurrentEstimates(amps)
 							ref.SetClassCurrentEstimates(amps)
 
@@ -177,7 +179,7 @@ func TestSchedulerMatchesScanLongRun(t *testing.T) {
 		stream := randomStream(977+uint64(ci), 30_000)
 		for _, src := range diffSources() {
 			ev := New(cfg, src.of(stream))
-			ref := newScanCore(cfg, NewSliceSource(append([]Inst(nil), stream...)))
+			ref := newScanCore(cfg, packTrace(stream))
 			ev.SetClassCurrentEstimates(amps)
 			ref.SetClassCurrentEstimates(amps)
 			for cyc := uint64(0); !ev.Done() || !ref.Done(); cyc++ {

@@ -95,10 +95,10 @@ type Inst struct {
 // The core reads a *TraceSource in place: its fetch queue is a window on
 // the trace's packed arrays, and fetch only advances the trace's cursor.
 // Stored workload traces and recorded streams (trace.Read) both arrive
-// as one. Every other source — the live workload Generator, a
-// SliceSource or a RepeatSource — is read one Next call per fetched
-// instruction into a small ring in the same packed form, so dispatch is
-// one loop whichever way the stream arrives.
+// as one. Any other source — in practice the live workload Generator,
+// which runs the streams too long for the trace store's budget — is read
+// one Next call per fetched instruction into a small ring in the same
+// packed form, so dispatch is one loop whichever way the stream arrives.
 type Source interface {
 	// Next returns the next instruction, or ok=false when the stream
 	// is exhausted.
@@ -114,64 +114,4 @@ type Source interface {
 type ForkableSource interface {
 	Source
 	Fork() Source
-}
-
-// SliceSource adapts a fixed instruction slice to the Source interface.
-// It is mainly useful in tests.
-type SliceSource struct {
-	insts []Inst
-	pos   int
-}
-
-// NewSliceSource returns a Source that yields the given instructions once.
-func NewSliceSource(insts []Inst) *SliceSource {
-	return &SliceSource{insts: insts}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	i := s.insts[s.pos]
-	s.pos++
-	return i, true
-}
-
-// Fork implements ForkableSource: the instruction slice is never
-// written, so the copies share it and advance independent cursors.
-func (s *SliceSource) Fork() Source {
-	c := *s
-	return &c
-}
-
-// RepeatSource yields a fixed pattern of instructions cyclically, up to a
-// total instruction budget.
-type RepeatSource struct {
-	pattern []Inst
-	limit   uint64
-	n       uint64
-}
-
-// NewRepeatSource returns a Source yielding pattern cyclically until limit
-// instructions have been produced.
-func NewRepeatSource(pattern []Inst, limit uint64) *RepeatSource {
-	return &RepeatSource{pattern: pattern, limit: limit}
-}
-
-// Next implements Source.
-func (s *RepeatSource) Next() (Inst, bool) {
-	if s.n >= s.limit || len(s.pattern) == 0 {
-		return Inst{}, false
-	}
-	i := s.pattern[s.n%uint64(len(s.pattern))]
-	s.n++
-	return i, true
-}
-
-// Fork implements ForkableSource: the pattern is read-only, so the
-// copies share it and count down independently.
-func (s *RepeatSource) Fork() Source {
-	c := *s
-	return &c
 }

@@ -42,7 +42,7 @@ func TestEveryStreamDrainsAndCommitsExactly(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 200 + int(seed%800)
 		for _, th := range throttles {
-			core := New(DefaultConfig(), NewSliceSource(randomStream(seed, n)))
+			core := New(DefaultConfig(), packTrace(randomStream(seed, n)))
 			// Worst case is a fully serialised main-memory chain.
 			limit := uint64(n)*uint64(DefaultConfig().MemLat+DefaultConfig().MispredictPenalty+8) + 1000
 			core.Run(limit, th)
@@ -66,7 +66,7 @@ func TestActivityConservation(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 300 + int(seed%500)
 		cfg := DefaultConfig()
-		core := New(cfg, NewSliceSource(randomStream(seed, n)))
+		core := New(cfg, packTrace(randomStream(seed, n)))
 		var fetched, dispatched, issued, committed int
 		for !core.Done() {
 			act := core.Step(Unlimited)
@@ -101,7 +101,7 @@ func TestThrottleNeverSpeedsUp(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 500
 		run := func(th Throttle) uint64 {
-			core := New(DefaultConfig(), NewSliceSource(randomStream(seed, n)))
+			core := New(DefaultConfig(), packTrace(randomStream(seed, n)))
 			core.Run(1<<40, th)
 			return core.Cycle()
 		}
@@ -119,7 +119,7 @@ func TestThrottleNeverSpeedsUp(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	stream := randomStream(99, 2000)
 	run := func() (uint64, uint64) {
-		core := New(DefaultConfig(), NewSliceSource(append([]Inst(nil), stream...)))
+		core := New(DefaultConfig(), packTrace(stream))
 		core.Run(1<<40, Unlimited)
 		return core.Cycle(), core.Committed()
 	}

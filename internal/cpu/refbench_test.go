@@ -9,9 +9,20 @@ import "testing"
 //
 //	go test -run '^$' -bench 'ScanReference|EventScheduler' ./internal/cpu
 
+// cycling replays a trace endlessly, one Next call per instruction, so a
+// benchmark can step any number of cycles.
+type cycling struct{ t *TraceSource }
+
+func (c cycling) Next() (Inst, bool) {
+	if c.t.pos == c.t.Len() {
+		c.t.Reset()
+	}
+	return c.t.Next()
+}
+
 func BenchmarkScanReference(b *testing.B) {
 	stream := randomStream(7, 4096)
-	c := newScanCore(DefaultConfig(), NewRepeatSource(stream, 1<<62))
+	c := newScanCore(DefaultConfig(), cycling{packTrace(stream)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Step(Unlimited)
@@ -20,7 +31,7 @@ func BenchmarkScanReference(b *testing.B) {
 
 func BenchmarkEventScheduler(b *testing.B) {
 	stream := randomStream(7, 4096)
-	c := New(DefaultConfig(), NewRepeatSource(stream, 1<<62))
+	c := New(DefaultConfig(), cycling{packTrace(stream)})
 	var act Activity
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

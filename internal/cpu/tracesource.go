@@ -28,11 +28,6 @@ func PackMeta(in Inst) uint8 {
 	return m
 }
 
-// UnpackMeta decodes a trace meta byte.
-func UnpackMeta(m uint8) (Class, MemLevel, bool) {
-	return Class(m & metaClassMask), MemLevel(m >> metaMemShift & metaMemMask), m&metaMispredict != 0
-}
-
 // TraceSource replays a materialized instruction trace. It implements
 // Source with a Next that is an index increment and three slice loads —
 // no branch-heavy RNG sampling — so replaying a stored workload costs a
@@ -41,8 +36,9 @@ func UnpackMeta(m uint8) (Class, MemLevel, bool) {
 // Next at all: it reads the packed arrays in place and moves the cursor
 // as it fetches.
 //
-// The backing slices are shared, never written: any number of
-// TraceSources may replay the same trace concurrently.
+// A TraceSource never writes its arrays and never reads past their
+// length: any number of TraceSources may replay the same trace
+// concurrently, while the trace store appends past that length.
 type TraceSource struct {
 	meta       []uint8
 	src1, src2 []uint16

@@ -39,8 +39,18 @@ func edgePattern() []cpu.Inst {
 	}
 }
 
+// edgeSource packs edgeInsts instructions that cycle through
+// edgePattern.
 func edgeSource() cpu.Source {
-	return cpu.NewRepeatSource(edgePattern(), edgeInsts)
+	pat := edgePattern()
+	meta := make([]uint8, edgeInsts)
+	src1 := make([]uint16, edgeInsts)
+	src2 := make([]uint16, edgeInsts)
+	for i := range meta {
+		in := pat[i%len(pat)]
+		meta[i], src1[i], src2[i] = cpu.PackMeta(in), in.SrcDist1, in.SrcDist2
+	}
+	return cpu.NewTraceSource(meta, src1, src2)
 }
 
 // unforkableSource hides the underlying source's Fork method, forcing

@@ -439,39 +439,13 @@ func (e *Engine) RunAllKeyed(ctx context.Context, specs []Spec, keys []Key, prog
 	return e.runAll(ctx, specs, keys, progress)
 }
 
-// runAll is RunAll and RunAllKeyed: serve, with the root-cause error
-// labelled by spec index, application and technique.
+// runAll is RunAll and RunAllKeyed: serve, then the results when every
+// spec succeeded, else the root-cause error annotated with the failing
+// spec's index, application and technique rather than the cascade of
+// cancellations it triggered; a parent-context cancellation surfaces as
+// itself.
 func (e *Engine) runAll(ctx context.Context, specs []Spec, keys []Key, progress func(i int, res sim.Result)) ([]sim.Result, error) {
 	res, errs := e.serve(ctx, specs, keys, progress)
-	return rootCause(ctx, res, errs, func(i int) string {
-		return fmt.Sprintf("spec %d (app=%s, technique=%s)", i, specs[i].App, specs[i].Technique)
-	})
-}
-
-// Point is one grid coordinate: a spec plus the label used to identify
-// it in errors.
-type Point struct {
-	Label string
-	Spec  Spec
-}
-
-// Grid executes a set of labelled grid points, exactly like RunAll but
-// with caller-chosen labels in error messages (e.g. the sweep
-// coordinates of the point that failed).
-func (e *Engine) Grid(ctx context.Context, points []Point, progress func(i int, res sim.Result)) ([]sim.Result, error) {
-	specs := make([]Spec, len(points))
-	for i, p := range points {
-		specs[i] = p.Spec
-	}
-	res, errs := e.serve(ctx, specs, nil, progress)
-	return rootCause(ctx, res, errs, func(i int) string { return points[i].Label })
-}
-
-// rootCause turns serve's per-spec outcomes into a batch's: the results
-// when every spec succeeded, else the root-cause error annotated with
-// label(i) rather than the cascade of cancellations it triggered; a
-// parent-context cancellation surfaces as itself.
-func rootCause(parent context.Context, res []sim.Result, errs []error, label func(i int) string) ([]sim.Result, error) {
 	var canceled error
 	for i, err := range errs {
 		if err == nil {
@@ -481,9 +455,9 @@ func rootCause(parent context.Context, res []sim.Result, errs []error, label fun
 			canceled = err
 			continue
 		}
-		return nil, fmt.Errorf("engine: %s: %w", label(i), err)
+		return nil, fmt.Errorf("engine: spec %d (app=%s, technique=%s): %w", i, specs[i].App, specs[i].Technique, err)
 	}
-	if err := parent.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if canceled != nil {

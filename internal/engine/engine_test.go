@@ -129,21 +129,6 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestGridErrorNamesPoint: a failing grid point surfaces with its label.
-func TestGridErrorNamesPoint(t *testing.T) {
-	pts := []Point{
-		{Label: "good point", Spec: Spec{App: "swim", Instructions: 10_000}},
-		{Label: "bad point xyzzy", Spec: Spec{App: "no-such-app", Instructions: 10_000}},
-	}
-	_, err := New(Options{}).Grid(context.Background(), pts, nil)
-	if err == nil {
-		t.Fatal("grid accepted an unknown app")
-	}
-	if !strings.Contains(err.Error(), "bad point xyzzy") {
-		t.Errorf("error does not carry the point label: %v", err)
-	}
-}
-
 // TestRunAllErrorNamesSpec: RunAll's default labels identify the spec.
 func TestRunAllErrorNamesSpec(t *testing.T) {
 	specs := []Spec{{App: "swim", Instructions: 10_000}, {App: "gone", Instructions: 10_000}}

@@ -18,7 +18,7 @@ func TestTraceSourceActivityEquivalence(t *testing.T) {
 		app := app
 		t.Run(app.Params.Name, func(t *testing.T) {
 			live := cpu.New(cpu.DefaultConfig(), workload.NewGenerator(app.Params, insts))
-			replay := cpu.New(cpu.DefaultConfig(), workload.Materialize(app.Params, insts).Source())
+			replay := cpu.New(cpu.DefaultConfig(), workload.Materialize(app.Params, insts))
 			var la, ra cpu.Activity
 			for cycle := 0; ; cycle++ {
 				ld, rd := live.Done(), replay.Done()

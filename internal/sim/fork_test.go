@@ -315,7 +315,7 @@ func TestMachineAllocationsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := workload.Materialize(app.Params, 20_000).Source()
+	src := workload.Materialize(app.Params, 20_000)
 	var m *Machine
 	if n := allocatedBy(func() { m, err = NewMachine(DefaultConfig(), src) }); n >= machineAllocBudget {
 		t.Errorf("NewMachine allocated %d B, want < %d", n, machineAllocBudget)

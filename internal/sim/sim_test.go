@@ -198,7 +198,7 @@ func (f *forceStall) Next() (cpu.Throttle, Phantom) {
 func (f *forceStall) Observe(obs *Observation) { f.lastTotal = obs.TotalAmps }
 
 func TestNewRejectsInvalidConfigs(t *testing.T) {
-	src := cpu.NewSliceSource(nil)
+	src := cpu.NewTraceSource(nil, nil, nil)
 	bad := DefaultConfig()
 	bad.CPU.ROBSize = 0
 	if _, err := New(bad, src, nil); err == nil {
@@ -271,7 +271,7 @@ func TestTechniqueNames(t *testing.T) {
 
 func TestDefaultConfigIsTable1(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg, cpu.NewSliceSource(nil))
+	m, err := NewMachine(cfg, cpu.NewTraceSource(nil, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

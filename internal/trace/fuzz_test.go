@@ -13,7 +13,7 @@ import (
 func FuzzRead(f *testing.F) {
 	// Seed with a valid two-instruction trace.
 	var valid bytes.Buffer
-	if _, err := Write(&valid, cpu.NewSliceSource([]cpu.Inst{
+	if _, err := Write(&valid, packed([]cpu.Inst{
 		{Class: cpu.IntALU, SrcDist1: 3},
 		{Class: cpu.Load, Mem: cpu.MemMain, SrcDist2: 7},
 	})); err != nil {
@@ -42,7 +42,7 @@ func FuzzRead(f *testing.F) {
 			insts = append(insts, in)
 		}
 		var out bytes.Buffer
-		n, err := Write(&out, cpu.NewSliceSource(insts))
+		n, err := Write(&out, packed(insts))
 		if err != nil {
 			t.Fatalf("re-encoding accepted stream: %v", err)
 		}

@@ -8,6 +8,17 @@ import (
 	"repro/internal/workload"
 )
 
+// packed returns a trace cursor over insts.
+func packed(insts []cpu.Inst) *cpu.TraceSource {
+	meta := make([]uint8, len(insts))
+	src1 := make([]uint16, len(insts))
+	src2 := make([]uint16, len(insts))
+	for i, in := range insts {
+		meta[i], src1[i], src2[i] = cpu.PackMeta(in), in.SrcDist1, in.SrcDist2
+	}
+	return cpu.NewTraceSource(meta, src1, src2)
+}
+
 func TestRoundTrip(t *testing.T) {
 	app, err := workload.ByName("parser")
 	if err != nil {
@@ -73,7 +84,7 @@ func TestReplayOnCoreMatchesGenerator(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var buf bytes.Buffer
-	src := cpu.NewSliceSource([]cpu.Inst{{Class: cpu.IntALU}, {Class: cpu.Load, Mem: cpu.MemL2}})
+	src := packed([]cpu.Inst{{Class: cpu.IntALU}, {Class: cpu.Load, Mem: cpu.MemL2}})
 	if _, err := Write(&buf, src); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +112,7 @@ func TestAllFieldsSurvive(t *testing.T) {
 		{Class: cpu.Store, Mem: cpu.MemL2},
 	}
 	var buf bytes.Buffer
-	if _, err := Write(&buf, cpu.NewSliceSource(insts)); err != nil {
+	if _, err := Write(&buf, packed(insts)); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := Read(&buf)
@@ -134,7 +145,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestEmptyStream(t *testing.T) {
 	var buf bytes.Buffer
-	count, err := Write(&buf, cpu.NewSliceSource(nil))
+	count, err := Write(&buf, packed(nil))
 	if err != nil || count != 0 {
 		t.Fatalf("empty write: count %d err %v", count, err)
 	}

@@ -156,15 +156,15 @@ const (
 func TechniqueKinds() []TechniqueKind { return engine.Kinds() }
 
 // SimulationSpec describes one run for Simulate. It is the engine's Spec,
-// plain data: batch drivers hand the same value to Engine.RunAll /
-// Engine.Grid to run many of them through the shared worker pool and
-// result cache. A per-cycle waveform is not part of a spec; capture one
-// with SimulateTraced.
+// plain data: batch drivers hand the same value to Engine.RunAll to run
+// many of them through the shared worker pool and result cache. A
+// per-cycle waveform is not part of a spec; capture one with
+// SimulateTraced.
 type SimulationSpec = engine.Spec
 
 // Engine is the shared run-execution subsystem: a bounded worker pool
 // plus a content-addressed result cache over SimulationSpecs. See
-// internal/engine for the batch APIs (Run, RunAll, Grid).
+// internal/engine for the batch APIs (Run, RunAll, RunAllKeyed).
 type Engine = engine.Engine
 
 // NewEngine returns an engine bounding concurrent simulations to
@@ -197,16 +197,17 @@ func NewEngineWithOptions(o EngineOptions) *Engine {
 
 // WorkloadTraceStats is the shared trace store's traffic (streams built
 // from scratch, streams extended, replay hits, budget bypasses,
-// evictions) and its contents (one entry per application, resident
-// bytes). Its String method renders the command-line tools'
-// trace-stats line.
+// evictions) and its contents (one entry per application, and the
+// resident bytes of its arrays at capacity). Its String method renders
+// the command-line tools' trace-stats line.
 type WorkloadTraceStats = workload.TraceStats
 
 // TraceStoreStats reports the process-wide trace store's counters. Every
 // simulation routed through an Engine (or Simulate) draws its
 // instruction stream from this store. It keeps one stream per
 // application, the longest any run has asked for: a shorter run replays
-// a prefix of it, and a longer one extends it.
+// a prefix of it, and a longer one extends it in place, into arrays
+// grown geometrically, whose whole capacity the resident bytes count.
 func TraceStoreStats() WorkloadTraceStats { return workload.SharedTraces().Stats() }
 
 // SetTraceStoreBudget bounds the resident bytes of the process-wide
