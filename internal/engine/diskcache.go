@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -54,9 +55,15 @@ type diskCache struct {
 }
 
 // path places an entry by full content hash; two distinct specs can
-// never collide on a name.
+// never collide on a name. It is filepath.Join(d.dir, <64-hex>.json), in
+// one allocation when d.dir is clean, as a cache directory usually is.
 func (d *diskCache) path(key Key) string {
-	return filepath.Join(d.dir, key.Hex()+".json")
+	const sep = string(filepath.Separator)
+	h := key.lineKey()
+	if dir := d.dir; dir != "." && dir != sep && filepath.Clean(dir) == dir {
+		return dir + sep + string(h[:]) + ".json" // the literals let string(h[:]) skip its copy
+	}
+	return filepath.Join(d.dir, string(h[:])+".json")
 }
 
 // DiskCacheKeys enumerates the keys of finished entries under dir with
@@ -151,8 +158,12 @@ func entryOf(blob []byte, key Key) (res sim.Result, err error) {
 	return res, err
 }
 
-// decodeEntry decodes one line's entry, after its key and space.
+// decodeEntry decodes one line's entry, after its key and space: by
+// decodeFast if it can, else by encoding/json, which decides the error.
 func decodeEntry(body []byte) (sim.Result, error) {
+	if res, ok := decodeFast(body); ok {
+		return res, nil
+	}
 	var en diskEntry
 	if err := json.Unmarshal(body, &en); err != nil {
 		return sim.Result{}, err
@@ -161,6 +172,120 @@ func decodeEntry(body []byte) (sim.Result, error) {
 		return sim.Result{}, errNoEntry
 	}
 	return en.Result, nil
+}
+
+// decodeFast decodes the one shape store writes — diskEntry's and
+// sim.Result's fields in declaration order, spelt as encoding/json
+// spells them, with no whitespace or trailing bytes — and reports
+// whether body has it. It takes strings only of printable ASCII without
+// '"' or '\\', and JSON numbers through the strconv calls encoding/json
+// makes, so it decodes a line exactly as json.Unmarshal does. A Result
+// field not listed below makes every line fall back, not misdecode.
+func decodeFast(body []byte) (r sim.Result, ok bool) {
+	p := entryParser{body}
+	var v uint64
+	t := &r.Tech
+	ok = p.lit(`{"v":`) && p.uint(&v) && v == diskCacheVersion &&
+		p.lit(`,"result":{"App":"`) && p.str(&r.App) &&
+		p.lit(`,"Technique":"`) && p.str(&r.Technique) &&
+		p.lit(`,"Cycles":`) && p.uint(&r.Cycles) &&
+		p.lit(`,"Instructions":`) && p.uint(&r.Instructions) &&
+		p.lit(`,"IPC":`) && p.float(&r.IPC) &&
+		p.lit(`,"EnergyJ":`) && p.float(&r.EnergyJ) &&
+		p.lit(`,"PhantomJ":`) && p.float(&r.PhantomJ) &&
+		p.lit(`,"Violations":`) && p.uint(&r.Violations) &&
+		p.lit(`,"ViolationFraction":`) && p.float(&r.ViolationFraction) &&
+		p.lit(`,"PeakDeviationV":`) && p.float(&r.PeakDeviationV) &&
+		p.lit(`,"MeanAmps":`) && p.float(&r.MeanAmps) &&
+		p.lit(`,"MinAmps":`) && p.float(&r.MinAmps) &&
+		p.lit(`,"MaxAmps":`) && p.float(&r.MaxAmps) &&
+		p.lit(`,"Tech":{"ControllerCycles":`) && p.uint(&t.ControllerCycles) &&
+		p.lit(`,"FirstLevelCycles":`) && p.uint(&t.FirstLevelCycles) &&
+		p.lit(`,"SecondLevelCycles":`) && p.uint(&t.SecondLevelCycles) &&
+		p.lit(`,"ResponseCycles":`) && p.uint(&t.ResponseCycles) &&
+		p.lit(`}}}`) && len(p.b) == 0
+	return r, ok
+}
+
+// entryParser's methods consume and report what decodeFast expects next.
+type entryParser struct{ b []byte }
+
+func (p *entryParser) lit(s string) bool {
+	ok := len(p.b) >= len(s) && string(p.b[:len(s)]) == s
+	if ok {
+		p.b = p.b[len(s):]
+	}
+	return ok
+}
+
+// str consumes the rest of a string, its opening quote already taken.
+func (p *entryParser) str(v *string) bool {
+	for n, c := range p.b {
+		if c == '"' {
+			*v, p.b = string(p.b[:n]), p.b[n+1:]
+			return true
+		}
+		if c < ' ' || c > '~' || c == '\\' {
+			return false
+		}
+	}
+	return false
+}
+
+// uint and float parse a number as encoding/json does for their types.
+func (p *entryParser) uint(v *uint64) bool {
+	x, err := strconv.ParseUint(string(p.number()), 10, 64)
+	*v = x
+	return err == nil
+}
+
+func (p *entryParser) float(v *float64) bool {
+	x, err := strconv.ParseFloat(string(p.number()), 64)
+	*v = x
+	return err == nil
+}
+
+// number consumes the JSON number the line goes on with,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it, or nil
+// if there is none. strconv alone would also take forms JSON refuses,
+// such as "Inf", "0x1p-2", "+1" and ".5".
+func (p *entryParser) number() []byte {
+	b, n := p.b, 0
+	if n < len(b) && b[n] == '-' {
+		n++
+	}
+	if n < len(b) && b[n] == '0' {
+		n++
+	} else if n = digits(b, n); n < 0 {
+		return nil
+	}
+	if n < len(b) && b[n] == '.' {
+		if n = digits(b, n+1); n < 0 {
+			return nil
+		}
+	}
+	if n < len(b) && (b[n] == 'e' || b[n] == 'E') {
+		if n++; n < len(b) && (b[n] == '+' || b[n] == '-') {
+			n++
+		}
+		if n = digits(b, n); n < 0 {
+			return nil
+		}
+	}
+	p.b = b[n:]
+	return b[:n]
+}
+
+// digits returns the end of the decimal digits at b[i:], or -1 if none.
+func digits(b []byte, i int) int {
+	j := i
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	if j == i {
+		return -1
+	}
+	return j
 }
 
 // lineKey is a key as a file's line spells it: Key.Hex's 64 lower-case

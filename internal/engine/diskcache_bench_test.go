@@ -6,33 +6,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
-	"repro/internal/workload"
+	"repro/internal/sim"
 )
-
-// serviceGrid is every registered technique on every network kind that
-// validates it, for each of the 26 applications at 2,000 instructions:
-// 624 specs in 78 lockstep groups (one per application and network),
-// the population of the service benchmark's open loop.
-func serviceGrid() []Spec {
-	var specs []Spec
-	for _, app := range workload.Names() {
-		for _, kind := range circuit.NetworkKinds() {
-			for _, tech := range Kinds() {
-				s := Spec{App: app, Instructions: 2_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}}
-				if s.Validate() == nil {
-					specs = append(specs, s)
-				}
-			}
-		}
-	}
-	return specs
-}
 
 // systemCPU is the system CPU time the process has used so far.
 func systemCPU(b *testing.B) time.Duration {
@@ -150,6 +131,27 @@ func BenchmarkRunKeyedDiskHit(b *testing.B) {
 	b.StopTimer()
 	if st := e.CacheStats(); st.Misses != 0 || st.Hits != 0 {
 		b.Fatalf("stats %s, want disk hits only", counters(st))
+	}
+}
+
+// BenchmarkDecodeEntry times decodeEntry on a real service-zipf line,
+// the longest of one application's (a controller's, its cycle counts
+// set), beside the frozen encoding/json reference it is checked against
+// (TestDecodeEntryMatchesJSON).
+func BenchmarkDecodeEntry(b *testing.B) {
+	line := slices.MaxFunc(storedLines(b, "swim"), func(a, b []byte) int { return len(a) - len(b) })
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) (sim.Result, error)
+	}{{"entry", decodeEntry}, {"json-reference", decodeEntryJSON}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

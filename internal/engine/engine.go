@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -272,10 +274,18 @@ func (e *Engine) fromDisk(c claim, res sim.Result, err error) bool {
 // own probe. Each position is taken exactly once, by its own probe or by
 // a co-member's read, and counted as its own probe would count it.
 func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Result)) []int {
-	index := make(map[lineKey]int, len(toRun))
-	for k, i := range toRun {
-		index[claims[i].key.lineKey()] = k
+	// index holds each owned claim's line key and position in toRun,
+	// sorted by key (a batch owns each key once): one allocation.
+	type indexed struct {
+		key lineKey
+		k   int
 	}
+	index := make([]indexed, len(toRun))
+	for k, i := range toRun {
+		index[k] = indexed{claims[i].key.lineKey(), k}
+	}
+	byKey := func(c indexed, key lineKey) int { return bytes.Compare(c.key[:], key[:]) }
+	slices.SortFunc(index, func(a, b indexed) int { return byKey(a, b.key) })
 	taken := make([]atomic.Bool, len(toRun))
 	served := make([]bool, len(toRun))
 	runs := min(len(toRun), e.parallelism)
@@ -301,10 +311,11 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 			res, err := entryOf(blob, c.key)
 			take(k, res, err)
 			eachEntry(blob, func(key lineKey, body []byte) bool {
-				j, ok := index[key]
-				if !ok || taken[j].Load() {
+				x, ok := slices.BinarySearchFunc(index, key, byKey)
+				if !ok || taken[index[x].k].Load() {
 					return true
 				}
+				j := index[x].k
 				if fi, err := os.Stat(e.disk.path(claims[toRun[j]].key)); err != nil || !os.SameFile(info, fi) {
 					return true
 				}

@@ -201,7 +201,10 @@ func (s *TraceStore) Get(p Params, limit uint64) *cpu.TraceSource {
 // length, which no cursor reads, into spare capacity or into arrays grown
 // for them. Growth is geometric (twice the stream, up to the budget), so
 // a run of slightly longer requests copies the stream O(log) times; a
-// first build is sized exactly.
+// first build is sized exactly. If the build panics (NewGenerator on
+// invalid Params), the entry is dropped before the panic goes on, so a
+// later request builds afresh instead of waiting on busy for good;
+// cursors already handed out keep their arrays.
 func (s *TraceStore) extendLocked(en *traceEntry, n int) {
 	busy := make(chan struct{})
 	en.busy = busy
@@ -213,6 +216,17 @@ func (s *TraceStore) extendLocked(en *traceEntry, n int) {
 	maxLen := int(s.budget / bytesPerInst)
 	s.mu.Unlock()
 
+	built := false
+	defer func() {
+		if built {
+			return
+		}
+		s.mu.Lock()
+		delete(s.entries, en.params) // a busy entry is never evicted, so it is still there
+		s.bytes -= old
+		close(busy)
+		s.mu.Unlock()
+	}()
 	if en.gen == nil {
 		en.gen = NewGenerator(en.params, math.MaxUint64)
 	}
@@ -229,6 +243,7 @@ func (s *TraceStore) extendLocked(en *traceEntry, n int) {
 		meta[i], src1[i], src2[i] = cpu.PackMeta(in), in.SrcDist1, in.SrcDist2
 	}
 
+	built = true
 	s.mu.Lock()
 	// Publish the stream before entering the LRU: evictLocked reads the
 	// entry's size, and a SetBudget shrink racing this insert may evict

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 )
@@ -117,7 +119,7 @@ func TestStoreBudgetBypass(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Bypasses != 2 || st.Builds != 0 || st.Entries != 0 {
-		t.Errorf("stats = %+v, want 2 bypasses and an empty store", st)
+		t.Errorf("stats = %s, want 2 bypasses and an empty store", counters(st))
 	}
 }
 
@@ -135,7 +137,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	s.Get(c, insts) // evicts b
 	st := s.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats after fill = %+v, want 1 eviction, 2 entries", st)
+		t.Fatalf("stats after fill = %s, want 1 eviction, 2 entries", counters(st))
 	}
 	if s.Stats().Hits != 1 {
 		t.Errorf("hits = %d, want 1 (the re-touch of %s)", st.Hits, a.Name)
@@ -148,8 +150,17 @@ func TestStoreLRUEviction(t *testing.T) {
 	// Shrinking the budget below one trace empties the store.
 	s.SetBudget(insts * bytesPerInst / 2)
 	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("store not emptied by budget shrink: %+v", st)
+		t.Errorf("store not emptied by budget shrink: %s", counters(st))
 	}
+}
+
+// counters renders every TraceStats field by name, for failure
+// messages: %+v on a TraceStats calls its String method, which prints
+// only the trace-stats line, where a test store's bytes round to
+// resident_mb=0.0.
+func counters(st TraceStats) string {
+	type fields TraceStats // the same fields without the String method
+	return fmt.Sprintf("%+v", fields(st))
 }
 
 // replayMatches rewinds src and reports the first instruction at which
@@ -196,7 +207,7 @@ func TestStoreServesPrefixesAndExtensions(t *testing.T) {
 	}
 	want := TraceStats{Builds: 1, Extensions: 1, Hits: 3, Entries: 1, Bytes: 9_000 * bytesPerInst}
 	if st := s.Stats(); st != want {
-		t.Errorf("stats = %+v, want %+v", st, want)
+		t.Errorf("stats = %s, want %s", counters(st), counters(want))
 	}
 }
 
@@ -219,7 +230,7 @@ func TestStoreOneEntryPerApplication(t *testing.T) {
 		t.Errorf("store holds %d entries / %d bytes, want 1 / %d", st.Entries, st.Bytes, 14_000*bytesPerInst)
 	}
 	if st.Builds != 1 || st.Extensions != 2 || st.Hits != uint64(len(lengths))-3 {
-		t.Errorf("stats = %+v, want 1 build, 2 extensions, %d hits", st, len(lengths)-3)
+		t.Errorf("stats = %s, want 1 build, 2 extensions, %d hits", counters(st), len(lengths)-3)
 	}
 }
 
@@ -269,8 +280,8 @@ func TestStoreConcurrentPrefixesAndExtensions(t *testing.T) {
 	// counts exactly their capacity.
 	st, en := s.Stats(), s.entries[app.Params]
 	if st.Entries != 1 || st.Builds != 1 || len(en.meta) != longest || st.Bytes != en.size() {
-		t.Errorf("stats = %+v, want 1 build and one %d-instruction entry of %d bytes (%d held)",
-			st, longest, en.size(), len(en.meta))
+		t.Errorf("stats = %s, want 1 build and one %d-instruction entry of %d bytes (%d held)",
+			counters(st), longest, en.size(), len(en.meta))
 	}
 	if got := st.Builds + st.Extensions + st.Hits; got != workers*steps {
 		t.Errorf("builds+extensions+hits = %d, want one per request (%d)", got, workers*steps)
@@ -300,5 +311,47 @@ func TestStoreGrowsGeometrically(t *testing.T) {
 	}
 	if at := replayMatches(s.Get(app.Params, 4_000), app.Params, 4_000); at >= 0 {
 		t.Errorf("grown stream diverges at instruction %d", at)
+	}
+}
+
+// TestStoreBuildPanicReleasesEntry: a build that panics (invalid Params)
+// leaves no entry behind, so a second, longer request for the same
+// application panics again instead of waiting for the first build
+// forever, the store counts no entry and no bytes, and other
+// applications in it still serve.
+func TestStoreBuildPanicReleasesEntry(t *testing.T) {
+	s := NewTraceStore(0)
+	bad := Params{Name: "bad"}
+	// get fails the test unless Get(bad, n) panics within 10 s.
+	get := func(n uint64) {
+		t.Helper()
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
+			s.Get(bad, n)
+		}()
+		select {
+		case p := <-panicked:
+			if !p {
+				t.Fatalf("Get(%q, %d) returned, want a panic", bad.Name, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Get(%q, %d) still blocked after 10s: the failed build left its entry busy", bad.Name, n)
+		}
+	}
+	get(100)
+	get(200)
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("stats after two failed builds = %s, want no entries and no bytes", counters(st))
+	}
+	app, err := ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := replayMatches(s.Get(app.Params, 1_000), app.Params, 1_000); at >= 0 {
+		t.Errorf("a valid application's replay diverges at instruction %d", at)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Bytes != 1_000*bytesPerInst {
+		t.Errorf("stats after a valid build = %s, want one entry of %d bytes", counters(st), 1_000*bytesPerInst)
 	}
 }
