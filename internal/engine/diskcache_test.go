@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -660,5 +661,31 @@ func TestWarmBatchReadsEachGroupFileOnce(t *testing.T) {
 	// finds no line for its key.
 	if reads != groups+1 {
 		t.Errorf("%d file reads for %d groups, want %d", reads, groups, groups+1)
+	}
+}
+
+// TestCompareLineKeysMatchesBytes: the claim index's comparator orders
+// line keys exactly as bytes.Compare does, over real keys' spellings,
+// pairs that tie in their first word and differ after it, and equal
+// keys, so a probe's sort and searches find the positions they did.
+func TestCompareLineKeysMatchesBytes(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	keys := make([]lineKey, 0, 256)
+	for i := 0; i < 128; i++ {
+		var k Key
+		r.Read(k[:])
+		h := k.lineKey()
+		keys = append(keys, h)
+		// A twin sharing the first 8 bytes, differing at one later byte.
+		twin := h
+		twin[8+r.Intn(len(twin)-8)] ^= byte(1 + r.Intn(255))
+		keys = append(keys, twin)
+	}
+	for i := range keys {
+		for j := range keys {
+			if got, want := compareLineKeys(&keys[i], &keys[j]), bytes.Compare(keys[i][:], keys[j][:]); got != want {
+				t.Fatalf("compareLineKeys(%s, %s) = %d, bytes.Compare %d", keys[i][:], keys[j][:], got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -284,8 +285,8 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 	for k, i := range toRun {
 		index[k] = indexed{claims[i].key.lineKey(), k}
 	}
-	byKey := func(c indexed, key lineKey) int { return bytes.Compare(c.key[:], key[:]) }
-	slices.SortFunc(index, func(a, b indexed) int { return byKey(a, b.key) })
+	byKey := func(c indexed, key lineKey) int { return compareLineKeys(&c.key, &key) }
+	slices.SortFunc(index, func(a, b indexed) int { return compareLineKeys(&a.key, &b.key) })
 	taken := make([]atomic.Bool, len(toRun))
 	served := make([]bool, len(toRun))
 	runs := min(len(toRun), e.parallelism)
@@ -334,6 +335,19 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 		}
 	}
 	return misses
+}
+
+// compareLineKeys orders line keys as bytes.Compare does, a machine word
+// first: the first 8 bytes as a big-endian uint64 decide every pair but
+// a tie, which the rest of the bytes break.
+func compareLineKeys(a, b *lineKey) int {
+	if x, y := binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(b[:8]); x != y {
+		if x < y {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(a[8:], b[8:])
 }
 
 // store persists one simulated group's successes — keys[k]'s outcome is

@@ -133,12 +133,15 @@ func TestKeyMatchesCanonical(t *testing.T) {
 
 // TestCanonicalCoversAllConfigFields guards the canonical encoding
 // against silently ignoring newly added configuration fields: the
-// encoder walks structs by reflection, so its output must grow when a
-// field is added. The counts here are the encoder's contract — update
-// them (and nothing else; reflection handles the rest) when a config
-// struct gains a field.
+// encoder is compiled from each struct's fields by reflection, so its
+// output must grow when a field is added. The counts here are the
+// encoder's contract — update them (and nothing else; reflection handles
+// the rest) when a config struct gains a field. The table must list
+// every struct type reachable from Spec, so a new section type cannot
+// go unchecked, and compiling an encoder for a field with no canonical
+// encoding must panic.
 func TestCanonicalCoversAllConfigFields(t *testing.T) {
-	for _, tc := range []struct {
+	table := []struct {
 		name string
 		typ  reflect.Type
 		want int
@@ -163,11 +166,64 @@ func TestCanonicalCoversAllConfigFields(t *testing.T) {
 		{"workload.Params", reflect.TypeOf(workload.Params{}), 10},
 		{"workload.Mix", reflect.TypeOf(workload.Mix{}), 7},
 		{"workload.Burst", reflect.TypeOf(workload.Burst{}), 10},
-	} {
+	}
+	listed := map[reflect.Type]bool{}
+	for _, tc := range table {
+		listed[tc.typ] = true
 		if got := tc.typ.NumField(); got != tc.want {
 			t.Errorf("%s has %d fields, test expects %d — confirm the canonical encoding still covers every field, then update this count",
 				tc.name, got, tc.want)
 		}
+	}
+
+	reachable := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			walk(typ.Elem())
+		case reflect.Struct:
+			if reachable[typ] {
+				return
+			}
+			reachable[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Spec{}))
+	for typ := range reachable {
+		if !listed[typ] {
+			t.Errorf("%s is reachable from engine.Spec but not listed — add it with its field count", typ)
+		}
+	}
+	for typ := range listed {
+		if !reachable[typ] {
+			t.Errorf("%s is listed but no longer reachable from engine.Spec", typ)
+		}
+	}
+
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(struct {
+			A int
+			M map[string]int
+		}{}),
+		reflect.TypeOf(struct{ I any }{}),
+		reflect.TypeOf(struct{ A [2]int }{}),
+		reflect.TypeOf(struct{ P *struct{ F func() } }{}),
+		reflect.TypeOf(struct{ S []chan int }{}),
+		reflect.TypeOf(struct{ C complex128 }{}),
+		reflect.TypeOf(struct{ U uintptr }{}),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("compiling an encoder for %s did not panic", typ)
+				}
+			}()
+			compileEncoder(typ, -1)
+		}()
 	}
 }
 

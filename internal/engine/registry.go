@@ -9,11 +9,11 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"repro/internal/baselines/convctl"
 	"repro/internal/baselines/damping"
@@ -305,18 +305,22 @@ const derivedCap = 64
 // so a returned copy is the caller's own.
 type derivedTable[In, Out any] struct {
 	derive func(In) Out
+	enc    *encoder // In's canonical encoder
 	mu     sync.Mutex
 	m      map[string]Out
 }
 
+// newDerivedTable compiles In's canonical encoder for a table over
+// derive.
+func newDerivedTable[In, Out any](derive func(In) Out) derivedTable[In, Out] {
+	return derivedTable[In, Out]{derive: derive, enc: compileEncoder(reflect.TypeFor[In](), -1)}
+}
+
 func (t *derivedTable[In, Out]) get(in In) Out {
-	var buf bytes.Buffer
-	if err := encodeValue(&buf, reflect.ValueOf(in)); err != nil {
-		panic(err) // the inputs are structs of scalars, which always encode
-	}
-	k := buf.String()
+	var buf [canonicalSize]byte
+	b := t.enc.encode(buf[:0], unsafe.Pointer(&in))
 	t.mu.Lock()
-	out, ok := t.m[k]
+	out, ok := t.m[string(b)]
 	t.mu.Unlock()
 	if ok {
 		return out
@@ -332,7 +336,7 @@ func (t *derivedTable[In, Out]) get(in In) Out {
 			break
 		}
 	}
-	t.m[k] = out
+	t.m[string(b)] = out
 	t.mu.Unlock()
 	return out
 }
@@ -341,13 +345,13 @@ var (
 	// convolutionDefaults resolves threshold, horizon and taps so explicit
 	// defaults and implied ones share one cache key; an unusable config
 	// is kept raw and surfaces from Validate at Execute time.
-	convolutionDefaults = derivedTable[convctl.Config, convctl.Config]{derive: func(cc convctl.Config) convctl.Config {
+	convolutionDefaults = newDerivedTable(func(cc convctl.Config) convctl.Config {
 		if resolved, err := cc.WithDefaults(); err == nil {
 			return resolved
 		}
 		return cc
-	}}
-	dualBandDefaults = derivedTable[circuit.TwoStageParams, DualBandConfig]{derive: DefaultDualBandConfig}
+	})
+	dualBandDefaults = newDerivedTable(DefaultDualBandConfig)
 )
 
 // convolutionSupply picks the lumped supply the convolution predictor's

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -164,6 +165,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.writeProm(w, s.eng)
 }
 
+// decodeRun decodes a /v1/run body, which is one JSON value: anything
+// after it but white space is an error, not a second request dropped
+// unread.
+func decodeRun(body io.Reader, req *RunRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			return errors.New("data after the request's JSON value")
+		}
+		return fmt.Errorf("after the request's JSON value: %w", err)
+	}
+	return nil
+}
+
 // handleRun is POST /v1/run. Every spec is validated through the
 // technique table before anything executes, so a malformed grid is a 400
 // naming the offending spec rather than a half-streamed failure;
@@ -174,10 +193,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "run is POST only")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRun(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)

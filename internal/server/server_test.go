@@ -303,16 +303,19 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	}
 }
 
-// TestRequestValidation: configuration mistakes are client errors with
-// JSON bodies naming the problem, never half-streamed batches.
-func TestRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxSpecs: 2})
-	cases := []struct {
-		name string
-		body string
-		code int
-		want string // substring of the error message
-	}{
+// validationCase is a request body the server must refuse, the status
+// it must refuse it with, and a substring of the error it must name.
+type validationCase struct {
+	name string
+	body string
+	code int
+	want string
+}
+
+// validationCases are TestRequestValidation's bodies, for a server with
+// MaxSpecs 2.
+func validationCases() []validationCase {
+	return []validationCase{
 		{"empty body", `{}`, http.StatusBadRequest, "spec"},
 		{"both spec and specs", `{"spec":{"app":"swim"},"specs":[{"app":"swim"}]}`, http.StatusBadRequest, "not both"},
 		{"unknown field", `{"spec":{"app":"swim","warp_factor":9}}`, http.StatusBadRequest, "warp_factor"},
@@ -328,8 +331,22 @@ func TestRequestValidation(t *testing.T) {
 		{"grid over limit", `{"specs":[{"app":"swim"},{"app":"lucas"},{"app":"art"}]}`, http.StatusRequestEntityTooLarge, "2-spec limit"},
 		{"body over limit", `{"spec":{"app":"` + strings.Repeat("x", DefaultMaxBodyBytes+1-len(`{"spec":{"app":""}}`)) + `"}}`,
 			http.StatusRequestEntityTooLarge, fmt.Sprintf("%d-byte limit", DefaultMaxBodyBytes)},
+		// The body is one JSON value: a second request or any other data
+		// after it is refused, not dropped.
+		{"second object", `{"spec":{"app":"swim"}}{"spec":{"app":"lucas"}}`, http.StatusBadRequest, "after the request's JSON value"},
+		{"trailing garbage", `{"spec":{"app":"swim"}}garbage`, http.StatusBadRequest, "after the request's JSON value"},
+		{"stray brace", `{"spec":{"app":"swim"}}}`, http.StatusBadRequest, "after the request's JSON value"},
+		{"data after a newline", "{\"spec\":{\"app\":\"swim\"}}\n[]", http.StatusBadRequest, "after the request's JSON value"},
+		{"tail over limit", `{"spec":{"app":"swim"}}` + strings.Repeat(" ", DefaultMaxBodyBytes),
+			http.StatusRequestEntityTooLarge, fmt.Sprintf("%d-byte limit", DefaultMaxBodyBytes)},
 	}
-	for _, tc := range cases {
+}
+
+// TestRequestValidation: configuration mistakes are client errors with
+// JSON bodies naming the problem, never half-streamed batches.
+func TestRequestValidation(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxSpecs: 2})
+	for _, tc := range validationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := postRun(t, ts.URL, tc.body)
 			if resp.StatusCode != tc.code {
@@ -343,6 +360,17 @@ func TestRequestValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", e.Error, tc.want)
 			}
 		})
+	}
+
+	// White space after the body's value is not data: a body ending in
+	// a newline, as curl and most clients send one, is served.
+	resp := postRun(t, ts.URL, "{\"spec\":{\"app\":\"swim\",\"instructions\":20000}}\n\t \r\n")
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("body ending in white space: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if lines := decodeLines(t, resp.Body); len(lines) != 1 || lines[0].Result == nil {
+		t.Errorf("body ending in white space: lines %+v, want one result", lines)
 	}
 
 	// Wrong method on both endpoints.
