@@ -73,15 +73,16 @@ func BenchmarkColdGridDiskTier(b *testing.B) {
 // BenchmarkWarmGridDiskTier times one warm RunAll over serviceGrid per
 // iteration (Parallelism 2, a fresh engine over a cold-written
 // directory), so a pass pays for keying, the disk probe and decoding.
-// It reports the files the probe read per pass (reads/op): one per
-// lockstep group's file, 78.
+// It reports the files the probe read per pass (reads/op), one per
+// lockstep group's file, 78, and the names it stat'ed against them
+// (checks/op), at most one per file read: its commit point's.
 func BenchmarkWarmGridDiskTier(b *testing.B) {
 	specs := serviceGrid()
 	dir := b.TempDir()
 	if _, err := New(Options{Parallelism: 2, DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
 		b.Fatal(err)
 	}
-	var reads uint64
+	var reads, checks uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(Options{Parallelism: 2, DiskCacheDir: dir})
@@ -92,8 +93,10 @@ func BenchmarkWarmGridDiskTier(b *testing.B) {
 			b.Fatalf("warm pass stats %s, want every spec from disk", counters(st))
 		}
 		reads += e.disk.reads.Load()
+		checks += e.disk.checks.Load()
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
 }
 
 // BenchmarkRunKeyedDiskHit times one RunKeyed disk hit — a one-spec

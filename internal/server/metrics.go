@@ -98,7 +98,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_cache_disk_write_errors_total Results the disk tier failed to persist.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_write_errors_total counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_write_errors_total %d\n", cs.DiskWriteErrors)
-	fmt.Fprintf(w, "# HELP resonanced_cache_disk_read_errors_total Disk probes that found the entry's file but no readable current entry in it.\n")
+	fmt.Fprintf(w, "# HELP resonanced_cache_disk_read_errors_total Disk probes that found the entry's file but no readable current entry in it, for specs no other file of the batch served.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_read_errors_total counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_read_errors_total %d\n", cs.DiskReadErrors)
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_gc_removed counter\n")

@@ -30,6 +30,7 @@ package tuning
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 )
@@ -196,21 +197,6 @@ func (d *Detector) Config() DetectorConfig { return d.cfg }
 // EventsDetected returns the number of resonant events recorded so far.
 func (d *Detector) EventsDetected() uint64 { return d.eventsDetected }
 
-// windowDiff returns recent-quarter sum minus prior-quarter sum for the
-// given quarter-period length at the current cycle. The subtraction order
-// matches the original modulo-indexed implementation exactly, so the
-// floating-point results are bit-identical. d.cum[cycle&mask] always holds
-// d.total when this runs (Step writes it first), so the recent window ends
-// at the in-register running total instead of a ring load.
-func (d *Detector) windowDiff(qp uint64) float64 {
-	m := d.cumMask
-	c := d.cycle
-	mid := d.cum[(c-qp)&m]
-	recent := d.total - mid
-	prior := mid - d.cum[(c-2*qp)&m]
-	return recent - prior
-}
-
 // Step feeds one cycle of sensed core current to the detector. It returns
 // the resonant event recorded this cycle, if any.
 func (d *Detector) Step(sensedAmps float64) (Event, bool) {
@@ -234,14 +220,20 @@ func (d *Detector) Step(sensedAmps float64) (Event, bool) {
 	} else {
 		// One "adder" per half-period in the band (Section 3.1.3), each
 		// with a precomputed quarter-period and threshold M·T/8
-		// (T = 2·hp).
-		for i := range d.adders {
-			a := &d.adders[i]
-			diff := d.windowDiff(a.qp)
-			mag := diff
-			if mag < 0 {
-				mag = -mag
-			}
+		// (T = 2·hp). diff is the recent quarter-period's sum minus the
+		// prior one's, subtracted in the original modulo-indexed order so
+		// the result is bit-identical; cum[c&m] holds total (written
+		// above), so the recent window ends at the running total instead
+		// of a ring load. The loop reads d's fields from locals, which the
+		// compiler keeps in registers rather than reloading per adder.
+		// math.Abs, not a branch on the sign, which real current makes
+		// unpredictable: every threshold is positive, so a −0 or NaN diff
+		// compares the same either way.
+		cum, m, c, total := d.cum, d.cumMask, d.cycle, d.total
+		for _, a := range d.adders {
+			mid := cum[(c-a.qp)&m]
+			diff := (total - mid) - (mid - cum[(c-2*a.qp)&m])
+			mag := math.Abs(diff)
 			if mag <= a.thr || mag <= maxMag {
 				continue
 			}
