@@ -32,42 +32,69 @@ type NetworkConfig struct {
 	MultiDomain *MultiDomainParams
 }
 
+// NetworkSections is storage for a normalized config's parameter
+// section, one field per kind: NormalizedIn writes the selected section
+// there, so the caller decides where it lives.
+type NetworkSections struct {
+	Lumped      Params
+	TwoStage    TwoStageParams
+	MultiDomain MultiDomainParams
+}
+
+// table1TwoDomain is the multi-domain default every normalized config
+// shares, so a default network costs no fresh slices; nothing may
+// modify it.
+var table1TwoDomain = Table1TwoDomain()
+
 // Normalized resolves the config's defaults: the kind (empty means
 // lumped), a private copy of the selected model's parameter section
 // (its defaults when nil), and no other section — so two configs
 // describing the same network become structurally identical, which is
-// what lets the engine key specs on the resolved form. Unknown kinds
+// what lets the engine key specs on the resolved form. The copy is one
+// level deep: a multi-domain section's domains are copied, but each
+// domain's PowerUnits is shared with c, or, for the default, with every
+// config normalized to it, and must not be modified. Unknown kinds
 // error, listing the kinds.
 func (c NetworkConfig) Normalized() (NetworkConfig, error) {
+	n, err := c.NormalizedIn(new(NetworkSections))
+	if err == nil && n.MultiDomain != nil {
+		n.MultiDomain.Domains = append([]DomainParams(nil), n.MultiDomain.Domains...)
+	}
+	return n, err
+}
+
+// NormalizedIn is Normalized with the selected section stored in s, and
+// a multi-domain section's Domains slice left shared with c (or with the
+// default), not copied: for a caller that is done with the result
+// before c can change, as checking and keying are.
+func (c NetworkConfig) NormalizedIn(s *NetworkSections) (NetworkConfig, error) {
 	switch c.Kind {
 	case "", NetworkLumped:
-		p := Table1()
+		s.Lumped = Table1()
 		if c.Lumped != nil {
-			p = *c.Lumped
+			s.Lumped = *c.Lumped
 		}
-		return NetworkConfig{Kind: NetworkLumped, Lumped: &p}, nil
+		return NetworkConfig{Kind: NetworkLumped, Lumped: &s.Lumped}, nil
 	case NetworkTwoStage:
-		p := Table1TwoStage()
+		s.TwoStage = Table1TwoStage()
 		if c.TwoStage != nil {
-			p = *c.TwoStage
+			s.TwoStage = *c.TwoStage
 		}
-		return NetworkConfig{Kind: NetworkTwoStage, TwoStage: &p}, nil
+		return NetworkConfig{Kind: NetworkTwoStage, TwoStage: &s.TwoStage}, nil
 	case NetworkMultiDomain:
-		var p MultiDomainParams
+		s.MultiDomain = table1TwoDomain
 		if c.MultiDomain != nil {
-			p = *c.MultiDomain
-			p.Domains = append([]DomainParams(nil), p.Domains...)
-		} else {
-			p = Table1TwoDomain()
+			s.MultiDomain = *c.MultiDomain
 		}
-		return NetworkConfig{Kind: NetworkMultiDomain, MultiDomain: &p}, nil
+		return NetworkConfig{Kind: NetworkMultiDomain, MultiDomain: &s.MultiDomain}, nil
 	}
 	return NetworkConfig{}, fmt.Errorf("circuit: unknown network kind %q (registered kinds: %v)", c.Kind, NetworkKinds())
 }
 
 // Validate resolves and checks the config without building a network.
 func (c NetworkConfig) Validate() error {
-	n, err := c.Normalized()
+	var s NetworkSections
+	n, err := c.NormalizedIn(&s)
 	if err != nil {
 		return err
 	}
@@ -77,7 +104,8 @@ func (c NetworkConfig) Validate() error {
 // DomainCount returns the resolved config's domain count (zero for an
 // unknown kind).
 func (c NetworkConfig) DomainCount() int {
-	n, err := c.Normalized()
+	var s NetworkSections
+	n, err := c.NormalizedIn(&s)
 	if err != nil {
 		return 0
 	}

@@ -51,8 +51,9 @@ func packGroups(specs []Spec, indices []int) []laneGroup {
 	return groups
 }
 
-// job is one spec resolved for simulation: its normalized form, its
-// instruction stream's parameters, its untraced kernel lane (the
+// job is one spec resolved for simulation: its normalized form (whose
+// pointers keep the holder prepare resolved it in), its instruction
+// stream's parameters, its untraced kernel lane (the
 // constructed technique), and the technique's trace hooks, which a
 // traced Prepared.Run puts on the lane.
 type job struct {
@@ -67,21 +68,21 @@ type job struct {
 // assume a usable network, so a run fails with Validate's error rather
 // than a constructor's panic.
 func prepare(spec Spec) (job, error) {
-	n, desc, err := spec.normalized()
-	if err != nil {
+	r := new(resolved)
+	if err := r.resolve(&spec); err != nil {
 		return job{}, err
 	}
-	params, err := n.validate(desc)
+	params, err := r.n.validate(r.desc)
 	if err != nil {
 		return job{}, err
 	}
 	lane := batchkernel.Lane{TechName: string(TechniqueNone)}
 	var hooks TraceHooks
-	if desc.Build != nil {
-		lane.Tech, hooks = desc.Build(&n, envOf(n.System))
+	if r.desc.Build != nil {
+		lane.Tech, hooks = r.desc.Build(&r.n, envOf(r.n.System))
 		lane.TechName = lane.Tech.Name()
 	}
-	return job{n: n, params: params, lane: lane, hooks: hooks}, nil
+	return job{n: r.n, params: params, lane: lane, hooks: hooks}, nil
 }
 
 // machine builds the job's simulated system. The instruction stream

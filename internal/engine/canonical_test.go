@@ -360,21 +360,37 @@ func FuzzCanonicalMatchesReflection(f *testing.F) {
 	})
 }
 
-// TestKeyEncodingAllocatesNothing: a key allocates exactly what its
-// normalization does; the encoding and the hash add nothing.
+// raceEnabled is set in a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestKeyEncodingAllocatesNothing: Key and MachineKey resolve a spec in
+// a holder borrowed from a pool, encode it on the stack and hash it, so
+// they allocate nothing for every technique whose defaults hold no
+// slice — base, tuning, voltctl, damping, convctl and dual-band — on
+// every network kind's default (the multi-domain default's slices are
+// shared). It does not run under the race detector, whose sync.Pool
+// drops a random share of the holders put back.
 func TestKeyEncodingAllocatesNothing(t *testing.T) {
-	s := Spec{App: "swim", Instructions: 300_000, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkLumped}}
-	norm := testing.AllocsPerRun(100, func() {
-		if _, _, err := s.normalized(); err != nil {
-			t.Fatal(err)
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector")
+	}
+	techs := []TechniqueKind{TechniqueNone, TechniqueTuning, TechniqueVoltageControl, TechniqueDamping, TechniqueConvolution, TechniqueDualBand}
+	for _, kind := range circuit.NetworkKinds() {
+		for _, tech := range techs {
+			s := Spec{App: "swim", Instructions: 300_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}}
+			for _, f := range []struct {
+				name string
+				key  func() (Key, error)
+			}{{"Key", s.Key}, {"MachineKey", s.MachineKey}} {
+				allocs := testing.AllocsPerRun(100, func() {
+					if _, err := f.key(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s of a %s spec on the %s network allocates %v times, want 0", f.name, tech, kind, allocs)
+				}
+			}
 		}
-	})
-	key := testing.AllocsPerRun(100, func() {
-		if _, err := s.Key(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if key != norm {
-		t.Errorf("Key allocates %v times, its normalization %v", key, norm)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,7 +15,13 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/baselines/convctl"
+	"repro/internal/baselines/damping"
+	"repro/internal/baselines/voltctl"
+	"repro/internal/baselines/wavelet"
 	"repro/internal/sim"
+	"repro/internal/tuning"
+	"repro/internal/workload"
 )
 
 // diskCacheVersion guards the on-disk entry schema: bumping it after a
@@ -74,12 +79,13 @@ func (d *diskCache) name(h lineKey) string {
 	return filepath.Join(d.dir, string(h[:])+".json")
 }
 
-// committed reports whether blob, the contents of the file info
+// committed reports whether blob, the contents of the file id
 // identifies, read through opened's name, finished publishing: whether
 // the file is the one under its last line's name, which store renames it
-// onto last. It is free when opened is that name, else one counted stat.
-// A last line that is not a key line the cache writes is no commit point.
-func (d *diskCache) committed(blob []byte, opened lineKey, info fs.FileInfo) bool {
+// onto last. It is free when opened is that name, else one counted stat,
+// whose device and inode must be the file's. A last line that is not a
+// key line the cache writes is no commit point.
+func (d *diskCache) committed(blob []byte, opened lineKey, id fileID) bool {
 	blob = bytes.TrimSuffix(blob, []byte{'\n'})
 	line := blob[bytes.LastIndexByte(blob, '\n')+1:]
 	var last lineKey
@@ -96,8 +102,7 @@ func (d *diskCache) committed(blob []byte, opened lineKey, info fs.FileInfo) boo
 		}
 	}
 	d.checks.Add(1)
-	fi, err := os.Stat(d.name(last))
-	return err == nil && os.SameFile(info, fi)
+	return id.names(d.name(last))
 }
 
 // DiskCacheKeys enumerates the keys of finished entries under dir with
@@ -158,23 +163,15 @@ func (d *diskCache) load(key Key) (sim.Result, error) {
 // the file it read, which the commit point's name is checked against
 // (committed) before the contents serve a co-member's line. A published
 // file is never written again, so the size it is opened with is its
-// size. Errors are load's.
-func (d *diskCache) read(key Key) ([]byte, fs.FileInfo, error) {
-	f, err := os.Open(d.path(key))
+// size. Errors are load's: no file under the name is absent, and a name
+// that opens but does not read (a directory squatting on it, say) is not.
+func (d *diskCache) read(key Key) ([]byte, fileID, error) {
+	blob, id, err := readFile(d.path(key))
 	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	blob := make([]byte, info.Size())
-	if _, err := io.ReadFull(f, blob); err != nil {
-		return nil, nil, err
+		return nil, fileID{}, err
 	}
 	d.reads.Add(1)
-	return blob, info, nil
+	return blob, id, nil
 }
 
 // entryOf decodes key's entry from a file's contents: the first line
@@ -241,6 +238,25 @@ func decodeFast(body []byte) (r sim.Result, ok bool) {
 	return r, ok
 }
 
+// resultNames holds the strings a stored Result's App and Technique
+// usually spell — every Table 2 application, the base machine's label
+// and every technique's Name (each controller's Name is a constant, so
+// a nil one gives it) — so decoding a line copies neither.
+var resultNames = func() map[string]string {
+	names := append(workload.Names(), string(TechniqueNone))
+	for _, t := range []sim.Technique{
+		(*tuning.Controller)(nil), (*tuning.DualBand)(nil), (*tuning.PerDomain)(nil),
+		(*voltctl.Controller)(nil), (*damping.Controller)(nil), (*convctl.Controller)(nil), (*wavelet.Controller)(nil),
+	} {
+		names = append(names, t.Name())
+	}
+	m := make(map[string]string, len(names))
+	for _, name := range names {
+		m[name] = name
+	}
+	return m
+}()
+
 // entryParser's methods consume and report what decodeFast expects next.
 type entryParser struct{ b []byte }
 
@@ -253,10 +269,15 @@ func (p *entryParser) lit(s string) bool {
 }
 
 // str consumes the rest of a string, its opening quote already taken.
+// A string resultNames holds is that one, not a copy of the line's bytes.
 func (p *entryParser) str(v *string) bool {
 	for n, c := range p.b {
 		if c == '"' {
-			*v, p.b = string(p.b[:n]), p.b[n+1:]
+			s, ok := resultNames[string(p.b[:n])]
+			if !ok {
+				s = string(p.b[:n])
+			}
+			*v, p.b = s, p.b[n+1:]
 			return true
 		}
 		if c < ' ' || c > '~' || c == '\\' {

@@ -136,6 +136,34 @@ func TestDiskCacheIgnoresErrors(t *testing.T) {
 	}
 }
 
+// TestDiskCacheDirectoryOnEntryName: a directory squatting on an entry's
+// name opens but does not read, so a probe counts it a read fault, not a
+// plain miss; the run simulates, and its store cannot rename a file onto
+// the name. Through each of two fresh engines the run succeeds with 1
+// miss, 1 read fault and 1 write error, and leaves the directory there
+// and no temp name behind.
+func TestDiskCacheDirectoryOnEntryName(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{App: "swim", Instructions: 10_000}
+	name := entryPaths(t, dir, []Spec{spec})[0]
+	if err := os.Mkdir(name, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		e := New(Options{DiskCacheDir: dir})
+		if _, err := e.Run(context.Background(), spec); err != nil {
+			t.Fatalf("run %d: a directory on the entry's name broke the run: %v", run, err)
+		}
+		if st := e.CacheStats(); st.Misses != 1 || st.DiskReadErrors != 1 || st.DiskWriteErrors != 1 || st.DiskHits != 0 || st.DiskWrites != 0 {
+			t.Errorf("run %d: stats %s, want 1 miss, 1 read fault, 1 write error", run, counters(st))
+		}
+		if info, err := os.Stat(name); err != nil || !info.IsDir() {
+			t.Fatalf("run %d: the entry's name is no longer a directory (%v)", run, err)
+		}
+		noTempFiles(t, dir)
+	}
+}
+
 // TestDiskCacheGC: the construction-time sweep removes exactly the
 // files that can never be served again — old-schema entries (their keys
 // differ from the current version's, so they orphan forever), corrupt

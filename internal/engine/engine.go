@@ -295,7 +295,7 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 			if state[k].Load() == probeServed {
 				continue
 			}
-			blob, info, err := e.disk.read(claims[toRun[k]].key)
+			blob, id, err := e.disk.read(claims[toRun[k]].key)
 			if err != nil {
 				if !absent(err) {
 					state[k].CompareAndSwap(probeOpen, probeFaulted)
@@ -314,7 +314,7 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 				}
 				if j != k {
 					if !decided {
-						decided, committed = true, e.disk.committed(blob, claims[toRun[k]].key.lineKey(), info)
+						decided, committed = true, e.disk.committed(blob, claims[toRun[k]].key.lineKey(), id)
 					}
 					if !committed {
 						return true

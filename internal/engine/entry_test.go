@@ -277,6 +277,24 @@ func TestDecodeEntryMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeStoredLineAllocatesNothing: decodeEntry decodes every line a
+// service-zipf cold pass writes for one application — each technique on
+// each network kind that validates it — without allocating: its numbers
+// parse in place, and its App and Technique strings are resultNames'
+// own. TestDecodeEntryMatchesJSON decides that the results are right.
+func TestDecodeStoredLineAllocatesNothing(t *testing.T) {
+	for _, line := range storedLines(t, "swim") {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := decodeEntry(line); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("decoding %s allocates %v times, want 0", line, allocs)
+		}
+	}
+}
+
 // FuzzDecodeEntry: decodeEntry agrees with the frozen encoding/json
 // reference on any line, seeded with real service-zipf lines and lines
 // of the corner-case values.

@@ -41,11 +41,13 @@ func ParseKey(s string) (Key, error) {
 
 // Key returns the spec's content address.
 func (s Spec) Key() (Key, error) {
-	n, _, err := s.normalized()
+	r, err := borrowResolved(&s)
 	if err != nil {
 		return Key{}, err
 	}
-	return n.key()
+	k, err := r.n.key()
+	resolvedPool.Put(r)
+	return k, err
 }
 
 // key is Key on a normalized spec. Its error is always nil: every
@@ -61,12 +63,14 @@ func (n *Spec) key() (Key, error) {
 // is left out (normalization folds it into System). It is the ground
 // truth the fuzz tests compare Keys against.
 func (s Spec) Canonical() ([]byte, error) {
-	n, _, err := s.normalized()
+	r, err := borrowResolved(&s)
 	if err != nil {
 		return nil, err
 	}
 	var buf [canonicalSize]byte
-	return bytes.Clone(n.appendCanonical(buf[:0])), nil
+	b := bytes.Clone(r.n.appendCanonical(buf[:0]))
+	resolvedPool.Put(r)
+	return b, nil
 }
 
 // canonicalSize sizes the encoding buffer a key is built in on the

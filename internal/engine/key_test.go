@@ -17,6 +17,16 @@ import (
 	"repro/internal/workload"
 )
 
+// normalized is the spec's one normalization (resolve) in a holder of its
+// own, for tests that keep the normalized spec.
+func (s Spec) normalized() (Spec, *Descriptor, error) {
+	r := new(resolved)
+	if err := r.resolve(&s); err != nil {
+		return Spec{}, nil, err
+	}
+	return r.n, r.desc, nil
+}
+
 // TestKeyPointerIdentityIrrelevant: equal configurations behind distinct
 // pointers hash equal.
 func TestKeyPointerIdentityIrrelevant(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +44,58 @@ func TestPDNTopLevelFoldsIntoSystem(t *testing.T) {
 		if kExplicit != kTop {
 			t.Errorf("%s: explicit default parameters key differently from the bare kind", kind)
 		}
+	}
+}
+
+// TestSharedMultiDomainDefaultUnchanged: every spec on the default
+// multi-domain network normalizes onto one shared default (its Domains
+// and each domain's PowerUnits), so nothing that runs on it may write
+// that default. Keying, validating, building and simulating every
+// technique on it — as one lockstep group, and each alone in a traced
+// run — leaves it equal to a fresh circuit.Table1TwoDomain().
+func TestSharedMultiDomainDefaultUnchanged(t *testing.T) {
+	pdn := circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain}
+	var a, b circuit.NetworkSections
+	na, err := pdn.NormalizedIn(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := pdn.NormalizedIn(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &na.MultiDomain.Domains[0] != &nb.MultiDomain.Domains[0] {
+		t.Fatal("two normalizations of the default multi-domain network do not share its domains")
+	}
+	var specs []Spec
+	for _, tech := range Kinds() {
+		s := Spec{App: "swim", Instructions: 5_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain}}
+		if _, err := s.Key(); err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		if s.Validate() != nil {
+			continue
+		}
+		if _, _, err := BuildTechnique(s); err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		p, err := Prepare(s)
+		if err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		if _, err := p.Run(func(sim.TracePoint) {}); err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		specs = append(specs, s)
+	}
+	if len(specs) < 2 {
+		t.Fatalf("%d techniques validate on the default multi-domain network, want a group", len(specs))
+	}
+	if _, err := New(Options{Parallelism: 2}).RunAll(context.Background(), specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := circuit.Table1TwoDomain(); !reflect.DeepEqual(*na.MultiDomain, want) {
+		t.Errorf("the shared multi-domain default changed:\n got %+v\nwant %+v", *na.MultiDomain, want)
 	}
 }
 

@@ -60,9 +60,10 @@ type Descriptor struct {
 	// Kind is the technique's spec identifier (Spec.Technique).
 	Kind TechniqueKind
 	// Normalize resolves the technique's defaults: it reads the
-	// caller's section from orig (nil means all defaults) and writes
-	// the fully resolved section into n; nil means no section.
-	Normalize func(orig, n *Spec, env Env)
+	// caller's section from r.orig (nil means all defaults), stores the
+	// fully resolved section in r's field of its type and points r.n's
+	// section at it; nil means no section.
+	Normalize func(r *resolved, env Env)
 	// Validate checks the resolved section; nil means always valid.
 	// Execute reports its error instead of letting a constructor panic.
 	Validate func(n *Spec) error
@@ -107,17 +108,18 @@ var techniques = []Descriptor{
 	// Resonance tuning, the paper's contribution (Section 3).
 	{
 		Kind: TechniqueTuning,
-		Normalize: func(orig, n *Spec, env Env) {
-			tc := DefaultTuningConfig(100)
-			if orig.Tuning != nil {
-				tc = *orig.Tuning
+		Normalize: func(r *resolved, env Env) {
+			tc := &r.tuning
+			*tc = DefaultTuningConfig(100)
+			if r.orig.Tuning != nil {
+				*tc = *r.orig.Tuning
 			}
 			if tc.PhantomTargetAmps == 0 {
 				// The paper's second-level response holds the mid
 				// current level of the configured envelope.
 				tc.PhantomTargetAmps = env.MidAmps
 			}
-			n.Tuning = &tc
+			r.n.Tuning = tc
 		},
 		Validate: func(n *Spec) error { return n.Tuning.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
@@ -129,12 +131,12 @@ var techniques = []Descriptor{
 	// The voltage-threshold scheme of [10].
 	{
 		Kind: TechniqueVoltageControl,
-		Normalize: func(orig, n *Spec, env Env) {
-			vc := defaultVoltageControl()
-			if orig.VoltageControl != nil {
-				vc = *orig.VoltageControl
+		Normalize: func(r *resolved, env Env) {
+			r.voltctl = defaultVoltageControl()
+			if r.orig.VoltageControl != nil {
+				r.voltctl = *r.orig.VoltageControl
 			}
-			n.VoltageControl = &vc
+			r.n.VoltageControl = &r.voltctl
 		},
 		Validate: func(n *Spec) error { return n.VoltageControl.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
@@ -146,12 +148,12 @@ var techniques = []Descriptor{
 	// Pipeline damping [14].
 	{
 		Kind: TechniqueDamping,
-		Normalize: func(orig, n *Spec, env Env) {
-			dc := defaultDamping()
-			if orig.Damping != nil {
-				dc = *orig.Damping
+		Normalize: func(r *resolved, env Env) {
+			r.damping = defaultDamping()
+			if r.orig.Damping != nil {
+				r.damping = *r.orig.Damping
 			}
-			n.Damping = &dc
+			r.n.Damping = &r.damping
 		},
 		Validate: func(n *Spec) error { return n.Damping.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
@@ -164,16 +166,16 @@ var techniques = []Descriptor{
 	// prediction matches the network being simulated.
 	{
 		Kind: TechniqueConvolution,
-		Normalize: func(orig, n *Spec, env Env) {
+		Normalize: func(r *resolved, env Env) {
 			var cc convctl.Config
-			if orig.Convolution != nil {
-				cc = *orig.Convolution
+			if r.orig.Convolution != nil {
+				cc = *r.orig.Convolution
 			}
 			if cc.Supply == (circuit.Params{}) {
-				cc.Supply = convolutionSupply(n.System)
+				cc.Supply = convolutionSupply(r.n.System)
 			}
-			cc = convolutionDefaults.get(cc)
-			n.Convolution = &cc
+			r.convolution = convolutionDefaults.get(cc)
+			r.n.Convolution = &r.convolution
 		},
 		Validate: func(n *Spec) error { return n.Convolution.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
@@ -184,15 +186,16 @@ var techniques = []Descriptor{
 	// Haar-wavelet detector in the spirit of [11].
 	{
 		Kind: TechniqueWavelet,
-		Normalize: func(orig, n *Spec, env Env) {
+		Normalize: func(r *resolved, env Env) {
 			var wc wavelet.Config
-			if orig.Wavelet != nil {
-				wc = *orig.Wavelet
+			if r.orig.Wavelet != nil {
+				wc = *r.orig.Wavelet
 			}
 			if resolved, err := wc.WithDefaults(); err == nil {
 				wc = resolved
 			}
-			n.Wavelet = &wc
+			r.wavelet = wc
+			r.n.Wavelet = &r.wavelet
 		},
 		Validate: func(n *Spec) error { return n.Wavelet.Validate() },
 		Build: func(n *Spec, env Env) (sim.Technique, TraceHooks) {
@@ -204,12 +207,12 @@ var techniques = []Descriptor{
 	// at core clock plus a decimated low-band controller.
 	{
 		Kind: TechniqueDualBand,
-		Normalize: func(orig, n *Spec, env Env) {
-			var db DualBandConfig
-			if orig.DualBand != nil {
-				db = *orig.DualBand
+		Normalize: func(r *resolved, env Env) {
+			db := &r.dualBand
+			if r.orig.DualBand != nil {
+				*db = *r.orig.DualBand
 			} else {
-				db = dualBandDefaults.get(dualBandSupply(n.System))
+				*db = dualBandDefaults.get(dualBandSupply(r.n.System))
 			}
 			if db.DecimationFactor == 0 {
 				db.DecimationFactor = DefaultDualBandDecimation
@@ -218,7 +221,7 @@ var techniques = []Descriptor{
 				db.Medium = DefaultTuningConfig(100)
 			}
 			if db.Low == (tuning.Config{}) {
-				db.Low = dualBandDefaults.get(dualBandSupply(n.System)).Low
+				db.Low = dualBandDefaults.get(dualBandSupply(r.n.System)).Low
 			}
 			if db.Medium.PhantomTargetAmps == 0 {
 				db.Medium.PhantomTargetAmps = env.MidAmps
@@ -226,7 +229,7 @@ var techniques = []Descriptor{
 			if db.Low.PhantomTargetAmps == 0 {
 				db.Low.PhantomTargetAmps = env.MidAmps
 			}
-			n.DualBand = &db
+			r.n.DualBand = db
 		},
 		Validate: func(n *Spec) error {
 			if n.DualBand.DecimationFactor < 1 {
@@ -250,13 +253,13 @@ var techniques = []Descriptor{
 	// rail sensor, with the strongest response applied to the pipeline.
 	{
 		Kind: TechniqueDomainTuning,
-		Normalize: func(orig, n *Spec, env Env) {
-			var dt DomainTuningConfig
-			if orig.DomainTuning != nil {
-				dt = *orig.DomainTuning
+		Normalize: func(r *resolved, env Env) {
+			dt := &r.domainTuning
+			if r.orig.DomainTuning != nil {
+				*dt = *r.orig.DomainTuning
 				dt.Domains = append([]tuning.Config(nil), dt.Domains...)
 			} else {
-				dt = DefaultDomainTuningConfig(n.System.PDN, 100)
+				*dt = DefaultDomainTuningConfig(r.n.System.PDN, 100)
 			}
 			for d := range dt.Domains {
 				if dt.Domains[d].PhantomTargetAmps == 0 {
@@ -266,7 +269,7 @@ var techniques = []Descriptor{
 					dt.Domains[d].PhantomTargetAmps = env.MidAmps
 				}
 			}
-			n.DomainTuning = &dt
+			r.n.DomainTuning = dt
 		},
 		Validate: func(n *Spec) error {
 			nd := n.System.PDN.DomainCount()

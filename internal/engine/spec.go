@@ -15,6 +15,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/baselines/convctl"
 	"repro/internal/baselines/damping"
@@ -154,7 +155,8 @@ func DefaultDomainTuningConfig(pdn *circuit.NetworkConfig, initialResponseCycles
 	if pdn == nil {
 		return DomainTuningConfig{Domains: []tuning.Config{base}}
 	}
-	np, err := pdn.Normalized()
+	var sections circuit.NetworkSections
+	np, err := pdn.NormalizedIn(&sections)
 	if err != nil || np.Kind != circuit.NetworkMultiDomain || np.MultiDomain.Validate() != nil {
 		return DomainTuningConfig{Domains: []tuning.Config{base}}
 	}
@@ -204,15 +206,69 @@ func defaultDamping() damping.Config {
 	return damping.Config{WindowCycles: 50, DeltaAmps: 16, Scale: 0.5}
 }
 
-// normalized resolves every default so that two Specs describing the
-// same run — via zero values, via explicit defaults, or via distinct
-// pointers to equal configurations — become structurally identical. The
-// canonical encoding (and therefore the cache key) is computed from the
-// normalized form, and Execute builds the simulation from it, which is
-// what makes the cache sound. The selected technique's descriptor is
-// returned alongside.
-func (s Spec) normalized() (Spec, *Descriptor, error) {
-	n := s
+// resolved holds a normalized spec and every value its pointers point
+// to, so the one normalization (resolve) fills one holder instead of
+// copying the system, the network and its section, the workload and the
+// technique section to the heap one by one. Normalize stores the
+// selected technique's section in the field of its type. A caller that
+// keeps the normalized spec keeps its holder (prepare and BuildTechnique
+// allocate one); one that only hashes or validates it borrows a holder
+// from resolvedPool and puts it back before it returns (see
+// borrowResolved).
+type resolved struct {
+	// n is the normalized spec. Its pointers point into the holder, its
+	// slices do not: a multi-domain network's domains, for one, are the
+	// caller's or the shared default's.
+	n Spec
+	// desc is n's technique descriptor.
+	desc *Descriptor
+	// orig is the spec as the caller gave it, which Normalize reads the
+	// technique's section from.
+	orig Spec
+
+	workload workload.Params
+	system   sim.Config
+	network  circuit.NetworkConfig
+	sections circuit.NetworkSections
+
+	tuning       tuning.Config
+	voltctl      voltctl.Config
+	damping      damping.Config
+	convolution  convctl.Config
+	wavelet      wavelet.Config
+	dualBand     DualBandConfig
+	domainTuning DomainTuningConfig
+}
+
+// resolvedPool lends holders to the callers that do not keep the
+// normalized spec. A holder is kept on the heap either way — Normalize's
+// function value and the pointers into it move it there — so borrowing
+// one is what makes keying allocation-free.
+var resolvedPool = sync.Pool{New: func() any { return new(resolved) }}
+
+// borrowResolved resolves s in a pooled holder. The caller puts it back
+// (resolvedPool.Put) before it returns, and keeps nothing pointing into
+// it. On an error the holder is already back in the pool.
+func borrowResolved(s *Spec) (*resolved, error) {
+	r := resolvedPool.Get().(*resolved)
+	if err := r.resolve(s); err != nil {
+		resolvedPool.Put(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+// resolve resolves every default of s into r so that two Specs
+// describing the same run — via zero values, via explicit defaults, or
+// via distinct pointers to equal configurations — become structurally
+// identical in r.n. The canonical encoding (and therefore the cache key)
+// is computed from the normalized form, and Execute builds the
+// simulation from it, which is what makes the cache sound. It is the
+// one normalization every Spec operation shares; it writes every part of
+// r that r.n points to.
+func (r *resolved) resolve(s *Spec) error {
+	r.orig, r.n = *s, *s
+	n := &r.n
 	if n.Instructions == 0 {
 		n.Instructions = DefaultInstructions
 	}
@@ -220,48 +276,49 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 		n.Technique = TechniqueNone
 	}
 	if n.Workload != nil {
-		w := *n.Workload
-		n.Workload = &w
+		r.workload = *n.Workload
+		n.Workload = &r.workload
 		if n.App == "" {
-			n.App = w.Name
+			n.App = r.workload.Name
 		}
 	}
-	cfg := sim.DefaultConfig()
+	r.system = sim.DefaultConfig()
 	if n.System != nil {
-		cfg = *n.System
+		r.system = *n.System
 	}
 	// System.PDN is the network's single canonical home: a spec-level PDN
 	// overrides the system's, and a nil one means the lumped Table 1
 	// supply, so every spelling of one network encodes — and packs —
 	// identically.
 	if n.PDN != nil {
-		cfg.PDN = n.PDN
+		r.system.PDN = n.PDN
 		n.PDN = nil
 	}
-	var net circuit.NetworkConfig
-	if cfg.PDN != nil {
-		net = *cfg.PDN
+	r.network = circuit.NetworkConfig{}
+	if r.system.PDN != nil {
+		r.network = *r.system.PDN
 	}
 	// An unknown kind stays raw (privately copied) so Key stays total;
 	// the error surfaces from Validate and Execute instead.
-	if np, err := net.Normalized(); err == nil {
-		net = np
+	if np, err := r.network.NormalizedIn(&r.sections); err == nil {
+		r.network = np
 	}
-	cfg.PDN = &net
-	n.System = &cfg
+	r.system.PDN = &r.network
+	n.System = &r.system
 
 	desc, ok := lookupTechnique(n.Technique)
 	if !ok {
-		return Spec{}, nil, fmt.Errorf("engine: unknown technique %q (registered kinds: %v)", n.Technique, Kinds())
+		return fmt.Errorf("engine: unknown technique %q (registered kinds: %v)", n.Technique, Kinds())
 	}
+	r.desc = desc
 	// Only the selected technique's configuration is semantically
 	// meaningful; drop the rest so it cannot perturb the key, then let
 	// the selected descriptor resolve its own section's defaults.
-	clearSections(&n)
+	clearSections(n)
 	if desc.Normalize != nil {
-		desc.Normalize(&s, &n, envOf(&cfg))
+		desc.Normalize(r, envOf(&r.system))
 	}
-	return n, desc, nil
+	return nil
 }
 
 // Validate resolves the spec through the technique table's Normalize
@@ -272,11 +329,12 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 // serving front-end runs on an incoming spec so configuration mistakes
 // surface as client errors rather than failed runs.
 func (s Spec) Validate() error {
-	n, desc, err := s.normalized()
+	r, err := borrowResolved(&s)
 	if err != nil {
 		return err
 	}
-	_, err = n.validate(desc)
+	_, err = r.n.validate(r.desc)
+	resolvedPool.Put(r)
 	return err
 }
 
@@ -285,14 +343,15 @@ func (s Spec) Validate() error {
 // front-end that checks each incoming spec and reports its key calls
 // this once instead of resolving the spec's defaults twice.
 func (s Spec) ValidKey() (Key, error) {
-	n, desc, err := s.normalized()
+	r, err := borrowResolved(&s)
 	if err != nil {
 		return Key{}, err
 	}
-	if _, err := n.validate(desc); err != nil {
+	defer resolvedPool.Put(r)
+	if _, err := r.n.validate(r.desc); err != nil {
 		return Key{}, err
 	}
-	return n.key()
+	return r.n.key()
 }
 
 // validate is Validate on a normalized spec and its descriptor. It
@@ -395,20 +454,20 @@ func (p *Prepared) Run(trace func(sim.TracePoint)) (sim.Result, error) {
 // source (e.g. a recorded trace) and so cannot go through Execute. A nil
 // Technique means the base machine.
 func BuildTechnique(spec Spec) (sim.Technique, TraceHooks, error) {
-	n, desc, err := spec.normalized()
-	if err != nil {
+	r := new(resolved)
+	if err := r.resolve(&spec); err != nil {
 		return nil, TraceHooks{}, err
 	}
 	// The technique constructors panic on unusable configurations;
 	// validate the section so a bad configuration surfaces as an error.
-	if desc.Validate != nil {
-		if err := desc.Validate(&n); err != nil {
+	if r.desc.Validate != nil {
+		if err := r.desc.Validate(&r.n); err != nil {
 			return nil, TraceHooks{}, err
 		}
 	}
-	if desc.Build == nil {
+	if r.desc.Build == nil {
 		return nil, TraceHooks{}, nil
 	}
-	tech, hooks := desc.Build(&n, envOf(n.System))
+	tech, hooks := r.desc.Build(&r.n, envOf(r.n.System))
 	return tech, hooks, nil
 }
