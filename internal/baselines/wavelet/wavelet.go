@@ -56,9 +56,13 @@ func (c Config) Validate() error {
 	return err
 }
 
+// defaultScales is what a nil Scales resolves to. Every resolved
+// configuration shares it, so nothing may write it.
+var defaultScales = []int{32, 64}
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Scales == nil {
-		c.Scales = []int{32, 64}
+		c.Scales = defaultScales
 	}
 	for _, s := range c.Scales {
 		if s < 2 || s&(s-1) != 0 {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"repro/internal/engine/batchkernel"
 	"repro/internal/sim"
@@ -97,8 +99,9 @@ func (j *job) machine() (*sim.Machine, error) {
 // simulate runs specs that share a MachineKey as one lockstep kernel
 // group — a single spec is a one-lane group — and returns each spec's
 // result or error plus the kernel's statistics. A spec that cannot be
-// built fails alone; a panic anywhere in the group fails every spec in
-// it, so the caller always has an outcome to settle each claim with.
+// built fails alone, and so does one whose result is not finite (see
+// nonFinite); a panic anywhere in the group fails every spec in it, so
+// the caller always has an outcome to settle each claim with.
 func simulate(specs []Spec) (res []sim.Result, errs []error, st batchkernel.Stats) {
 	res = make([]sim.Result, len(specs))
 	errs = make([]error, len(specs))
@@ -139,8 +142,32 @@ func simulate(specs []Spec) (res []sim.Result, errs []error, st batchkernel.Stat
 		return res, errs, st
 	}
 	outs, st := batchkernel.Run(m, first.n.App, lanes)
-	for k, out := range outs {
+	for k := range outs {
+		out := &outs[k]
+		if field, x := nonFinite(reflect.ValueOf(&out.Result).Elem()); out.Err == nil && field != "" {
+			out.Err = fmt.Errorf("engine: the run's result field %s is %v, not a finite number", field, x)
+		}
 		res[idx[k]], errs[idx[k]] = out.Result, out.Err
 	}
 	return res, errs, st
+}
+
+// nonFinite returns the name and value of the first float64 field of v,
+// a struct (a sim.Result), that is NaN or ±Inf, or "". simulate fails
+// such a run, so it is neither cached nor stored, and a server answers
+// with its error: JSON has no spelling for the value.
+func nonFinite(v reflect.Value) (field string, x float64) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			if sub, x := nonFinite(f); sub != "" {
+				return v.Type().Field(i).Name + "." + sub, x
+			}
+		case reflect.Float64:
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				return v.Type().Field(i).Name, x
+			}
+		}
+	}
+	return "", 0
 }

@@ -365,18 +365,17 @@ var raceEnabled bool
 
 // TestKeyEncodingAllocatesNothing: Key and MachineKey resolve a spec in
 // a holder borrowed from a pool, encode it on the stack and hash it, so
-// they allocate nothing for every technique whose defaults hold no
-// slice — base, tuning, voltctl, damping, convctl and dual-band — on
-// every network kind's default (the multi-domain default's slices are
-// shared). It does not run under the race detector, whose sync.Pool
-// drops a random share of the holders put back.
+// they allocate nothing for every technique kind on every network kind's
+// default: the multi-domain default's slices and the wavelet default's
+// scales are shared, and the domain-tuning controller list is derived
+// into the holder. It does not run under the race detector, whose
+// sync.Pool drops a random share of the holders put back.
 func TestKeyEncodingAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are randomized under the race detector")
 	}
-	techs := []TechniqueKind{TechniqueNone, TechniqueTuning, TechniqueVoltageControl, TechniqueDamping, TechniqueConvolution, TechniqueDualBand}
 	for _, kind := range circuit.NetworkKinds() {
-		for _, tech := range techs {
+		for _, tech := range Kinds() {
 			s := Spec{App: "swim", Instructions: 300_000, Technique: tech, PDN: &circuit.NetworkConfig{Kind: kind}}
 			for _, f := range []struct {
 				name string

@@ -3,13 +3,13 @@ package engine
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -31,24 +31,20 @@ import (
 // so every canonical encoding — and therefore every key — changed);
 // version 4 marks the single network selector (sim.Config lost Supply
 // and TwoStageSupply, and a spec without a network now encodes the
-// lumped Table 1 network explicitly, changing every key again).
-const diskCacheVersion = 4
-
-// diskEntry is the JSON envelope of one cached result. JSON float64
-// encoding is shortest-round-trip, so a reloaded Result is bit-identical
-// to the simulated one (pinned by TestDiskCacheRoundTrip).
-type diskEntry struct {
-	Version int        `json:"v"`
-	Result  sim.Result `json:"result"`
-}
+// lumped Table 1 network explicitly, changing every key again); version
+// 5 marks the binary entry (see appendEntry), which replaced a JSON
+// object per line, with keys unchanged.
+const diskCacheVersion = 5
 
 // diskCache is the engine's persistent second cache tier, so a later
 // process (a warm CI golden run, a repeated sweep) serves finished
 // Results without simulating. Every result is found under its own name,
 // <dir>/<64-hex key>.json, but one simulated lockstep group is one file:
-// a line per member (the member's 64-hex key, a space, its diskEntry
-// JSON), hard-linked under every member's name. The file's last line
-// names its commit point: store links every other name before it
+// a line per member (the member's 64-hex key, a space, its entry; see
+// appendEntry), hard-linked under every member's name. The content is
+// not JSON; the suffix stays because DiskCacheKeys, the shard coordinator
+// and gc find entries, an earlier version's too, by it. The file's last
+// line names its commit point: store links every other name before it
 // renames the file onto that one, so a file reachable under its last
 // line's name finished publishing, and such a committed file serves
 // every line it holds, whichever name it is opened by. A file not (or
@@ -189,54 +185,111 @@ func entryOf(blob []byte, key Key) (res sim.Result, err error) {
 	return res, err
 }
 
-// decodeEntry decodes one line's entry, after its key and space: by
-// decodeFast if it can, else by encoding/json, which decides the error.
-func decodeEntry(body []byte) (sim.Result, error) {
-	if res, ok := decodeFast(body); ok {
-		return res, nil
+// entryWords is the number of sim.Result's fixed-width fields, and
+// entryStack the payload size appendEntry and decodeEntry keep on the
+// stack, which only a client's long workload name exceeds.
+const entryWords, entryStack = 15, 256
+
+// appendEntry appends r's entry as store writes it, after the line's key
+// and space: the lower-case hex of a payload of
+//
+//   - the version byte, diskCacheVersion;
+//   - App, then Technique, each a uvarint length and the bytes (a custom
+//     workload's name comes from the client and has no bound);
+//   - sim.Result's fixed-width fields in declaration order, Tech's four
+//     counters last, each 8 bytes little-endian, a float64 as its bits.
+//
+// Hex keeps every entry on one line, so the line walker, the commit
+// point and gc read a file as they read any other, and the bits keep a
+// result exact, -0 and NaN payloads included.
+func appendEntry(b []byte, r *sim.Result) []byte {
+	var stack [entryStack]byte
+	p := append(stack[:0], diskCacheVersion)
+	p = append(binary.AppendUvarint(p, uint64(len(r.App))), r.App...)
+	p = append(binary.AppendUvarint(p, uint64(len(r.Technique))), r.Technique...)
+	f := math.Float64bits
+	for _, w := range [entryWords]uint64{
+		r.Cycles, r.Instructions, f(r.IPC), f(r.EnergyJ), f(r.PhantomJ),
+		r.Violations, f(r.ViolationFraction), f(r.PeakDeviationV),
+		f(r.MeanAmps), f(r.MinAmps), f(r.MaxAmps),
+		r.Tech.ControllerCycles, r.Tech.FirstLevelCycles, r.Tech.SecondLevelCycles, r.Tech.ResponseCycles,
+	} {
+		p = binary.LittleEndian.AppendUint64(p, w)
 	}
-	var en diskEntry
-	if err := json.Unmarshal(body, &en); err != nil {
-		return sim.Result{}, err
-	}
-	if en.Version != diskCacheVersion {
-		return sim.Result{}, errNoEntry
-	}
-	return en.Result, nil
+	return hex.AppendEncode(b, p)
 }
 
-// decodeFast decodes the one shape store writes — diskEntry's and
-// sim.Result's fields in declaration order, spelt as encoding/json
-// spells them, with no whitespace or trailing bytes — and reports
-// whether body has it. It takes strings only of printable ASCII without
-// '"' or '\\', and JSON numbers through the strconv calls encoding/json
-// makes, so it decodes a line exactly as json.Unmarshal does. A Result
-// field not listed below makes every line fall back, not misdecode.
-func decodeFast(body []byte) (r sim.Result, ok bool) {
-	p := entryParser{body}
-	var v uint64
-	t := &r.Tech
-	ok = p.lit(`{"v":`) && p.uint(&v) && v == diskCacheVersion &&
-		p.lit(`,"result":{"App":"`) && p.str(&r.App) &&
-		p.lit(`,"Technique":"`) && p.str(&r.Technique) &&
-		p.lit(`,"Cycles":`) && p.uint(&r.Cycles) &&
-		p.lit(`,"Instructions":`) && p.uint(&r.Instructions) &&
-		p.lit(`,"IPC":`) && p.float(&r.IPC) &&
-		p.lit(`,"EnergyJ":`) && p.float(&r.EnergyJ) &&
-		p.lit(`,"PhantomJ":`) && p.float(&r.PhantomJ) &&
-		p.lit(`,"Violations":`) && p.uint(&r.Violations) &&
-		p.lit(`,"ViolationFraction":`) && p.float(&r.ViolationFraction) &&
-		p.lit(`,"PeakDeviationV":`) && p.float(&r.PeakDeviationV) &&
-		p.lit(`,"MeanAmps":`) && p.float(&r.MeanAmps) &&
-		p.lit(`,"MinAmps":`) && p.float(&r.MinAmps) &&
-		p.lit(`,"MaxAmps":`) && p.float(&r.MaxAmps) &&
-		p.lit(`,"Tech":{"ControllerCycles":`) && p.uint(&t.ControllerCycles) &&
-		p.lit(`,"FirstLevelCycles":`) && p.uint(&t.FirstLevelCycles) &&
-		p.lit(`,"SecondLevelCycles":`) && p.uint(&t.SecondLevelCycles) &&
-		p.lit(`,"ResponseCycles":`) && p.uint(&t.ResponseCycles) &&
-		p.lit(`}}}`) && len(p.b) == 0
-	return r, ok
+// decodeEntry decodes one line's entry, after its key and space. It
+// takes only the bytes appendEntry writes for the Result it returns —
+// lower-case hex digits, the current version, minimal lengths and
+// nothing after the last field — and anything else is errNoEntry: a line
+// of another version (every JSON line of an earlier build, which starts
+// with '{'), or a corrupt one.
+func decodeEntry(body []byte) (r sim.Result, err error) {
+	var stack [entryStack]byte
+	p := stack[:min(len(body)/2, entryStack)]
+	if len(p) < len(body)/2 {
+		p = make([]byte, len(body)/2)
+	}
+	if len(body)%2 != 0 || !unhexLower(p, body) || len(p) == 0 || p[0] != diskCacheVersion {
+		return r, errNoEntry
+	}
+	var okApp, okTech bool
+	r.App, p, okApp = entryString(p[1:])
+	r.Technique, p, okTech = entryString(p)
+	if !okApp || !okTech || len(p) != 8*entryWords {
+		return sim.Result{}, errNoEntry
+	}
+	var w [entryWords]uint64
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(p[8*i:])
+	}
+	f := math.Float64frombits
+	r.Cycles, r.Instructions, r.IPC, r.EnergyJ, r.PhantomJ = w[0], w[1], f(w[2]), f(w[3]), f(w[4])
+	r.Violations, r.ViolationFraction, r.PeakDeviationV = w[5], f(w[6]), f(w[7])
+	r.MeanAmps, r.MinAmps, r.MaxAmps = f(w[8]), f(w[9]), f(w[10])
+	r.Tech = sim.TechStats{ControllerCycles: w[11], FirstLevelCycles: w[12], SecondLevelCycles: w[13], ResponseCycles: w[14]}
+	return r, nil
 }
+
+// entryString splits a string field off the front of p: its uvarint
+// length, in the fewest bytes (binary.Uvarint also takes longer forms,
+// whose last byte is 0), then the bytes. A string resultNames holds is
+// that one, not a copy of the line's bytes.
+func entryString(p []byte) (s string, rest []byte, ok bool) {
+	n, w := binary.Uvarint(p)
+	if w <= 0 || w > 1 && p[w-1] == 0 || n > uint64(len(p)-w) {
+		return "", nil, false
+	}
+	b := p[w : w+int(n)]
+	if s, ok = resultNames[string(b)]; !ok {
+		s = string(b)
+	}
+	return s, p[w+int(n):], true
+}
+
+// unhexLower decodes src, two lower-case hex digits per byte, into dst,
+// and reports whether every digit was one (hex.Decode also takes upper
+// case).
+func unhexLower(dst, src []byte) bool {
+	for i := range dst {
+		hi, lo := hexDigit[src[2*i]], hexDigit[src[2*i+1]]
+		if hi|lo > 0xf {
+			return false
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return true
+}
+
+// hexDigit is each byte's value as a lower-case hex digit, 0xff if it is
+// none.
+var hexDigit = func() (t [256]byte) {
+	for c := range t {
+		t[c] = byte(strings.IndexByte("0123456789abcdef", byte(c)))
+	}
+	return t
+}()
 
 // resultNames holds the strings a stored Result's App and Technique
 // usually spell — every Table 2 application, the base machine's label
@@ -256,92 +309,6 @@ var resultNames = func() map[string]string {
 	}
 	return m
 }()
-
-// entryParser's methods consume and report what decodeFast expects next.
-type entryParser struct{ b []byte }
-
-func (p *entryParser) lit(s string) bool {
-	ok := len(p.b) >= len(s) && string(p.b[:len(s)]) == s
-	if ok {
-		p.b = p.b[len(s):]
-	}
-	return ok
-}
-
-// str consumes the rest of a string, its opening quote already taken.
-// A string resultNames holds is that one, not a copy of the line's bytes.
-func (p *entryParser) str(v *string) bool {
-	for n, c := range p.b {
-		if c == '"' {
-			s, ok := resultNames[string(p.b[:n])]
-			if !ok {
-				s = string(p.b[:n])
-			}
-			*v, p.b = s, p.b[n+1:]
-			return true
-		}
-		if c < ' ' || c > '~' || c == '\\' {
-			return false
-		}
-	}
-	return false
-}
-
-// uint and float parse a number as encoding/json does for their types.
-func (p *entryParser) uint(v *uint64) bool {
-	x, err := strconv.ParseUint(string(p.number()), 10, 64)
-	*v = x
-	return err == nil
-}
-
-func (p *entryParser) float(v *float64) bool {
-	x, err := strconv.ParseFloat(string(p.number()), 64)
-	*v = x
-	return err == nil
-}
-
-// number consumes the JSON number the line goes on with,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it, or nil
-// if there is none. strconv alone would also take forms JSON refuses,
-// such as "Inf", "0x1p-2", "+1" and ".5".
-func (p *entryParser) number() []byte {
-	b, n := p.b, 0
-	if n < len(b) && b[n] == '-' {
-		n++
-	}
-	if n < len(b) && b[n] == '0' {
-		n++
-	} else if n = digits(b, n); n < 0 {
-		return nil
-	}
-	if n < len(b) && b[n] == '.' {
-		if n = digits(b, n+1); n < 0 {
-			return nil
-		}
-	}
-	if n < len(b) && (b[n] == 'e' || b[n] == 'E') {
-		if n++; n < len(b) && (b[n] == '+' || b[n] == '-') {
-			n++
-		}
-		if n = digits(b, n); n < 0 {
-			return nil
-		}
-	}
-	p.b = b[n:]
-	return b[:n]
-}
-
-// digits returns the end of the decimal digits at b[i:], or -1 if none.
-func digits(b []byte, i int) int {
-	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
-	}
-	if j == i {
-		return -1
-	}
-	return j
-}
 
 // lineKey is a key as a file's line spells it: Key.Hex's 64 lower-case
 // digits. A line spelling its key any other way (upper-case digits, say)
@@ -378,9 +345,9 @@ const gcTmpAge = time.Hour
 // served again and whose bytes would otherwise leak forever:
 //
 //   - entries written under a different diskCacheVersion — a version
-//     bump changes the Result schema, and because the spec key does not
-//     encode the schema version the old file name is never rewritten by
-//     the new version either: without a sweep v1 entries orphan forever;
+//     bump changes the entry schema, and an old file is rewritten only
+//     when its spec runs again, which never happens after a bump that
+//     changed every key: without a sweep such entries orphan forever;
 //   - corrupt entries, and files from before results were stored by
 //     line (load already treats them as misses, but only a
 //     re-simulation of the exact same key would replace them);
@@ -444,21 +411,13 @@ func (d *diskCache) gc() (removed int) {
 // process) sees a name's complete file or none, never a torn one, and a
 // crash mid-publish leaves some names served and the rest missing.
 func (d *diskCache) store(keys []Key, res []sim.Result) (landed int) {
-	var buf bytes.Buffer
-	names := make([]string, 0, len(keys))
+	var buf []byte
+	names := make([]string, len(keys))
 	for k, key := range keys {
-		blob, err := json.Marshal(diskEntry{Version: diskCacheVersion, Result: res[k]})
-		if err != nil {
-			continue
-		}
-		buf.WriteString(key.Hex())
-		buf.WriteByte(' ')
-		buf.Write(blob)
-		buf.WriteByte('\n')
-		names = append(names, d.path(key))
-	}
-	if len(names) == 0 {
-		return 0
+		h := key.lineKey()
+		buf = append(append(buf, h[:]...), ' ')
+		buf = append(appendEntry(buf, &res[k]), '\n')
+		names[k] = d.name(h)
 	}
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return 0
@@ -467,7 +426,7 @@ func (d *diskCache) store(keys []Key, res []sim.Result) (landed int) {
 	if err != nil {
 		return 0
 	}
-	_, werr := tmp.Write(buf.Bytes())
+	_, werr := tmp.Write(buf)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

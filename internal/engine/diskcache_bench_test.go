@@ -11,8 +11,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // systemCPU is the system CPU time the process has used so far.
@@ -139,23 +137,17 @@ func BenchmarkRunKeyedDiskHit(b *testing.B) {
 
 // BenchmarkDecodeEntry times decodeEntry on a real service-zipf line,
 // the longest of one application's (a controller's, its cycle counts
-// set), beside the frozen encoding/json reference it is checked against
-// (TestDecodeEntryMatchesJSON).
+// set).
 func BenchmarkDecodeEntry(b *testing.B) {
 	line := slices.MaxFunc(storedLines(b, "swim"), func(a, b []byte) int { return len(a) - len(b) })
-	for _, bc := range []struct {
-		name   string
-		decode func([]byte) (sim.Result, error)
-	}{{"entry", decodeEntry}, {"json-reference", decodeEntryJSON}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.decode(line); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("entry", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeEntry(line); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSpecKey times Spec.Key over serviceGrid, the per-spec cost of

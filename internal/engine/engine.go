@@ -34,9 +34,10 @@ type Options struct {
 	DiskCacheDir string
 	// DiskCacheGC, with DiskCacheDir set, sweeps the cache directory
 	// once at engine construction, deleting files that can never be
-	// served again: entries written under another schema version (a
-	// version bump changes every key, so old entries orphan forever),
-	// corrupt entries, and abandoned tmp-* files from crashed writers.
+	// served again: entries written under another schema version (an
+	// old entry is rewritten only when its spec runs again, so after a
+	// bump that changed every key old entries orphan forever), corrupt
+	// entries, and abandoned tmp-* files from crashed writers.
 	// The sweep is best-effort and safe to run concurrently with other
 	// processes using the same directory.
 	DiskCacheGC bool

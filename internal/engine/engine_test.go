@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -190,5 +191,41 @@ func TestInvalidConfigIsError(t *testing.T) {
 	}
 	if _, err := Execute(bogus); err == nil || err.Error() != verr.Error() {
 		t.Errorf("Execute returned %v, want Validate's %v", err, verr)
+	}
+}
+
+// nonFiniteSpec passes ValidKey but simulates to a Result holding +Inf:
+// the Table 1 system with a peak power no float64 sum can hold.
+func nonFiniteSpec() Spec {
+	cfg := sim.DefaultConfig()
+	cfg.Power.PeakWatts = 1e308
+	return Spec{App: "swim", Instructions: 2_000, System: &cfg}
+}
+
+// TestNonFiniteResultFails: a run whose Result holds NaN or ±Inf fails
+// with an error naming the field, through Execute and RunAll alike; it
+// is neither cached in memory nor stored on disk, so a second run
+// simulates again.
+func TestNonFiniteResultFails(t *testing.T) {
+	spec := nonFiniteSpec()
+	if _, err := spec.ValidKey(); err != nil {
+		t.Fatalf("the spec does not pass ValidKey: %v", err)
+	}
+	const want = "result field PeakDeviationV is +Inf"
+	if _, err := Execute(spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Execute: error %v, want one containing %q", err, want)
+	}
+	dir := t.TempDir()
+	e := New(Options{DiskCacheDir: dir})
+	for run := 1; run <= 2; run++ {
+		if _, err := e.RunAll(context.Background(), []Spec{spec}, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: RunAll error %v, want one containing %q", run, err, want)
+		}
+		if st := e.CacheStats(); st.Misses != uint64(run) || st.Entries != 0 || st.DiskWrites != 0 || st.DiskWriteErrors != 0 {
+			t.Errorf("run %d: stats %s, want %d misses and nothing cached or stored", run, counters(st), run)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("run %d: the disk tier holds %d names, want none", run, len(files))
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -77,31 +79,8 @@ func storedLines(tb testing.TB, apps ...string) [][]byte {
 	return lines
 }
 
-// decodeEntryJSON is decodeEntry as it was before decodeFast, frozen as
-// the reference the decoder is checked against.
-func decodeEntryJSON(body []byte) (sim.Result, error) {
-	var en diskEntry
-	if err := json.Unmarshal(body, &en); err != nil {
-		return sim.Result{}, err
-	}
-	if en.Version != diskCacheVersion {
-		return sim.Result{}, errNoEntry
-	}
-	return en.Result, nil
-}
-
-// entryLine is a result's entry as store writes it.
-func entryLine(tb testing.TB, res sim.Result) []byte {
-	tb.Helper()
-	line, err := json.Marshal(diskEntry{Version: diskCacheVersion, Result: res})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return line
-}
-
 // sameBits reports whether two Results agree in every field, floats bit
-// for bit: == and reflect.DeepEqual take -0 for 0.
+// for bit: == and reflect.DeepEqual take -0 for 0, and NaN for unequal.
 func sameBits(a, b sim.Result) bool {
 	return sameFieldBits(reflect.ValueOf(a), reflect.ValueOf(b))
 }
@@ -122,35 +101,35 @@ func sameFieldBits(a, b reflect.Value) bool {
 	}
 }
 
-// agreeWithJSON fails tb unless decodeEntry and the frozen reference
-// give line the same error, or the same Result bit for bit.
-func agreeWithJSON(tb testing.TB, line []byte) {
+// exactEntry fails tb unless line is refused with errNoEntry or decodes
+// to a Result whose entry, as store writes it, is line byte for byte.
+func exactEntry(tb testing.TB, line []byte) {
 	tb.Helper()
-	got, err := decodeEntry(line)
-	want, werr := decodeEntryJSON(line)
+	res, err := decodeEntry(line)
 	switch {
-	case (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error():
-		tb.Fatalf("line %q: decodeEntry error %v, encoding/json error %v", line, err, werr)
-	case !sameBits(got, want):
-		tb.Fatalf("line %q: decodeEntry gives\n%+v\nencoding/json gives\n%+v", line, got, want)
+	case err != nil && !errors.Is(err, errNoEntry):
+		tb.Fatalf("line %q: error %v, want errNoEntry", line, err)
+	case err == nil && !bytes.Equal(appendEntry(nil, &res), line):
+		tb.Fatalf("line %q decodes to\n%+v\nwhose entry is\n%q", line, res, appendEntry(nil, &res))
 	}
 }
 
 // cornerFloats, cornerUints and cornerStrings are the values a random
 // Result's fields are drawn from, besides random ones: signed zeros,
-// subnormals, the ends of float64's range and of its shortest decimal
-// forms' 'f' and 'e' spellings, the largest uint64, and names that
-// encoding/json escapes or that are not ASCII.
+// subnormals, the ends of float64's range, infinities and NaNs with
+// payloads, the largest uint64, and names of every uvarint length up to
+// three bytes, with quotes, backslashes, control and non-ASCII bytes.
 var (
 	cornerFloats = []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		0x1p-1022, 0x1.fffffffffffffp-1023, 1e308, -1e308, 1e-308, -1e-308, math.MaxFloat64, -math.MaxFloat64,
-		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 1, -1, 0.1, 123456789.125,
+		0x1p-1022, 0x1.fffffffffffffp-1023, 1e308, -1e308, math.MaxFloat64, -math.MaxFloat64,
+		1, -1, 0.1, 123456789.125, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc), math.Float64frombits(0x7fffffffffffffff),
 	}
-	cornerUints   = []uint64{0, 1, 9, 10, math.MaxUint64, math.MaxUint64 - 1, 1 << 63, 1<<53 + 1}
+	cornerUints   = []uint64{0, 1, 9, 10, 127, 128, math.MaxUint64, math.MaxUint64 - 1, 1 << 63, 1<<53 + 1}
 	cornerStrings = []string{
-		"", "swim", "resonance-tuning", strings.Repeat("lucas", 400), `a"b`, `a\b`, "<lt>", "a&b",
-		"ctl\x01", "tab\t", "nl\n", "del\x7f", "é", "\xff\xfe", " ", " ~!#$%'()*+,-./:;=?@[]^_`{|}",
+		"", "swim", "resonance-tuning", strings.Repeat("x", 127), strings.Repeat("y", 128), strings.Repeat("lucas", 400),
+		strings.Repeat("z", 1<<14), `a"b`, `a\b`, "ctl\x01", "nul\x00", "tab\t", "nl\n", "del\x7f", "é", "\xff\xfe", " ",
 	}
 )
 
@@ -173,17 +152,8 @@ func randomFields(v reflect.Value, r *rand.Rand) {
 			v.SetString(cornerStrings[r.Intn(len(cornerStrings))])
 			return
 		}
-		// Mostly printable ASCII that encoding/json writes unescaped,
-		// sometimes any byte.
 		b := make([]byte, r.Intn(40))
-		for i := range b {
-			switch b[i] = byte(' ' + r.Intn('~'-' '+1)); {
-			case r.Intn(64) == 0:
-				b[i] = byte(r.Intn(256))
-			case strings.IndexByte(`"\<>&`, b[i]) >= 0:
-				b[i] = '_'
-			}
-		}
+		r.Read(b)
 		v.SetString(string(b))
 	case reflect.Uint64:
 		if r.Intn(2) == 0 {
@@ -195,12 +165,8 @@ func randomFields(v reflect.Value, r *rand.Rand) {
 		switch r.Intn(4) {
 		case 0:
 			v.SetFloat(cornerFloats[r.Intn(len(cornerFloats))])
-		case 1: // any finite float64, subnormals included
-			f := math.Float64frombits(r.Uint64())
-			for math.IsNaN(f) || math.IsInf(f, 0) {
-				f = math.Float64frombits(r.Uint64())
-			}
-			v.SetFloat(f)
+		case 1: // any bits: subnormals, infinities and NaNs included
+			v.SetFloat(math.Float64frombits(r.Uint64()))
 		case 2:
 			v.SetFloat(math.Float64frombits(r.Uint64() & (1<<52 - 1))) // subnormal
 		default:
@@ -211,77 +177,72 @@ func randomFields(v reflect.Value, r *rand.Rand) {
 	}
 }
 
-// plainStrings reports whether every string in res is one that
-// encoding/json writes unescaped and decodeFast takes: printable ASCII
-// other than '"', '\\', '<', '>' and '&'.
-func plainStrings(res sim.Result) bool {
-	for _, s := range []string{res.App, res.Technique} {
-		for i := 0; i < len(s); i++ {
-			if c := s[i]; c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestDecodeEntryMatchesJSON: decodeEntry gives every line the error, or
-// the Result bit for bit, that the frozen encoding/json reference gives
-// it — over random Results as store writes them, and over every one-byte
-// substitution, insertion and deletion of real lines. Every line store
-// writes whose strings it does not escape takes the fast path.
-func TestDecodeEntryMatchesJSON(t *testing.T) {
+// TestDecodeEntryRoundTrip: every random Result comes back from its
+// entry bit for bit, and decoding is exact — every truncation and every
+// one-byte substitution, insertion and deletion of two real lines either
+// is refused or decodes to a Result whose entry is the mutated line —
+// so a laxer reading (upper-case digits, an overlong length, trailing
+// bytes, another version) never serves a line.
+func TestDecodeEntryRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
-	fast := 0
 	for n := 0; n < 10_000; n++ {
 		want := randomResult(r)
-		line := entryLine(t, want)
-		agreeWithJSON(t, line)
-		got, ok := decodeFast(line)
-		if plainStrings(want) && !ok {
-			t.Fatalf("stored line %q fell back to encoding/json", line)
-		}
-		if ok {
-			fast++
-			if !sameBits(got, want) {
-				t.Fatalf("line %q decodes to\n%+v\nwant\n%+v", line, got, want)
-			}
+		line := appendEntry(nil, &want)
+		got, err := decodeEntry(line)
+		if err != nil || !sameBits(got, want) {
+			t.Fatalf("line %q decodes to\n%+v (%v)\nwant\n%+v", line, got, err, want)
 		}
 	}
-	t.Logf("%d of 10,000 random lines took the fast path", fast)
 
 	lines := storedLines(t, "swim", "mcf")
-	for _, line := range lines {
-		if _, ok := decodeFast(line); !ok {
-			t.Fatalf("stored line %q fell back to encoding/json", line)
-		}
-	}
 	// The base machine's line on the lumped network, and the longest:
 	// a controller's, with its cycle counts set.
 	longest := slices.MaxFunc(lines, func(a, b []byte) int { return len(a) - len(b) })
 	for _, line := range [][]byte{lines[0], longest} {
+		exactEntry(t, line)
 		m := make([]byte, 0, len(line)+1)
 		for i := 0; i <= len(line); i++ {
+			exactEntry(t, line[:i])
 			for c := 0; c < 256; c++ {
 				if i < len(line) {
 					m = append(append(append(m[:0], line[:i]...), byte(c)), line[i+1:]...)
-					agreeWithJSON(t, m)
+					exactEntry(t, m)
 				}
 				m = append(append(append(m[:0], line[:i]...), byte(c)), line[i:]...)
-				agreeWithJSON(t, m)
+				exactEntry(t, m)
 			}
 			if i < len(line) {
-				agreeWithJSON(t, append(append(m[:0], line[:i]...), line[i+1:]...))
+				exactEntry(t, append(append(m[:0], line[:i]...), line[i+1:]...))
 			}
+		}
+	}
+
+	// Lines a laxer decoder would read as lines[0]'s Result.
+	p, err := hex.DecodeString(string(lines[0]))
+	if err != nil || p[1] >= 0x80 {
+		t.Fatalf("payload %x (%v): want a one-byte App length", p, err)
+	}
+	overlong := append([]byte{p[0], p[1] | 0x80, 0}, p[2:]...)
+	v4 := append([]byte{4}, p[1:]...)
+	for _, bad := range [][]byte{
+		bytes.ToUpper(lines[0]),
+		hex.AppendEncode(nil, overlong),
+		append(slices.Clip(lines[0]), "00"...),
+		hex.AppendEncode(nil, v4),
+		[]byte(v4Entry()),
+	} {
+		if _, err := decodeEntry(bad); !errors.Is(err, errNoEntry) {
+			t.Errorf("line %q: error %v, want errNoEntry", bad, err)
 		}
 	}
 }
 
 // TestDecodeStoredLineAllocatesNothing: decodeEntry decodes every line a
 // service-zipf cold pass writes for one application — each technique on
-// each network kind that validates it — without allocating: its numbers
-// parse in place, and its App and Technique strings are resultNames'
-// own. TestDecodeEntryMatchesJSON decides that the results are right.
+// each network kind that validates it — without allocating: its payload
+// is decoded on the stack, and its App and Technique strings are
+// resultNames' own. TestDecodeEntryRoundTrip decides that the results
+// are right.
 func TestDecodeStoredLineAllocatesNothing(t *testing.T) {
 	for _, line := range storedLines(t, "swim") {
 		allocs := testing.AllocsPerRun(20, func() {
@@ -295,28 +256,30 @@ func TestDecodeStoredLineAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEntry: decodeEntry agrees with the frozen encoding/json
-// reference on any line, seeded with real service-zipf lines and lines
-// of the corner-case values.
+// FuzzDecodeEntry: decodeEntry never panics, and refuses any line but
+// the exact entry of the Result it decodes to, seeded with real
+// service-zipf lines and the entries of corner-case Results.
 func FuzzDecodeEntry(f *testing.F) {
 	for _, line := range storedLines(f, "swim") {
 		f.Add(line)
 	}
 	r := rand.New(rand.NewSource(31))
 	for n := 0; n < 32; n++ {
-		f.Add(entryLine(f, randomResult(r)))
+		res := randomResult(r)
+		f.Add(appendEntry(nil, &res))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		agreeWithJSON(t, line)
+		exactEntry(t, line)
 	})
 }
 
 // TestDecodeEntryCoversResult: a Result with every field set to a
-// distinct non-zero value, as store writes it, takes the fast path and
-// comes back equal. A Result field decodeFast does not name fails here.
+// distinct non-zero value comes back from its entry equal, and the entry
+// holds one fixed-width word per numeric field. A Result field the codec
+// does not name fails here.
 func TestDecodeEntryCoversResult(t *testing.T) {
 	var want sim.Result
-	n := 0
+	n, words := 0, 0
 	var set func(v reflect.Value)
 	set = func(v reflect.Value) {
 		switch v.Kind() {
@@ -329,27 +292,40 @@ func TestDecodeEntryCoversResult(t *testing.T) {
 			v.SetString(fmt.Sprintf("field-%d", n+1))
 		case reflect.Uint64:
 			v.SetUint(uint64(n + 1))
+			words++
 		case reflect.Float64:
 			v.SetFloat(float64(n+1) + 0.25)
+			words++
 		default:
 			t.Fatalf("Result field of kind %s", v.Kind())
 		}
 		n++
 	}
 	set(reflect.ValueOf(&want).Elem())
-	line := entryLine(t, want)
-	got, ok := decodeFast(line)
-	if !ok {
-		t.Fatalf("line %s fell back to encoding/json: decodeFast does not read every field of sim.Result", line)
+	if words != entryWords {
+		t.Fatalf("sim.Result has %d fixed-width fields, the entry stores %d", words, entryWords)
 	}
-	if !sameBits(got, want) {
-		t.Fatalf("line %s decodes to\n%+v\nwant\n%+v", line, got, want)
+	line := appendEntry(nil, &want)
+	got, err := decodeEntry(line)
+	if err != nil || !sameBits(got, want) {
+		t.Fatalf("line %s decodes to\n%+v (%v)\nwant\n%+v", line, got, err, want)
 	}
 }
 
+// v4GroupFile is the file an earlier build, at diskCacheVersion 4 (one
+// JSON object per line), wrote for TestDiskEntryBytesPinned's results.
+const v4GroupFile = `a7937b64b8caa58f03721bb6bacf5c78cb235febe0e70b1b84cd99541461a08e {"v":4,"result":{"App":"swim","Technique":"resonance-tuning","Cycles":2345,"Instructions":2000,"IPC":0.8528784648187633,"EnergyJ":1.2345e-7,"PhantomJ":3.5e-9,"Violations":3,"ViolationFraction":0.0012793176972281449,"PeakDeviationV":0.0512,"MeanAmps":31.5,"MinAmps":12.25,"MaxAmps":64,"Tech":{"ControllerCycles":2345,"FirstLevelCycles":10,"SecondLevelCycles":2,"ResponseCycles":12}}}
+16367aacb67a4a017c8da8ab95682ccb390863780f7114dda0a0e0c55644c7c4 {"v":4,"result":{"App":"parser","Technique":"base","Cycles":18446744073709551615,"Instructions":1,"IPC":-0,"EnergyJ":1e+21,"PhantomJ":5e-324,"Violations":0,"ViolationFraction":1,"PeakDeviationV":-1e-7,"MeanAmps":1e+308,"MinAmps":0,"MaxAmps":0,"Tech":{"ControllerCycles":0,"FirstLevelCycles":0,"SecondLevelCycles":0,"ResponseCycles":0}}}
+`
+
+// v4Entry is v4GroupFile's first line after its key and space.
+func v4Entry() string {
+	line, _, _ := strings.Cut(v4GroupFile, "\n")
+	return line[len(lineKey{})+1:]
+}
+
 // TestDiskEntryBytesPinned: a two-member group's file is exactly the
-// bytes below, so neither the line shape decodeFast reads nor the
-// directories earlier builds wrote can drift unnoticed.
+// bytes below, so the line format cannot drift unnoticed.
 func TestDiskEntryBytesPinned(t *testing.T) {
 	keys := []Key{sha256.Sum256([]byte("first")), sha256.Sum256([]byte("second"))}
 	res := []sim.Result{{
@@ -365,8 +341,8 @@ func TestDiskEntryBytesPinned(t *testing.T) {
 		IPC: math.Copysign(0, -1), EnergyJ: 1e21, PhantomJ: math.SmallestNonzeroFloat64,
 		ViolationFraction: 1, PeakDeviationV: -1e-7, MeanAmps: 1e308,
 	}}
-	const want = `a7937b64b8caa58f03721bb6bacf5c78cb235febe0e70b1b84cd99541461a08e {"v":4,"result":{"App":"swim","Technique":"resonance-tuning","Cycles":2345,"Instructions":2000,"IPC":0.8528784648187633,"EnergyJ":1.2345e-7,"PhantomJ":3.5e-9,"Violations":3,"ViolationFraction":0.0012793176972281449,"PeakDeviationV":0.0512,"MeanAmps":31.5,"MinAmps":12.25,"MaxAmps":64,"Tech":{"ControllerCycles":2345,"FirstLevelCycles":10,"SecondLevelCycles":2,"ResponseCycles":12}}}
-16367aacb67a4a017c8da8ab95682ccb390863780f7114dda0a0e0c55644c7c4 {"v":4,"result":{"App":"parser","Technique":"base","Cycles":18446744073709551615,"Instructions":1,"IPC":-0,"EnergyJ":1e+21,"PhantomJ":5e-324,"Violations":0,"ViolationFraction":1,"PeakDeviationV":-1e-7,"MeanAmps":1e+308,"MinAmps":0,"MaxAmps":0,"Tech":{"ControllerCycles":0,"FirstLevelCycles":0,"SecondLevelCycles":0,"ResponseCycles":0}}}
+	const want = `a7937b64b8caa58f03721bb6bacf5c78cb235febe0e70b1b84cd99541461a08e 05047377696d107265736f6e616e63652d74756e696e672909000000000000d0070000000000002e7f3bc7c74aeb3f8edbffaeb591803e84f743d694102e3e03000000000000009e34eeead8f5543f2d431cebe236aa3f0000000000803f400000000000802840000000000000504029090000000000000a0000000000000002000000000000000c00000000000000
+16367aacb67a4a017c8da8ab95682ccb390863780f7114dda0a0e0c55644c7c4 05067061727365720462617365ffffffffffffffff0100000000000000000000000000008050efe2d6e41a4b4401000000000000000000000000000000000000000000f03f48afbc9af2d77abea0c8eb85f3cce17f000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
 `
 	d := diskCache{dir: t.TempDir()}
 	if landed := d.store(keys, res); landed != len(keys) {
@@ -380,15 +356,69 @@ func TestDiskEntryBytesPinned(t *testing.T) {
 		if string(blob) != want {
 			t.Fatalf("file under key %d holds\n%s\nwant\n%s", k, blob, want)
 		}
-		eachEntry(blob, func(lk lineKey, body []byte) bool {
-			if lk != key.lineKey() {
-				return true
-			}
-			if got, ok := decodeFast(body); !ok || !sameBits(got, res[k]) {
-				t.Errorf("key %d: line decodes to %+v (fast path %v), want %+v", k, got, ok, res[k])
-			}
-			return false
-		})
+		if got, err := entryOf(blob, key); err != nil || !sameBits(got, res[k]) {
+			t.Errorf("key %d: line decodes to %+v (%v), want %+v", k, got, err, res[k])
+		}
+	}
+}
+
+// TestDiskCacheVersion4Directory: a directory an earlier build wrote is
+// served by none of its lines. A version 4 line under a real spec's name
+// is one read fault, one miss and one disk write to a fresh engine,
+// which leaves the name holding a current line that a second engine
+// serves from disk; DiskCacheKeys still lists a file holding only
+// version 4 lines, and the gc sweep removes it.
+func TestDiskCacheVersion4Directory(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{App: "swim", Instructions: 2_000, Technique: TechniqueTuning}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := diskCache{dir: dir}
+	if err := os.WriteFile(d.path(key), []byte(key.Hex()+" "+v4Entry()+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := Key(sha256.Sum256([]byte("first")))
+	if err := os.WriteFile(d.path(old), []byte(v4GroupFile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{DiskCacheDir: dir})
+	want, err := e.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.DiskReadErrors != 1 || st.Misses != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats %s, want 1 read fault, 1 miss and 1 disk write", counters(st))
+	}
+	if got, err := d.load(key); err != nil || !sameBits(got, want) {
+		t.Fatalf("the rewritten name loads %+v (%v), want %+v", got, err, want)
+	}
+	e = New(Options{DiskCacheDir: dir})
+	if got, err := e.Run(context.Background(), spec); err != nil || got != want {
+		t.Fatalf("second engine: %+v (%v), want %+v", got, err, want)
+	}
+	if st := e.CacheStats(); st.DiskHits != 1 || st.Misses != 0 || st.DiskReadErrors != 0 {
+		t.Errorf("second engine: stats %s, want 1 disk hit", counters(st))
+	}
+
+	keys, err := DiskCacheKeys(dir)
+	if err != nil || !slices.Contains(keys, old) || !slices.Contains(keys, key) {
+		t.Fatalf("DiskCacheKeys lists %d keys (%v), want the version 4 file's and the spec's", len(keys), err)
+	}
+	e = New(Options{DiskCacheDir: dir, DiskCacheGC: true})
+	if st := e.CacheStats(); st.DiskGCRemoved != 1 {
+		t.Errorf("DiskGCRemoved = %d, want 1 (the version 4 file)", st.DiskGCRemoved)
+	}
+	if _, err := os.Stat(d.path(old)); !os.IsNotExist(err) {
+		t.Errorf("gc left the version 4 file: %v", err)
+	}
+	if _, err := e.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.DiskHits != 1 {
+		t.Errorf("after gc: stats %s, want the spec's current line served from disk", counters(st))
 	}
 }
 

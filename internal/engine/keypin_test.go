@@ -65,8 +65,8 @@ func pinnedSpecs() []struct {
 // a deliberate encoding change must bump diskCacheVersion and regenerate
 // the table.
 func TestContentAddressesPinned(t *testing.T) {
-	if diskCacheVersion != 4 {
-		t.Fatalf("diskCacheVersion = %d: the pins below are disk cache version 4's; regenerate them", diskCacheVersion)
+	if diskCacheVersion != 5 {
+		t.Fatalf("diskCacheVersion = %d: the pins below are disk cache version 5's (and 4's, whose keys 5 kept); regenerate them", diskCacheVersion)
 	}
 	want := []struct{ name, key, wire string }{
 		{"base", "d66a2ff7033bc4ae8a2f4c80e240d9cad42733d2286ba841fdfec3dc1202bd7e",

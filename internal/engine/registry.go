@@ -257,10 +257,11 @@ var techniques = []Descriptor{
 			dt := &r.domainTuning
 			if r.orig.DomainTuning != nil {
 				*dt = *r.orig.DomainTuning
-				dt.Domains = append([]tuning.Config(nil), dt.Domains...)
+				dt.Domains = append(r.domains[:0], dt.Domains...)
 			} else {
-				*dt = DefaultDomainTuningConfig(r.n.System.PDN, 100)
+				*dt = DomainTuningConfig{Domains: appendDefaultDomains(r.domains[:0], r.n.System.PDN, 100)}
 			}
+			r.domains = dt.Domains
 			for d := range dt.Domains {
 				if dt.Domains[d].PhantomTargetAmps == 0 {
 					// The second-level response holds the aggregate mid

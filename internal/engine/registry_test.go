@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -433,5 +434,48 @@ func TestUnusableSupplyIsAnError(t *testing.T) {
 				t.Errorf("%s, %s: ValidKey accepted the supply", tc.name, tech)
 			}
 		}
+	}
+}
+
+// TestSharedWaveletDefaultUnchanged: every wavelet configuration that
+// leaves Scales nil resolves onto one shared default, so nothing that
+// runs on it may write it. Keying, validating, building and simulating
+// a wavelet spec on every network kind — as one batch, and each alone in
+// a traced run — leaves it {32, 64}.
+func TestSharedWaveletDefaultUnchanged(t *testing.T) {
+	a, err := wavelet.Config{}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wavelet.Config{}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Scales[0] != &b.Scales[0] {
+		t.Fatal("two resolutions of the default wavelet configuration do not share its scales")
+	}
+	var specs []Spec
+	for _, kind := range circuit.NetworkKinds() {
+		s := Spec{App: "swim", Instructions: 5_000, Technique: TechniqueWavelet, PDN: &circuit.NetworkConfig{Kind: kind}}
+		if _, err := s.ValidKey(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, _, err := BuildTechnique(s); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		p, err := Prepare(s)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, err := p.Run(func(sim.TracePoint) {}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		specs = append(specs, s)
+	}
+	if _, err := New(Options{Parallelism: 2}).RunAll(context.Background(), specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{32, 64}; !reflect.DeepEqual(a.Scales, want) {
+		t.Errorf("the shared wavelet default changed: %v, want %v", a.Scales, want)
 	}
 }

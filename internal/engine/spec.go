@@ -151,25 +151,31 @@ type DomainTuningConfig struct {
 // domain, or unusable PDN yields a single controller with the paper's
 // Table 1 band, so default resolution — and therefore Key — stays total.
 func DefaultDomainTuningConfig(pdn *circuit.NetworkConfig, initialResponseCycles int) DomainTuningConfig {
+	return DomainTuningConfig{Domains: appendDefaultDomains(nil, pdn, initialResponseCycles)}
+}
+
+// appendDefaultDomains appends DefaultDomainTuningConfig's per-domain
+// controller list to dst, so normalization can derive it into its
+// holder's storage.
+func appendDefaultDomains(dst []tuning.Config, pdn *circuit.NetworkConfig, initialResponseCycles int) []tuning.Config {
 	base := DefaultTuningConfig(initialResponseCycles)
 	if pdn == nil {
-		return DomainTuningConfig{Domains: []tuning.Config{base}}
+		return append(dst, base)
 	}
 	var sections circuit.NetworkSections
 	np, err := pdn.NormalizedIn(&sections)
 	if err != nil || np.Kind != circuit.NetworkMultiDomain || np.MultiDomain.Validate() != nil {
-		return DomainTuningConfig{Domains: []tuning.Config{base}}
+		return append(dst, base)
 	}
 	p := np.MultiDomain
-	out := DomainTuningConfig{Domains: make([]tuning.Config, len(p.Domains))}
 	for d := range p.Domains {
 		c := base
 		half := int(math.Round(p.ClockHz / p.Domains[d].ResonantFrequency() / 2))
 		c.Detector.HalfPeriodLo = half * 8 / 10
 		c.Detector.HalfPeriodHi = half * 12 / 10
-		out.Domains[d] = c
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // DefaultTuningConfig returns the paper's evaluated resonance-tuning
@@ -216,9 +222,11 @@ func defaultDamping() damping.Config {
 // from resolvedPool and puts it back before it returns (see
 // borrowResolved).
 type resolved struct {
-	// n is the normalized spec. Its pointers point into the holder, its
-	// slices do not: a multi-domain network's domains, for one, are the
-	// caller's or the shared default's.
+	// n is the normalized spec. Its pointers point into the holder, and
+	// so does one slice, the domain-tuning controller list (domains);
+	// its other slices do not: a multi-domain network's domains, for
+	// one, are the caller's or the shared default's, and a wavelet
+	// section's default scales are the wavelet package's.
 	n Spec
 	// desc is n's technique descriptor.
 	desc *Descriptor
@@ -238,6 +246,9 @@ type resolved struct {
 	wavelet      wavelet.Config
 	dualBand     DualBandConfig
 	domainTuning DomainTuningConfig
+	// domains is the storage of domainTuning's controller list, reused
+	// by every normalization the holder serves.
+	domains []tuning.Config
 }
 
 // resolvedPool lends holders to the callers that do not keep the

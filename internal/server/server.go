@@ -249,7 +249,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		} else {
 			line.Result = &res
 		}
-		body, _ := json.Marshal(line) // a RunLine always encodes: results hold no NaN or Inf
+		body, _ := json.Marshal(line) // a RunLine always encodes: the engine fails a run whose result holds NaN or Inf
 		body = append(body, '\n')
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body)

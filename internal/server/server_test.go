@@ -456,6 +456,50 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	}
 }
 
+// TestNonFiniteResultIsAnErrorLine: a spec that passes validation but
+// simulates to a result holding +Inf is answered with the engine's error
+// naming the field, which JSON can carry where the value cannot: a
+// single spec's body is one line with the key and the error, and a grid
+// ends with a terminal error line.
+func TestNonFiniteResultIsAnErrorLine(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cfg := sim.DefaultConfig()
+	cfg.Power.PeakWatts = 1e308
+	bad := SpecRequest{App: "swim", Instructions: 2_000, System: &cfg}
+	const want = "result field PeakDeviationV is +Inf"
+
+	body, err := json.Marshal(RunRequest{Spec: &bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postRun(t, ts.URL, string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	lines := decodeLines(t, resp.Body)
+	if len(lines) != 1 || lines[0].Result != nil || lines[0].Key == "" || !strings.Contains(lines[0].Error, want) {
+		t.Fatalf("lines = %+v, want one line with the key and an error containing %q", lines, want)
+	}
+
+	body, err = json.Marshal(RunRequest{Specs: []SpecRequest{{App: "swim", Instructions: 2_000}, bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postRun(t, ts.URL, string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("grid status = %d, want 200", resp.StatusCode)
+	}
+	lines = decodeLines(t, resp.Body)
+	if len(lines) == 0 || !strings.Contains(lines[len(lines)-1].Error, want) {
+		t.Fatalf("grid lines = %+v, want a terminal error line containing %q", lines, want)
+	}
+	for _, line := range lines[:len(lines)-1] {
+		if line.Error != "" || line.Result == nil {
+			t.Errorf("non-terminal line %+v is not a result", line)
+		}
+	}
+}
+
 // TestMetricsEndpoint: the scrape reflects the engine's cache counters
 // and the server's own traffic in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
