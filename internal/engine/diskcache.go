@@ -43,21 +43,20 @@ const diskCacheVersion = 5
 // a line per member (the member's 64-hex key, a space, its entry; see
 // appendEntry), hard-linked under every member's name. The content is
 // not JSON; the suffix stays because DiskCacheKeys, the shard coordinator
-// and gc find entries, an earlier version's too, by it. The file's last
-// line names its commit point: store links every other name before it
-// renames the file onto that one, so a file reachable under its last
-// line's name finished publishing, and such a committed file serves
-// every line it holds, whichever name it is opened by. A file not (or
-// no longer) under that name — a crash mid-publish — serves only the
-// line of the name that opened it. All operations are best-effort — a
-// missing, corrupt, or stale entry is a miss, and write failures are
-// invisible to correctness (the result was computed anyway).
+// and gc find entries, an earlier version's too, by it. A name is live
+// when its file holds a decodable line for its own key (read), and a
+// file read through a live name serves every line it holds: store
+// writes and closes a group's whole file before it links any name, so
+// every name it links holds that name's line, and a line decodes to its
+// key's exact result whichever name opened the file. All operations are
+// best-effort — a missing, corrupt, or stale entry is a miss, and write
+// failures are invisible to correctness (the result was computed
+// anyway).
 type diskCache struct {
 	dir string
-	// reads counts the files read, and checks the commit points stat'ed
-	// against a file read (committed), so tests and benchmarks can see
-	// how much a batch's probe did.
-	reads, checks atomic.Uint64
+	// reads counts the files read, so tests and benchmarks can see how
+	// much a batch's probe did.
+	reads atomic.Uint64
 }
 
 // path places an entry by full content hash; two distinct specs can
@@ -75,38 +74,12 @@ func (d *diskCache) name(h lineKey) string {
 	return filepath.Join(d.dir, string(h[:])+".json")
 }
 
-// committed reports whether blob, the contents of the file id
-// identifies, read through opened's name, finished publishing: whether
-// the file is the one under its last line's name, which store renames it
-// onto last. It is free when opened is that name, else one counted stat,
-// whose device and inode must be the file's. A last line that is not a
-// key line the cache writes is no commit point.
-func (d *diskCache) committed(blob []byte, opened lineKey, id fileID) bool {
-	blob = bytes.TrimSuffix(blob, []byte{'\n'})
-	line := blob[bytes.LastIndexByte(blob, '\n')+1:]
-	var last lineKey
-	if len(line) <= len(last) || line[len(last)] != ' ' {
-		return false
-	}
-	copy(last[:], line)
-	if last == opened {
-		return true
-	}
-	for _, c := range last {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	d.checks.Add(1)
-	return id.names(d.name(last))
-}
-
 // DiskCacheKeys enumerates the keys of finished entries under dir with
 // a single directory read, parsing keys out of file names without
 // decoding entry bodies. A corrupt or stale-version entry is counted
-// here but treated as a miss by load — callers using this for
+// here but treated as a miss by read — callers using this for
 // completion tracking (the sharded-sweep coordinator) tolerate that
-// because their merge path re-simulates whatever load rejects.
+// because their merge path re-simulates whatever read rejects.
 func DiskCacheKeys(dir string) ([]Key, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -130,44 +103,33 @@ func DiskCacheKeys(dir string) ([]Key, error) {
 	return keys, nil
 }
 
-// errNoEntry is load's error for a file that holds no current-version
+// errNoEntry is read's error for a file that holds no current-version
 // line for the key it is named by.
 var errNoEntry = errors.New("engine: disk-cache file holds no current entry for its key")
 
-// absent reports whether a load error means there is no file to read
+// absent reports whether a read error means there is no file to read
 // under the key's name — no file, or no cache directory at all — as
 // opposed to a file that is there but unusable.
 func absent(err error) bool {
 	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)
 }
 
-// load returns the cached result for key: it reads the file the key
-// names and decodes only the line for the key. The error is absent (see
-// absent) when there is no such file; otherwise the file is unreadable,
-// its line for key does not decode, or it has no current-version line
-// for key (errNoEntry: a corrupt or truncated file, or one written
-// before results were stored by line).
-func (d *diskCache) load(key Key) (sim.Result, error) {
-	blob, _, err := d.read(key)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return entryOf(blob, key)
-}
-
-// read returns the contents of the file key names and the identity of
-// the file it read, which the commit point's name is checked against
-// (committed) before the contents serve a co-member's line. A published
-// file is never written again, so the size it is opened with is its
-// size. Errors are load's: no file under the name is absent, and a name
-// that opens but does not read (a directory squatting on it, say) is not.
-func (d *diskCache) read(key Key) ([]byte, fileID, error) {
-	blob, id, err := readFile(d.path(key))
-	if err != nil {
-		return nil, fileID{}, err
+// read is the tier's one judgement of a name, which gc and every probe
+// make: it reads the file key names and decodes key's own line from it,
+// and returns the file's contents with the result. The error is absent
+// (see absent) when there is no file under the name. Any other error —
+// a name that opens but does not read (a directory squatting on it,
+// say), or a file without a decodable line for key (errNoEntry: a
+// corrupt or truncated file, a hand-made one, or one an earlier version
+// wrote) — means the name serves nothing. A published file is never
+// written again, so the size it is opened with is its size.
+func (d *diskCache) read(key Key) (blob []byte, res sim.Result, err error) {
+	if blob, err = readFile(d.path(key)); err != nil {
+		return nil, res, err
 	}
 	d.reads.Add(1)
-	return blob, id, nil
+	res, err = entryOf(blob, key)
+	return blob, res, err
 }
 
 // entryOf decodes key's entry from a file's contents: the first line
@@ -199,9 +161,9 @@ const entryWords, entryStack = 15, 256
 //   - sim.Result's fixed-width fields in declaration order, Tech's four
 //     counters last, each 8 bytes little-endian, a float64 as its bits.
 //
-// Hex keeps every entry on one line, so the line walker, the commit
-// point and gc read a file as they read any other, and the bits keep a
-// result exact, -0 and NaN payloads included.
+// Hex keeps every entry on one line, so the line walker reads every
+// file alike, and the bits keep a result exact, -0 and NaN payloads
+// included.
 func appendEntry(b []byte, r *sim.Result) []byte {
 	var stack [entryStack]byte
 	p := append(stack[:0], diskCacheVersion)
@@ -349,18 +311,18 @@ const gcTmpAge = time.Hour
 //     when its spec runs again, which never happens after a bump that
 //     changed every key: without a sweep such entries orphan forever;
 //   - corrupt entries, and files from before results were stored by
-//     line (load already treats them as misses, but only a
+//     line (read already treats them as misses, but only a
 //     re-simulation of the exact same key would replace them);
 //   - tmp-* names older than gcTmpAge, abandoned by writers that died
 //     before publishing (or while publishing: a name already linked to
-//     a temp file keeps serving its line).
+//     a temp file keeps serving the file's lines).
 //
 // Everything else is left alone: fresh temp files of concurrent
 // writers (the mtime age guard is what makes gc at one sharded
 // worker's startup safe against another worker's in-flight write),
 // files the cache never wrote, and subdirectories (the sharded-sweep
 // coordination state — manifest and lease files — lives under shard/).
-// A name is judged by the line for its own key, so a group's file is
+// A name is judged as a probe judges it (read), so a group's file is
 // kept under each name that still finds its line. The sweep is
 // best-effort: any read or remove error just skips that file. It
 // returns the number of files removed.
@@ -385,7 +347,7 @@ func (d *diskCache) gc() (removed int) {
 			if err != nil {
 				continue // not a cache file
 			}
-			if _, err := d.load(key); err == nil || absent(err) {
+			if _, _, err := d.read(key); err == nil || absent(err) {
 				continue // live entry, or already gone
 			}
 		default:
@@ -403,13 +365,14 @@ func (d *diskCache) gc() (removed int) {
 // unique temp file in the directory, in key order, which is then
 // published under each key's name: hard-linked under every name but the
 // last and renamed onto the last, so a one-result group costs one
-// create and one rename. That rename is the commit point: it comes
-// after every link, and the last line names it (see diskCache). A name
-// that already exists (a stale entry, or a concurrent writer's) is
-// replaced by linking under a temp name and renaming over it. A
-// published file is never written again, so a reader (or a killed
-// process) sees a name's complete file or none, never a torn one, and a
-// crash mid-publish leaves some names served and the rest missing.
+// create and one rename. The file is written and closed before any name
+// is linked, so every name store links holds its own line (see
+// diskCache). A name that already exists (a stale entry, or a
+// concurrent writer's) is replaced by linking under a temp name and
+// renaming over it. A published file is never written again, so a
+// reader (or a killed process) sees a name's complete file or none,
+// never a torn one, and a crash mid-publish leaves some names linked,
+// each serving the whole file, and the rest missing.
 func (d *diskCache) store(keys []Key, res []sim.Result) (landed int) {
 	var buf []byte
 	names := make([]string, len(keys))

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +234,99 @@ func TestDiskCacheGC(t *testing.T) {
 	}
 }
 
+// TestDiskCacheGCJudgesNamesAsProbes: gc and a lone probe judge a name
+// alike, by its file's line for the name's own key. The directory holds
+// a healthy group, a crash's file linked under two of its group's names,
+// a group file without its first member's line, one whose first
+// member's line is cut short, and a version 4 line under a real spec's
+// name. The gc sweep removes a name exactly when a one-spec RunKeyed of
+// its spec on a fresh engine is not a disk hit, which is so for the three
+// names without a decodable line of their own.
+func TestDiskCacheGCJudgesNamesAsProbes(t *testing.T) {
+	var specs []Spec
+	for _, app := range []string{"swim", "gzip", "lucas", "parser", "art"} {
+		specs = append(specs, groupSpecs(t, app)...)
+	}
+	size := len(specs) / 5
+	src := t.TempDir()
+	want, err := New(Options{DiskCacheDir: src}).RunAll(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcPaths := entryPaths(t, src, specs)
+	blob := func(g int) []byte {
+		b, err := os.ReadFile(srcPaths[g*size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// firstLine splits group g's file around its first member's line.
+	firstLine := func(g int) (before, line, after []byte) {
+		b := blob(g)
+		k, err := specs[g*size].Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(b, []byte(k.Hex()+" "))
+		end := at + bytes.IndexByte(b[at:], '\n')
+		return b[:at], b[at:end], b[end:]
+	}
+	dead := map[int]bool{2 * size: true, 3 * size: true, 4 * size: true}
+	build := func(dir string) []string {
+		paths := entryPaths(t, dir, specs)
+		publish := func(content []byte, names ...string) {
+			if err := os.WriteFile(names[0], content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names[1:] {
+				if err := os.Link(names[0], name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		group := func(g int) []string { return paths[g*size : (g+1)*size] }
+		publish(blob(0), group(0)...)
+		publish(blob(1), group(1)[:2]...)
+		before, _, after := firstLine(2)
+		publish(slices.Concat(before, after[1:]), group(2)...)
+		before, line, after := firstLine(3)
+		publish(slices.Concat(before, line[:len(line)-1], after), group(3)...)
+		k, err := specs[4*size].Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish([]byte(k.Hex()+" "+v4Entry()+"\n"), paths[4*size])
+		return paths
+	}
+
+	probed, swept := build(t.TempDir()), build(t.TempDir())
+	New(Options{DiskCacheDir: filepath.Dir(swept[0]), DiskCacheGC: true})
+	names := 0
+	for i, s := range specs {
+		if _, err := os.Stat(probed[i]); os.IsNotExist(err) {
+			continue // a name the crash never linked
+		}
+		names++
+		e := New(Options{DiskCacheDir: filepath.Dir(probed[i])})
+		k, err := s.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := e.RunKeyed(context.Background(), k, s); err != nil || got != want[i] {
+			t.Fatalf("spec %d: %v, or a result that differs from the cold pass", i, err)
+		}
+		hit := e.CacheStats().DiskHits == 1
+		_, err = os.Stat(swept[i])
+		if kept := err == nil; kept != hit || hit == dead[i] {
+			t.Errorf("spec %d: a lone probe's disk hit is %v and gc keeps the name: %v, want both %v", i, hit, kept, !dead[i])
+		}
+	}
+	if want := 3*size + 2 + 1; names != want {
+		t.Errorf("%d names judged, want %d", names, want)
+	}
+}
+
 // TestErroredEntryEvicted: a failed simulation does not poison the
 // memory tier — the entry count stays at zero and a retry of the same
 // spec simulates again.
@@ -402,6 +496,12 @@ func noTempFiles(t *testing.T, dir string) {
 	}
 }
 
+// load returns key's result as the tier judges its name (read).
+func (d *diskCache) load(key Key) (sim.Result, error) {
+	_, res, err := d.read(key)
+	return res, err
+}
+
 // TestDiskCacheGroupLayout: a cold RunAll stores each simulated lockstep
 // group as one file, hard-linked under every member's name, with one
 // disk write per result and no temp name left; each name serves its own
@@ -462,92 +562,102 @@ func TestDiskCacheGroupLayout(t *testing.T) {
 	}
 }
 
-// TestDiskCacheMisplacedEntries: a name's own probe finds only the line
-// for its own key. A name whose file holds its co-members' lines but not
-// its own is still served in a batch with them, by its group's committed
-// file read through a co-member's name; alone in its batch, a stale name
-// inside a group — here a link to another group's live file — reads as a
-// fault, is replaced by the group's own file, and the other group's file
-// is not written in place.
+// TestDiskCacheMisplacedEntries: a file serves no one unless it holds a
+// decodable line for the name that opened it. A name whose file holds
+// its co-members' lines but not its own is a fault to its own read, yet
+// it is served in a batch with them, by its group's file read through a
+// co-member's name; alone in its batch, a stale name inside a group —
+// here a link to another group's live file — reads as a fault, is
+// replaced by the group's own file, and the other group's file is not
+// written in place. Every batch runs at Parallelism 1, 2 and 4, so which
+// file a probe meets first does not depend on the machine.
 func TestDiskCacheMisplacedEntries(t *testing.T) {
-	dir := t.TempDir()
 	a, b := groupSpecs(t, "swim"), groupSpecs(t, "gzip")
-	pa, pb := entryPaths(t, dir, a), entryPaths(t, dir, b)
-	wantA, err := New(Options{DiskCacheDir: dir}).RunAll(context.Background(), a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	blob, err := os.ReadFile(pa[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := []byte(strings.TrimSuffix(filepath.Base(pa[0]), ".json") + " ")
-	var others []byte
-	for _, line := range bytes.SplitAfter(blob, []byte("\n")) {
-		if !bytes.HasPrefix(line, own) {
-			others = append(others, line...)
+	for _, p := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		pa, pb := entryPaths(t, dir, a), entryPaths(t, dir, b)
+		wantA, err := New(Options{Parallelism: p, DiskCacheDir: dir}).RunAll(context.Background(), a, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(others) == 0 || len(others) == len(blob) {
-		t.Fatalf("group file of %d bytes has %d bytes of co-member lines", len(blob), len(others))
-	}
-	if err := os.Remove(pa[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(pa[0], others, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e := New(Options{DiskCacheDir: dir})
-	got, err := e.RunAll(context.Background(), a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if got[i] != wantA[i] {
-			t.Errorf("spec %d: result differs after its line went missing", i)
-		}
-	}
-	if st := e.CacheStats(); st.DiskReadErrors != 0 || st.Misses != 0 || st.DiskHits != uint64(len(a)) || st.DiskWrites != 0 {
-		t.Errorf("stats %s, want %d disk hits and nothing else", counters(st), len(a))
-	}
 
-	if err := os.Link(pa[1], pb[0]); err != nil {
-		t.Fatal(err)
-	}
-	e = New(Options{DiskCacheDir: dir})
-	wantB, err := e.RunAll(context.Background(), b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.CacheStats(); st.DiskReadErrors != 1 || st.Misses != uint64(len(b)) || st.DiskWrites != uint64(len(b)) {
-		t.Errorf("stats %s, want 1 read fault, %d misses and disk writes", counters(st), len(b))
-	}
-	if !sameFiles(t, pb...) {
-		t.Error("the stale name was not replaced by its group's file")
-	}
-	noTempFiles(t, dir)
-
-	e = New(Options{DiskCacheDir: dir})
-	got, err = e.RunAll(context.Background(), append(append([]Spec(nil), a...), b...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]sim.Result(nil), wantA...), wantB...)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("spec %d: disk result differs after the replacement", i)
+		blob, err := os.ReadFile(pa[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := e.CacheStats(); st.DiskHits != uint64(len(want)) || st.Misses != 0 || st.DiskReadErrors != 0 {
-		t.Errorf("replay stats %s, want %d disk hits and nothing else", counters(st), len(want))
+		own := []byte(strings.TrimSuffix(filepath.Base(pa[0]), ".json") + " ")
+		var others []byte
+		for _, line := range bytes.SplitAfter(blob, []byte("\n")) {
+			if !bytes.HasPrefix(line, own) {
+				others = append(others, line...)
+			}
+		}
+		if len(others) == 0 || len(others) == len(blob) {
+			t.Fatalf("group file of %d bytes has %d bytes of co-member lines", len(blob), len(others))
+		}
+		if err := os.Remove(pa[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pa[0], others, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{Parallelism: p, DiskCacheDir: dir})
+		got, err := e.RunAll(context.Background(), a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if got[i] != wantA[i] {
+				t.Errorf("parallelism %d, spec %d: result differs after its line went missing", p, i)
+			}
+		}
+		if st := e.CacheStats(); st.DiskReadErrors != 0 || st.Misses != 0 || st.DiskHits != uint64(len(a)) || st.DiskWrites != 0 {
+			t.Errorf("parallelism %d: stats %s, want %d disk hits and nothing else", p, counters(st), len(a))
+		}
+
+		if err := os.Link(pa[1], pb[0]); err != nil {
+			t.Fatal(err)
+		}
+		e = New(Options{Parallelism: p, DiskCacheDir: dir})
+		wantB, err := e.RunAll(context.Background(), b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.CacheStats(); st.DiskReadErrors != 1 || st.Misses != uint64(len(b)) || st.DiskWrites != uint64(len(b)) {
+			t.Errorf("parallelism %d: stats %s, want 1 read fault, %d misses and disk writes", p, counters(st), len(b))
+		}
+		if !sameFiles(t, pb...) {
+			t.Errorf("parallelism %d: the stale name was not replaced by its group's file", p)
+		}
+		noTempFiles(t, dir)
+
+		e = New(Options{Parallelism: p, DiskCacheDir: dir})
+		got, err = e.RunAll(context.Background(), append(append([]Spec(nil), a...), b...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]sim.Result(nil), wantA...), wantB...)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("parallelism %d, spec %d: disk result differs after the replacement", p, i)
+			}
+		}
+		if st := e.CacheStats(); st.DiskHits != uint64(len(want)) || st.Misses != 0 || st.DiskReadErrors != 0 {
+			t.Errorf("parallelism %d: replay stats %s, want %d disk hits and nothing else", p, counters(st), len(want))
+		}
 	}
 }
 
 // TestDiskCacheCrashMidPublish: a writer that dies while publishing
-// leaves its temp file linked under only some members' names. Those
-// names serve their results and the rest miss, and the gc sweep removes
-// only the aged temp name, never a published one.
+// leaves its temp file, which holds every member's line, linked under
+// only some members' names: here the first two, or every name but the
+// last (a crash before the final rename). Each linked name holds its own
+// line, so a batch serves every member from a linked name's read: all
+// disk hits and no miss, fault or write, with one read on one worker and
+// at most one more per run boundary on two and four. The names the crash
+// never linked stay absent, so the last member asked for alone misses
+// once, and its one-spec store serves it to a fresh engine. The gc
+// sweep removes only the aged temp name, never a linked one.
 func TestDiskCacheCrashMidPublish(t *testing.T) {
 	specs := groupSpecs(t, "swim")
 	src := t.TempDir()
@@ -559,77 +669,31 @@ func TestDiskCacheCrashMidPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, "tmp-crashed")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const linked = 2
-	paths := entryPaths(t, dir, specs)
-	for _, p := range paths[:linked] {
-		if err := os.Link(tmp, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * gcTmpAge)
-	if err := os.Chtimes(tmp, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	e := New(Options{DiskCacheDir: dir, DiskCacheGC: true})
-	if st := e.CacheStats(); st.DiskGCRemoved != 1 {
-		t.Errorf("DiskGCRemoved = %d, want 1 (the temp name)", st.DiskGCRemoved)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Errorf("gc left the aged temp name: %v", err)
-	}
-	got, err := e.RunAll(context.Background(), specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		if got[i] != want[i] {
-			t.Errorf("spec %d: result differs", i)
-		}
-	}
-	if st := e.CacheStats(); st.DiskHits != linked || st.Misses != uint64(len(specs)-linked) || st.DiskReadErrors != 0 {
-		t.Errorf("stats %s, want %d disk hits, %d misses, no read faults", counters(st), linked, len(specs)-linked)
-	}
-}
-
-// TestCrashBeforeFinalRename: a writer that dies after linking every
-// name but the last, before the rename that commits the file, leaves it
-// uncommitted. At every width, each linked name is served by its own
-// probe's read, which serves only its own line: one read and one commit
-// point check per linked name. The last member is a plain miss, not
-// served from a co-member's read, and its rewrite serves it to a later
-// engine.
-func TestCrashBeforeFinalRename(t *testing.T) {
-	specs := groupSpecs(t, "swim")
-	src := t.TempDir()
-	want, err := New(Options{DiskCacheDir: src}).RunAll(context.Background(), specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(entryPaths(t, src, specs)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	last := len(specs) - 1
-	for _, p := range []int{1, 2, 4} {
+	for _, linked := range []int{2, last} {
 		dir := t.TempDir()
 		tmp := filepath.Join(dir, "tmp-crashed")
 		if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		paths := entryPaths(t, dir, specs)
-		for _, name := range paths[:last] {
+		for _, name := range paths[:linked] {
 			if err := os.Link(tmp, name); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for pass, wantMisses := range []uint64{1, 0} {
+		old := time.Now().Add(-2 * gcTmpAge)
+		if err := os.Chtimes(tmp, old, old); err != nil {
+			t.Fatal(err)
+		}
+		if st := New(Options{DiskCacheDir: dir, DiskCacheGC: true}).CacheStats(); st.DiskGCRemoved != 1 {
+			t.Errorf("%d linked: DiskGCRemoved = %d, want 1 (the temp name)", linked, st.DiskGCRemoved)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("%d linked: gc left the aged temp name: %v", linked, err)
+		}
+
+		for _, p := range []int{1, 2, 4} {
 			e := New(Options{Parallelism: p, DiskCacheDir: dir})
 			got, err := e.RunAll(context.Background(), specs, nil)
 			if err != nil {
@@ -637,30 +701,39 @@ func TestCrashBeforeFinalRename(t *testing.T) {
 			}
 			for i := range specs {
 				if got[i] != want[i] {
-					t.Errorf("parallelism %d, pass %d, spec %d: result differs", p, pass+1, i)
+					t.Errorf("%d linked, parallelism %d, spec %d: result differs", linked, p, i)
 				}
 			}
-			wantHits := uint64(len(specs)) - wantMisses
-			if st := e.CacheStats(); st.DiskHits != wantHits || st.Misses != wantMisses || st.DiskWrites != wantMisses || st.DiskReadErrors != 0 {
-				t.Errorf("parallelism %d, pass %d: stats %s, want %d disk hits, %d misses and disk writes, no read faults",
-					p, pass+1, counters(st), wantHits, wantMisses)
+			if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 || st.DiskWrites != 0 {
+				t.Errorf("%d linked, parallelism %d: stats %s, want %d disk hits and nothing else", linked, p, counters(st), len(specs))
 			}
-			if reads, checks := e.disk.reads.Load(), e.disk.checks.Load(); pass == 0 && (reads != uint64(last) || checks != uint64(last)) {
-				t.Errorf("parallelism %d: %d file reads and %d name checks, want %d of each", p, reads, checks, last)
+			if reads := e.disk.reads.Load(); reads < 1 || reads > uint64(p) {
+				t.Errorf("%d linked, parallelism %d: %d file reads, want 1 to %d", linked, p, reads, p)
 			}
 		}
-		if sameFiles(t, paths[0], paths[last]) {
-			t.Errorf("parallelism %d: the last member's name links to the uncommitted file", p)
+		for _, name := range paths[linked:] {
+			if _, err := os.Stat(name); !os.IsNotExist(err) {
+				t.Errorf("%d linked: a name the crash never linked is there before it was asked for alone (%v)", linked, err)
+			}
+		}
+
+		for pass, wantMisses := range []uint64{1, 0} {
+			e := New(Options{DiskCacheDir: dir})
+			if got, err := e.Run(context.Background(), specs[last]); err != nil || got != want[last] {
+				t.Fatalf("%d linked, lone member, pass %d: %v, or a result that differs", linked, pass+1, err)
+			}
+			if st := e.CacheStats(); st.Misses != wantMisses || st.DiskWrites != wantMisses || st.DiskHits != 1-wantMisses || st.DiskReadErrors != 0 {
+				t.Errorf("%d linked, lone member, pass %d: stats %s, want %d misses and disk writes", linked, pass+1, counters(st), wantMisses)
+			}
 		}
 	}
 }
 
 // TestWarmBatchWithoutHardLinks: where the cache directory cannot hold
-// hard links, only each group's last name, the file's commit point,
-// persists. A warm batch opens each group's file by that name and
-// serves every member from it: one read per group and no name check, at
-// every width. A member asked for alone misses once, and its one-spec
-// file then serves it.
+// hard links, only each group's last name persists. A warm batch opens
+// each group's file by that name and serves every member from it: one
+// read per group, at every width. A member asked for alone misses once,
+// and its one-spec file then serves it.
 func TestWarmBatchWithoutHardLinks(t *testing.T) {
 	apps := []string{"swim", "gzip", "lucas"}
 	var specs []Spec
@@ -695,8 +768,8 @@ func TestWarmBatchWithoutHardLinks(t *testing.T) {
 		if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 {
 			t.Errorf("parallelism %d: stats %s, want %d disk hits and nothing else", p, counters(st), len(specs))
 		}
-		if reads, checks := e.disk.reads.Load(), e.disk.checks.Load(); reads != uint64(len(apps)) || checks != 0 {
-			t.Errorf("parallelism %d: %d file reads and %d name checks, want %d and 0", p, reads, checks, len(apps))
+		if reads := e.disk.reads.Load(); reads != uint64(len(apps)) {
+			t.Errorf("parallelism %d: %d file reads, want %d", p, reads, len(apps))
 		}
 	}
 
@@ -711,10 +784,10 @@ func TestWarmBatchWithoutHardLinks(t *testing.T) {
 	}
 }
 
-// TestRunKeyedDiskHitChecksNoName: a one-spec batch reads the file its
-// key names and finds no co-member to serve, so a RunKeyed disk hit
-// makes one read and no name check.
-func TestRunKeyedDiskHitChecksNoName(t *testing.T) {
+// TestRunKeyedDiskHitReadsOnce: a one-spec batch reads the file its key
+// names and finds no co-member to serve, so a RunKeyed disk hit makes
+// one read.
+func TestRunKeyedDiskHitReadsOnce(t *testing.T) {
 	specs := groupSpecs(t, "swim")
 	dir := t.TempDir()
 	if _, err := New(Options{DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
@@ -733,8 +806,62 @@ func TestRunKeyedDiskHitChecksNoName(t *testing.T) {
 	if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 {
 		t.Errorf("stats %s, want %d disk hits", counters(st), len(specs))
 	}
-	if reads, checks := e.disk.reads.Load(), e.disk.checks.Load(); reads != uint64(len(specs)) || checks != 0 {
-		t.Errorf("%d file reads and %d name checks for %d one-spec batches, want one read each and no check", reads, checks, len(specs))
+	if reads := e.disk.reads.Load(); reads != uint64(len(specs)) {
+		t.Errorf("%d file reads for %d one-spec batches, want one each", reads, len(specs))
+	}
+}
+
+// TestRunKeyedDiskHitAllocations: a RunKeyed disk hit, a one-spec batch
+// reading the file its key names, makes at most 21 allocations, the
+// count measured with Go 1.24 (BenchmarkRunKeyedDiskHit reports it; the
+// Go 1.22 count CI builds with has not been read). A probe whose
+// closures reach the heap makes more. Each call runs on an engine of its
+// own, built beforehand and primed with another member's disk hit, so
+// the memory tier never answers and its map's first insert (one more
+// allocation) is not counted, as in the benchmark, whose engines serve
+// a whole grid each. It does not run under the race detector, whose
+// sync.Pool drops a random share of what is put back.
+func TestRunKeyedDiskHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are randomized under the race detector")
+	}
+	const ceiling, runs = 21, 100
+	specs := groupSpecs(t, "swim")
+	dir := t.TempDir()
+	if _, err := New(Options{Parallelism: 1, DiskCacheDir: dir}).RunAll(context.Background(), specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, len(specs))
+	for i, s := range specs {
+		k, err := s.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+	}
+	engines := make([]*Engine, runs+1) // AllocsPerRun makes one call more, to warm up
+	for i := range engines {
+		engines[i] = New(Options{Parallelism: 1, DiskCacheDir: dir})
+		k := (i + 1) % len(specs)
+		if _, err := engines[i].RunKeyed(context.Background(), keys[k], specs[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		k := n % len(specs)
+		if _, err := engines[n].RunKeyed(context.Background(), keys[k], specs[k]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	})
+	for i, e := range engines {
+		if st := e.CacheStats(); st.DiskHits != 2 || st.Misses != 0 || st.Hits != 0 {
+			t.Fatalf("engine %d: stats %s, want two disk hits", i, counters(st))
+		}
+	}
+	if allocs > ceiling {
+		t.Errorf("a RunKeyed disk hit allocates %v times, want at most %d", allocs, ceiling)
 	}
 }
 
@@ -742,12 +869,11 @@ func TestRunKeyedDiskHitChecksNoName(t *testing.T) {
 // group's file once and serves every member from that read — exactly
 // once per file on one worker, and at most once more per run boundary
 // on four, whose contiguous runs may start inside a group — with every
-// spec a disk hit bit-identical to the cold pass, and at most one name
-// check per file read (its commit point's). A member whose name is gone,
-// or links to another group's file, is still served by its group's
-// committed file; a member whose line is keyed in upper-case hex is
-// not: its own probe reads the file again, finds no line for its key,
-// and counts a read fault.
+// spec a disk hit bit-identical to the cold pass. A member whose name is
+// gone, or links to another group's file, is still served by its
+// group's file; a member whose line is keyed in upper-case hex is not:
+// its own probe reads the file again, finds no line for its key, and
+// counts a read fault.
 func TestWarmBatchReadsEachGroupFileOnce(t *testing.T) {
 	apps := []string{"swim", "gzip", "lucas", "parser", "art"}
 	var specs []Spec
@@ -767,7 +893,7 @@ func TestWarmBatchReadsEachGroupFileOnce(t *testing.T) {
 			t.Fatalf("group %d's names are not one file", g)
 		}
 	}
-	warm := func(parallelism int) (st CacheStats, reads, checks uint64) {
+	warm := func(parallelism int) (st CacheStats, reads uint64) {
 		t.Helper()
 		e := New(Options{Parallelism: parallelism, DiskCacheDir: dir})
 		got, err := e.RunAll(context.Background(), specs, nil)
@@ -779,19 +905,16 @@ func TestWarmBatchReadsEachGroupFileOnce(t *testing.T) {
 				t.Errorf("parallelism %d, spec %d: result differs from the cold pass", parallelism, i)
 			}
 		}
-		return e.CacheStats(), e.disk.reads.Load(), e.disk.checks.Load()
+		return e.CacheStats(), e.disk.reads.Load()
 	}
 
 	for _, p := range []int{1, 4} {
-		st, reads, checks := warm(p)
+		st, reads := warm(p)
 		if st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 || st.Hits != 0 {
 			t.Errorf("parallelism %d: stats %s, want %d disk hits and nothing else", p, counters(st), len(specs))
 		}
 		if maxReads := groups + uint64(p-1); reads < groups || reads > maxReads {
 			t.Errorf("parallelism %d: %d file reads for %d groups, want %d to %d", p, reads, groups, groups, maxReads)
-		}
-		if checks > reads {
-			t.Errorf("parallelism %d: %d name checks for %d file reads, want at most one per read", p, checks, reads)
 		}
 	}
 
@@ -825,7 +948,7 @@ func TestWarmBatchReadsEachGroupFileOnce(t *testing.T) {
 	if err := os.WriteFile(paths[2*size+1], recased, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, reads, _ := warm(1)
+	st, reads := warm(1)
 	if st.DiskHits != uint64(len(specs)-1) || st.DiskReadErrors != 1 || st.Misses != 1 || st.DiskWrites != 1 {
 		t.Errorf("stats %s, want %d disk hits, 1 read fault, 1 miss and disk write", counters(st), len(specs)-1)
 	}

@@ -267,15 +267,14 @@ const (
 // claims) from the disk tier, calling succeed for each one served, and
 // returns the rest of toRun, in order. It reads each group file once:
 // workers walk contiguous runs of toRun, so a group's members, adjacent
-// in caller order, meet one reader; and a read serves every owned,
-// unserved spec whose line in the file decodes — its own, and a
-// co-member's when the file is committed (see diskCache), which the
-// first such co-member line decides with at most one stat. A file a
-// crash left uncommitted serves only the line of the name that opened
-// it. A position is taken only by the read that serves it, so which
-// tier serves a spec does not depend on which worker probes first. A
-// position no read served is counted as its own probe found it: a
-// plain miss if its name was absent, else a read fault.
+// in caller order, meet one reader. A position's probe reads its own
+// name's file (diskCache.read), and when the file's line for it
+// decodes, the read serves it and every owned, unserved co-member whose
+// line in the file decodes; otherwise the file serves no one. A position
+// is taken only by the read that serves it, so which tier serves a spec
+// does not depend on which worker probes first. A position no read
+// served is counted as its own probe found it: a plain miss if its name
+// was absent, else a read fault.
 func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Result)) []int {
 	// index holds each owned claim's line key and position in toRun,
 	// sorted by key (a batch owns each key once): one allocation.
@@ -296,14 +295,13 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 			if state[k].Load() == probeServed {
 				continue
 			}
-			blob, id, err := e.disk.read(claims[toRun[k]].key)
+			blob, own, err := e.disk.read(claims[toRun[k]].key)
 			if err != nil {
 				if !absent(err) {
 					state[k].CompareAndSwap(probeOpen, probeFaulted)
 				}
 				continue
 			}
-			var decided, committed bool
 			eachEntry(blob, func(key lineKey, body []byte) bool {
 				x, ok := slices.BinarySearchFunc(index, key, byKey)
 				if !ok {
@@ -313,15 +311,10 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 				if state[j].Load() == probeServed {
 					return true
 				}
+				res, err := own, error(nil) // its own line, which read decoded
 				if j != k {
-					if !decided {
-						decided, committed = true, e.disk.committed(blob, claims[toRun[k]].key.lineKey(), id)
-					}
-					if !committed {
-						return true
-					}
+					res, err = decodeEntry(body)
 				}
-				res, err := decodeEntry(body)
 				if err == nil && (state[j].CompareAndSwap(probeOpen, probeServed) ||
 					state[j].CompareAndSwap(probeFaulted, probeServed)) {
 					e.fromDisk(claims[toRun[j]], res)
@@ -329,7 +322,6 @@ func (e *Engine) probeDisk(claims []claim, toRun []int, succeed func(int, sim.Re
 				}
 				return true
 			})
-			state[k].CompareAndSwap(probeOpen, probeFaulted) // no line of its own decoded, unless served
 		}
 	})
 	misses := toRun[:0]

@@ -93,6 +93,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_sim_misses_total Simulations actually executed.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_sim_misses_total counter\n")
 	fmt.Fprintf(w, "resonanced_sim_misses_total %d\n", cs.Misses)
+	fmt.Fprintf(w, "# HELP resonanced_cache_disk_writes_total Results persisted to the disk tier.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_writes_total counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_writes_total %d\n", cs.DiskWrites)
 	fmt.Fprintf(w, "# HELP resonanced_cache_disk_write_errors_total Results the disk tier failed to persist.\n")
@@ -101,6 +102,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "# HELP resonanced_cache_disk_read_errors_total Disk probes that found the entry's file but no readable current entry in it, for specs no other file of the batch served.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_read_errors_total counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_read_errors_total %d\n", cs.DiskReadErrors)
+	fmt.Fprintf(w, "# HELP resonanced_cache_disk_gc_removed Stale disk-tier files (old versions, corrupt entries, abandoned temp files) the startup sweep removed.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_cache_disk_gc_removed counter\n")
 	fmt.Fprintf(w, "resonanced_cache_disk_gc_removed %d\n", cs.DiskGCRemoved)
 	fmt.Fprintf(w, "# HELP resonanced_cache_entries Distinct specs resident in the memory tier.\n")
@@ -150,6 +152,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 	}
 	sort.Strings(paths)
 
+	fmt.Fprintf(w, "# HELP resonanced_http_requests_total HTTP requests answered, by path and status code.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_http_requests_total counter\n")
 	for _, p := range paths {
 		ep := s.endpoints[p]
@@ -165,6 +168,7 @@ func (s *metricsSet) writeProm(w io.Writer, eng *engine.Engine) {
 		ep.mu.Unlock()
 	}
 
+	fmt.Fprintf(w, "# HELP resonanced_http_request_duration_seconds HTTP request latency, by path.\n")
 	fmt.Fprintf(w, "# TYPE resonanced_http_request_duration_seconds histogram\n")
 	for _, p := range paths {
 		h := s.endpoints[p].hist

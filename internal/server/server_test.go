@@ -593,6 +593,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsHelpForEveryType: every metric family a scrape declares
+// with a # TYPE line also has a # HELP line of the same name.
+func TestMetricsHelpForEveryType(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	postRun(t, ts.URL, `{"spec":{"app":"swim","instructions":2000}}`)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	help := make(map[string]bool)
+	var types []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[0] == "#" {
+			switch f[1] {
+			case "HELP":
+				help[f[2]] = true
+			case "TYPE":
+				types = append(types, f[2])
+			}
+		}
+	}
+	if len(types) == 0 {
+		t.Fatalf("scrape declares no metric family:\n%s", raw)
+	}
+	for _, name := range types {
+		if !help[name] {
+			t.Errorf("metric family %s has a # TYPE line but no # HELP line", name)
+		}
+	}
+}
+
 // TestHealthz: the liveness probe answers without touching the engine.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
