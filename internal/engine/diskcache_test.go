@@ -650,16 +650,30 @@ func TestDiskCacheMisplacedEntries(t *testing.T) {
 
 // TestDiskCacheCrashMidPublish: a writer that dies while publishing
 // leaves its temp file, which holds every member's line, linked under
-// only some members' names: here the first two, or every name but the
-// last (a crash before the final rename). Each linked name holds its own
-// line, so a batch serves every member from a linked name's read: all
-// disk hits and no miss, fault or write, with one read on one worker and
-// at most one more per run boundary on two and four. The names the crash
-// never linked stay absent, so the last member asked for alone misses
-// once, and its one-spec store serves it to a fresh engine. The gc
-// sweep removes only the aged temp name, never a linked one.
+// only some members' names: here the first two.
 func TestDiskCacheCrashMidPublish(t *testing.T) {
+	checkCrashMidPublish(t, groupSpecs(t, "swim"), 2)
+}
+
+// TestCrashBeforeFinalRename: a writer that dies after linking every
+// name but the last, before the rename that commits the file, leaves the
+// last member's name absent.
+func TestCrashBeforeFinalRename(t *testing.T) {
 	specs := groupSpecs(t, "swim")
+	checkCrashMidPublish(t, specs, len(specs)-1)
+}
+
+// checkCrashMidPublish links a crashed writer's temp file, which holds
+// every member's line, under the first linked members' names. Each
+// linked name holds its own line, so a batch serves every member from a
+// linked name's read: all disk hits and no miss, fault or write, with
+// one read on one worker and at most one more per run boundary on two
+// and four. The names the crash never linked stay absent, so the last
+// member asked for alone misses once, and its one-spec store serves it
+// to a fresh engine. The gc sweep removes only the aged temp name, never
+// a linked one.
+func checkCrashMidPublish(t *testing.T, specs []Spec, linked int) {
+	t.Helper()
 	src := t.TempDir()
 	want, err := New(Options{DiskCacheDir: src}).RunAll(context.Background(), specs, nil)
 	if err != nil {
@@ -670,61 +684,59 @@ func TestDiskCacheCrashMidPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := len(specs) - 1
-	for _, linked := range []int{2, last} {
-		dir := t.TempDir()
-		tmp := filepath.Join(dir, "tmp-crashed")
-		if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "tmp-crashed")
+	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	paths := entryPaths(t, dir, specs)
+	for _, name := range paths[:linked] {
+		if err := os.Link(tmp, name); err != nil {
 			t.Fatal(err)
 		}
-		paths := entryPaths(t, dir, specs)
-		for _, name := range paths[:linked] {
-			if err := os.Link(tmp, name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		old := time.Now().Add(-2 * gcTmpAge)
-		if err := os.Chtimes(tmp, old, old); err != nil {
+	}
+	old := time.Now().Add(-2 * gcTmpAge)
+	if err := os.Chtimes(tmp, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if st := New(Options{DiskCacheDir: dir, DiskCacheGC: true}).CacheStats(); st.DiskGCRemoved != 1 {
+		t.Errorf("%d linked: DiskGCRemoved = %d, want 1 (the temp name)", linked, st.DiskGCRemoved)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("%d linked: gc left the aged temp name: %v", linked, err)
+	}
+
+	for _, p := range []int{1, 2, 4} {
+		e := New(Options{Parallelism: p, DiskCacheDir: dir})
+		got, err := e.RunAll(context.Background(), specs, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st := New(Options{DiskCacheDir: dir, DiskCacheGC: true}).CacheStats(); st.DiskGCRemoved != 1 {
-			t.Errorf("%d linked: DiskGCRemoved = %d, want 1 (the temp name)", linked, st.DiskGCRemoved)
+		for i := range specs {
+			if got[i] != want[i] {
+				t.Errorf("%d linked, parallelism %d, spec %d: result differs", linked, p, i)
+			}
 		}
-		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-			t.Errorf("%d linked: gc left the aged temp name: %v", linked, err)
+		if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 || st.DiskWrites != 0 {
+			t.Errorf("%d linked, parallelism %d: stats %s, want %d disk hits and nothing else", linked, p, counters(st), len(specs))
 		}
+		if reads := e.disk.reads.Load(); reads < 1 || reads > uint64(p) {
+			t.Errorf("%d linked, parallelism %d: %d file reads, want 1 to %d", linked, p, reads, p)
+		}
+	}
+	for _, name := range paths[linked:] {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Errorf("%d linked: a name the crash never linked is there before it was asked for alone (%v)", linked, err)
+		}
+	}
 
-		for _, p := range []int{1, 2, 4} {
-			e := New(Options{Parallelism: p, DiskCacheDir: dir})
-			got, err := e.RunAll(context.Background(), specs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range specs {
-				if got[i] != want[i] {
-					t.Errorf("%d linked, parallelism %d, spec %d: result differs", linked, p, i)
-				}
-			}
-			if st := e.CacheStats(); st.DiskHits != uint64(len(specs)) || st.Misses != 0 || st.DiskReadErrors != 0 || st.DiskWrites != 0 {
-				t.Errorf("%d linked, parallelism %d: stats %s, want %d disk hits and nothing else", linked, p, counters(st), len(specs))
-			}
-			if reads := e.disk.reads.Load(); reads < 1 || reads > uint64(p) {
-				t.Errorf("%d linked, parallelism %d: %d file reads, want 1 to %d", linked, p, reads, p)
-			}
+	for pass, wantMisses := range []uint64{1, 0} {
+		e := New(Options{DiskCacheDir: dir})
+		if got, err := e.Run(context.Background(), specs[last]); err != nil || got != want[last] {
+			t.Fatalf("%d linked, lone member, pass %d: %v, or a result that differs", linked, pass+1, err)
 		}
-		for _, name := range paths[linked:] {
-			if _, err := os.Stat(name); !os.IsNotExist(err) {
-				t.Errorf("%d linked: a name the crash never linked is there before it was asked for alone (%v)", linked, err)
-			}
-		}
-
-		for pass, wantMisses := range []uint64{1, 0} {
-			e := New(Options{DiskCacheDir: dir})
-			if got, err := e.Run(context.Background(), specs[last]); err != nil || got != want[last] {
-				t.Fatalf("%d linked, lone member, pass %d: %v, or a result that differs", linked, pass+1, err)
-			}
-			if st := e.CacheStats(); st.Misses != wantMisses || st.DiskWrites != wantMisses || st.DiskHits != 1-wantMisses || st.DiskReadErrors != 0 {
-				t.Errorf("%d linked, lone member, pass %d: stats %s, want %d misses and disk writes", linked, pass+1, counters(st), wantMisses)
-			}
+		if st := e.CacheStats(); st.Misses != wantMisses || st.DiskWrites != wantMisses || st.DiskHits != 1-wantMisses || st.DiskReadErrors != 0 {
+			t.Errorf("%d linked, lone member, pass %d: stats %s, want %d misses and disk writes", linked, pass+1, counters(st), wantMisses)
 		}
 	}
 }
